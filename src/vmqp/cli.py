@@ -74,16 +74,9 @@ def _assemble(cfg: RunConfig, dataset: Dataset):
     return w, model, cp
 
 
-def _diagnostics_rows(samples: np.ndarray):
+def _diagnostics_rows(samples: np.ndarray, ress: np.ndarray):
     means, variances = evaluation.predictive_summary(samples)
-    rows = []
-    for j in range(samples.shape[1]):
-        try:
-            r = evaluation.circular_ress(samples[:, j])
-        except ValueError:
-            r = math.nan
-        rows.append([j + 1, means[j], variances[j], r])
-    return rows
+    return [[j + 1, means[j], variances[j], ress[j]] for j in range(samples.shape[1])]
 
 
 def cmd_sample(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
@@ -108,7 +101,7 @@ def cmd_sample(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
     _write_csv(
         out / "diagnostics.csv",
         ["location", "mean_rad", "circular_variance", "ress"],
-        _diagnostics_rows(samples),
+        _diagnostics_rows(samples, chain.ress[:m]),
     )
     _write_report(
         out / "report.txt",
@@ -169,6 +162,10 @@ def cmd_fit(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
     items = [("command", "fit"), ("n_retained", result.param_trace.shape[0]), ("seed", cfg.seed)]
     for block, rate in result.accept_rates.items():
         items.append((f"accept_rate_{block}", _fmt(rate)))
+    for block, counts in result.outcomes.items():
+        for reason, count in counts.items():
+            if reason != "accepted":
+                items.append((f"rejects_{block}_{reason}", count))
     means, variances = evaluation.predictive_summary(result.phi_samples)
     for j in range(dataset.n_test):
         items.append((f"predictive_mean_rad_{j + 1}", _fmt(means[j])))

@@ -34,7 +34,13 @@ _POWER_ITERATIONS = 200
 
 @dataclass(frozen=True)
 class Augmentation:
-    """Cholesky factor A (upper triangular) with A'A = lam*I - Q."""
+    """Augmentation factor: any A with A'A = lam*I - Q.
+
+    The sweep sees A only through A'z ~ N(A'A cos(phi), A'A), so every
+    such factor gives the same Markov kernel. ``make_augmentation`` and
+    ``augmentation_at`` return the upper Cholesky factor; the full-space
+    models of the parameter sampler use a spectral factor.
+    """
 
     lam: float
     factor: np.ndarray

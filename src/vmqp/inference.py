@@ -6,8 +6,13 @@ full-space angle vector under the proposed parameters (an inner augmented
 Gibbs chain) so that the normalizers cancel from the acceptance ratio.
 Optionally, K annealed bridging levels refine the one-sample importance
 estimate of the normalizer ratio; the bridging transitions reuse the two
-existing full-space Cholesky factors via a double Gaussian augmentation,
-so no per-level factorization is needed.
+existing full-space augmentation factors via a double Gaussian
+augmentation, so no per-level factorization is needed.
+
+Each kernel value costs one symmetric eigendecomposition of its Gram
+matrix, which yields the precision, its top eigenvalue and the
+augmentation factor at once. Moves of the mean parameters alone leave the
+Gram matrix unchanged and reuse the current decomposition.
 
 The learning setting is transductive: prediction locations are fixed at
 fit time because the model is not closed under marginalization.
@@ -16,7 +21,7 @@ fit time because the model is not closed under marginalization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,7 +33,6 @@ from .model import (
     ConditionalParams,
     ParamVector,
     PrecisionModel,
-    build_precision,
     conditional_params,
     energy,
     full_state_params,
@@ -123,8 +127,11 @@ def bridge_betas(levels: int) -> np.ndarray:
 class ParamModel:
     """Everything the samplers need for one parameter value.
 
-    The full-space augmentation factor is cached here so repeated
-    fictitious-sample chains and bridging ladders reuse it.
+    The full-space augmentation factor A (any A with A'A = lam*I - M, here
+    diag(sqrt(lam - 1/s)) V' from the eigendecomposition K = V diag(s) V')
+    is cached so repeated fictitious-sample chains and bridging ladders
+    reuse it. Models that differ only in the mean parameters share gram,
+    precision and full_aug.
     """
 
     w: ParamVector
@@ -147,10 +154,19 @@ def build_param_model(
     X = np.asarray(locations, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
+    if not (np.isfinite(slack) and slack > 0):
+        raise ValueError("slack must be positive")
     gram = build_gram(w.kernel, X)
-    pm = build_precision(gram, n_latent, X.shape[0] - n_latent)
-    full_aug = make_augmentation(pm.matrix, slack)
-    return ParamModel(w, X, gram, pm, full_aug)
+    s, V = np.linalg.eigh(gram.matrix)  # ascending: s[0] is the smallest
+    if not s[0] > 0:
+        raise NumericalError("kernel matrix is not positive definite")
+    M = (V / s) @ V.T
+    M = 0.5 * (M + M.T)
+    lam_max = 1.0 / s[0]
+    lam = (1.0 + slack) * lam_max
+    A = np.sqrt(lam - 1.0 / s)[:, None] * V.T  # A'A = lam*I - M
+    pm = PrecisionModel(M, n_latent, X.shape[0] - n_latent)
+    return ParamModel(w, X, gram, pm, Augmentation(lam, A, lam_max))
 
 
 def _param_dict(w: ParamVector) -> dict:
@@ -166,19 +182,25 @@ def _param_dict(w: ParamVector) -> dict:
     return out
 
 
-def _from_param_dict(values: dict, template: ParamVector) -> ParamVector | None:
-    """Rebuild a ParamVector; None when outside the prior support."""
+def _from_param_dict(
+    values: dict, template: ParamVector, kernel: KernelSpec | None = None
+) -> ParamVector | None:
+    """Rebuild a ParamVector; None when outside the prior support.
+
+    A given ``kernel`` is used as is instead of one rebuilt from ``values``.
+    """
     if values["sigma2"] <= 0 or values["lengthscale2"] <= 0 or values["kappa"] < 0:
         return None
     g2 = values.get("gradient2")
     if template.kernel.gradient_lengthscale is not None and (g2 is None or g2 <= 0):
         return None
-    kernel = KernelSpec(
-        template.kernel.family,
-        values["sigma2"],
-        math.sqrt(values["lengthscale2"]),
-        math.sqrt(g2) if g2 is not None else None,
-    )
+    if kernel is None:
+        kernel = KernelSpec(
+            template.kernel.family,
+            values["sigma2"],
+            math.sqrt(values["lengthscale2"]),
+            math.sqrt(g2) if g2 is not None else None,
+        )
     return ParamVector(
         kernel,
         values["kappa"],
@@ -190,7 +212,11 @@ def _from_param_dict(values: dict, template: ParamVector) -> ParamVector | None:
 def propose(
     w: ParamVector, proposals: ProposalSpec, block, rng
 ) -> ParamVector | None:
-    """Random-walk proposal on the named block; None if out of support."""
+    """Random-walk proposal on the named block; None if out of support.
+
+    A block that moves no kernel parameter keeps the ``KernelSpec`` object
+    of ``w``, which tells the exchange step that the Gram matrix is unchanged.
+    """
     rng = as_generator(rng)
     values = _param_dict(w)
     steps = {
@@ -200,11 +226,11 @@ def propose(
         "kappa": proposals.kappa_step,
         "nu": proposals.nu_step,
     }
-    for name in block:
-        if name not in values:
-            continue
+    moved = [name for name in block if name in values]
+    for name in moved:
         values[name] = values[name] + steps[name] * rng.standard_normal()
-    return _from_param_dict(values, w)
+    kept = None if set(moved) & set(KERNEL_BLOCK) else w.kernel
+    return _from_param_dict(values, w, kept)
 
 
 def sample_fictitious(
@@ -243,8 +269,8 @@ def bridge_ladder(
     beta_k * M_w + (1 - beta_k) * M_w'. Four Gaussian vectors with means
     sqrt(beta_k) * A_w * cos/sin and sqrt(1 - beta_k) * A_w' * cos/sin
     linearize both coupling terms at once, so each transition is a single
-    product-von-Mises redraw and the two cached Cholesky factors serve
-    every level. The returned estimate is
+    product-von-Mises redraw and the two cached augmentation factors
+    (any A with A'A = lam*I - M) serve every level. The returned estimate is
     sum_k [log f_{k+1}(xi_k) - log f_k(xi_k)], endpoints included, which
     telescopes to (1/(K+1)) * sum_k [U(xi_k|w') - U(xi_k|w)].
     """
@@ -290,12 +316,19 @@ def bridge_ladder(
     return xis, float(log_ratio)
 
 
+# Outcomes of one exchange move: accepted, or rejected because the
+# proposal left the prior support, the proposed model failed numerically,
+# or the Metropolis-Hastings test said no.
+DMH_REASONS = ("accepted", "support", "numerical", "mh")
+
+
 @dataclass(frozen=True)
 class DmhResult:
     model: ParamModel
     accepted: bool
     xi: np.ndarray
     log_acceptance: float
+    reason: str
 
 
 def dmh_step(
@@ -315,9 +348,10 @@ def dmh_step(
     unnormalized density f at the current state and the fictitious-sample
     (or bridging-ladder) ratio; normalizing constants never appear.
     Proposals outside the prior support are rejected without touching the
-    kernel. The inner chain starts from ``xi_init`` (persistent across
-    outer iterations), and the accepted move hands back the final ladder
-    state for the next step.
+    kernel. A proposal that keeps the kernel reuses the current Gram
+    matrix, precision and augmentation factor. The inner chain starts from
+    ``xi_init`` (persistent across outer iterations), and the accepted
+    move hands back the final ladder state for the next step.
     """
     rng = as_generator(rng)
     if block is None:
@@ -325,17 +359,20 @@ def dmh_step(
     w = model.w
     wp = propose(w, proposals, block, rng)
     if wp is None:
-        return DmhResult(model, False, xi_init, -math.inf)
+        return DmhResult(model, False, xi_init, -math.inf, "support")
     lp_w = priors.log_density(w)
     lp_wp = priors.log_density(wp)
     if not np.isfinite(lp_wp):
-        return DmhResult(model, False, xi_init, -math.inf)
-    try:
-        model_wp = build_param_model(
-            wp, model.locations, model.precision.n_latent, slack
-        )
-    except NumericalError:
-        return DmhResult(model, False, xi_init, -math.inf)
+        return DmhResult(model, False, xi_init, -math.inf, "support")
+    if wp.kernel is w.kernel:
+        model_wp = replace(model, w=wp)
+    else:
+        try:
+            model_wp = build_param_model(
+                wp, model.locations, model.precision.n_latent, slack
+            )
+        except NumericalError:
+            return DmhResult(model, False, xi_init, -math.inf, "numerical")
     xi0 = sample_fictitious(model_wp, bridge.inner_sweeps, xi_init, rng)
     if bridge.levels > 0:
         xis, log_ratio = bridge_ladder(xi0, model, model_wp, bridge.levels, rng)
@@ -349,8 +386,8 @@ def dmh_step(
         + log_ratio
     )
     if math.log(rng.uniform()) < log_acc:
-        return DmhResult(model_wp, True, xi_last, log_acc)
-    return DmhResult(model, False, xi_last, log_acc)
+        return DmhResult(model_wp, True, xi_last, log_acc, "accepted")
+    return DmhResult(model, False, xi_last, log_acc, "mh")
 
 
 @dataclass(frozen=True)
@@ -382,6 +419,7 @@ class FitOutput:
     accepted_trace: np.ndarray  # (n_retained,) 0/1: any block accepted
     phi_samples: np.ndarray  # (n_retained, m) latent angles at test locations
     accept_rates: dict
+    outcomes: dict  # block -> {reason in DMH_REASONS: count}
 
 
 def block_gibbs_fit(
@@ -416,16 +454,19 @@ def block_gibbs_fit(
     if config.learn_mean:
         blocks.append(("mean", MEAN_BLOCK))
 
-    def latent_setup(mdl):
+    def latent_params(mdl):
         if noisy:
-            cp = full_state_params(mdl.precision, mdl.w, theta)
-            return cp, mdl.full_aug
-        cp = conditional_params(mdl.precision, theta, mdl.w)
-        if m == 0:
-            return cp, None
-        return cp, make_augmentation(cp.coupling, config.slack)
+            return full_state_params(mdl.precision, mdl.w, theta)
+        return conditional_params(mdl.precision, theta, mdl.w)
 
-    cp, cp_aug = latent_setup(model)
+    def latent_augmentation(mdl, cp):
+        # depends on the coupling block only, so on the kernel but not on (kappa, nu)
+        if noisy:
+            return mdl.full_aug
+        return make_augmentation(cp.coupling, config.slack) if m else None
+
+    cp = latent_params(model)
+    cp_aug = latent_augmentation(model, cp)
     n_lat = d if noisy else m
     phi = sample_von_mises(
         init_w.mean_direction,
@@ -436,8 +477,7 @@ def block_gibbs_fit(
 
     names = tuple(_param_dict(init_w).keys())
     rows, accepted_rows, phi_rows = [], [], []
-    proposals = {name: 0 for name, _ in blocks}
-    accepts = {name: 0 for name, _ in blocks}
+    outcomes = {name: dict.fromkeys(DMH_REASONS, 0) for name, _ in blocks}
     for t in range(config.n_iter):
         if n_lat:
             for _ in range(config.phi_sweeps):
@@ -457,21 +497,23 @@ def block_gibbs_fit(
                     block=block,
                     slack=config.slack,
                 )
-                proposals[name] += 1
+                outcomes[name][res.reason] += 1
                 xi = res.xi
                 if res.accepted:
-                    accepts[name] += 1
                     accepted_any = True
+                    kernel_moved = res.model.gram is not model.gram
                     model = res.model
-                    cp, cp_aug = latent_setup(model)
+                    cp = latent_params(model)
+                    if kernel_moved:
+                        cp_aug = latent_augmentation(model, cp)
         if t >= config.burn_in and (t - config.burn_in) % config.thin == 0:
             values = _param_dict(model.w)
             rows.append([values[nm] for nm in names])
             accepted_rows.append(int(accepted_any))
             phi_rows.append(phi[:m].copy())
     rates = {
-        name: (accepts[name] / proposals[name] if proposals[name] else 0.0)
-        for name, _ in blocks
+        name: counts["accepted"] / max(sum(counts.values()), 1)
+        for name, counts in outcomes.items()
     }
     return FitOutput(
         names,
@@ -479,6 +521,7 @@ def block_gibbs_fit(
         np.array(accepted_rows),
         np.array(phi_rows),
         rates,
+        outcomes,
     )
 
 

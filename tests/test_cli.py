@@ -248,6 +248,53 @@ def test_cli_sample_roundtrip_diagnostics(tmp_path):
         )
 
 
+def test_cli_sample_diagnostics_reuse_chain_ress(tmp_path, monkeypatch):
+    # the ress column is the chain's own per-location RESS, written as is
+    import vmqp.cli as cli
+
+    chains = []
+
+    def recording(*args, **kwargs):
+        chains.append(cli_run_chain(*args, **kwargs))
+        return chains[-1]
+
+    cli_run_chain = cli.run_chain
+    monkeypatch.setattr(cli, "run_chain", recording)
+    cfg = write(tmp_path / "run.cfg", BASE_CONFIG)
+    data = make_generic(tmp_path / "d.csv", n_pred=3)
+    out = tmp_path / "o"
+    run(["sample", "--config", cfg, "--data", data, "--out", str(out)])
+    _, rows = read_table(out / "diagnostics.csv")
+    assert len(chains) == 1 and len(rows) == 3
+    assert [row[3] for row in rows] == [f"{r:.17g}" for r in chains[0].ress[:3]]
+
+
+def test_cli_fit_reports_numerical_rejections(tmp_path, monkeypatch):
+    import vmqp.inference as inference
+    from vmqp.errors import NumericalError
+
+    build_gram = inference.build_gram
+    built = []
+
+    def fail_after_first(spec, X):
+        if built:
+            raise NumericalError("kernel matrix numerically singular")
+        built.append(spec)
+        return build_gram(spec, X)
+
+    monkeypatch.setattr(inference, "build_gram", fail_after_first)
+    cfg = write(tmp_path / "run.cfg", FIT_CONFIG)
+    data = make_generic(tmp_path / "d.csv", n_obs=6, n_pred=2)
+    out = tmp_path / "o"
+    assert run(["fit", "--config", cfg, "--data", data, "--out", str(out)]) == 0
+    report = read_kv(out / "summary.txt")
+    assert report["rejects_kernel_numerical"] == "12"
+    assert report["rejects_kernel_support"] == "0"
+    assert report["rejects_kernel_mh"] == "0"
+    assert float(report["accept_rate_kernel"]) == 0.0
+    assert report["rejects_mean_numerical"] == "0"
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg = write(tmp_path / "run.cfg", "bogus = 1\n")
     data = make_generic(tmp_path / "d.csv")
@@ -285,6 +332,10 @@ def test_cli_fit_schema(tmp_path, levels):
     report = read_kv(out / "summary.txt")
     assert "accept_rate_kernel" in report
     assert "accept_rate_mean" in report
+    for block in ("kernel", "mean"):
+        counts = [int(report[f"rejects_{block}_{r}"]) for r in ("support", "numerical", "mh")]
+        accepted = float(report[f"accept_rate_{block}"]) * 12
+        assert sum(counts) + accepted == pytest.approx(12)
     assert "predictive_mean_rad_1" in report
     samples = read_samples_csv(out / "phi_samples.csv")
     assert samples.shape == (8, 2)

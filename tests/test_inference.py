@@ -7,7 +7,10 @@ from scipy.integrate import quad
 from scipy.special import i0
 
 import vmqp.inference as inference
+from vmqp.errors import NumericalError
+from vmqp.gibbs import _EIG_EXACT_LIMIT
 from vmqp.inference import (
+    MEAN_BLOCK,
     BridgeConfig,
     FitConfig,
     PriorSpec,
@@ -24,7 +27,7 @@ from vmqp.inference import (
     propose,
     sample_fictitious,
 )
-from vmqp.kernels import KernelSpec
+from vmqp.kernels import GramMatrix, KernelSpec
 from vmqp.model import ParamVector
 
 
@@ -254,3 +257,107 @@ def test_cd_gradient_shape_and_validation(rng):
     assert g.shape == (4,)
     with pytest.raises(ValueError):
         cd_gradient(np.array([0.5]), model, 0, rng)
+
+
+@pytest.mark.parametrize("d", [5, 600])
+def test_spectral_param_model_identities(d):
+    # one eigendecomposition gives the precision, the exact top eigenvalue
+    # and a factor A with A'A = lam*I - M, also above the size where the
+    # latent path switches to power iteration
+    if d == 600:
+        assert d > _EIG_EXACT_LIMIT
+    w = ParamVector(KernelSpec("exponential", 1.3, 1.0), 0.5, 0.2)
+    locations = np.linspace(0.0, 0.5 * d, d)[:, None]
+    slack = 0.05
+    model = build_param_model(w, locations, 2, slack)
+    K = model.gram.matrix
+    M = model.precision.matrix
+    aug = model.full_aug
+    s_min = np.linalg.eigvalsh(K)[0]
+    assert np.max(np.abs(M @ K - np.eye(d))) < 1e-9
+    assert np.array_equal(M, M.T)
+    gap = aug.lam * np.eye(d) - M
+    assert np.max(np.abs(aug.factor.T @ aug.factor - gap)) < 1e-9 * aug.lam
+    assert aug.lam_max_estimate == pytest.approx(1.0 / s_min, rel=1e-12)
+    assert aug.lam == (1.0 + slack) * aug.lam_max_estimate
+    assert model.precision.n_latent == 2 and model.precision.n_observed == d - 2
+
+
+def test_build_param_model_rejects_indefinite_gram(monkeypatch):
+    K = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+    monkeypatch.setattr(inference, "build_gram", lambda spec, X: GramMatrix(K, 0.0, None))
+    w = ParamVector(KernelSpec("gaussian", 1.0, 1.0), 0.5, 0.0)
+    with pytest.raises(NumericalError):
+        build_param_model(w, np.array([[0.0], [1.0]]), 1)
+
+
+def test_mean_block_dmh_reuses_the_current_model(monkeypatch, rng):
+    w = ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3)
+    model = build_param_model(w, np.linspace(0.0, 3.0, 6)[:, None], 2)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a mean-block move rebuilt the model")
+
+    proposed = []
+
+    def fictitious(model_wp, sweeps, init, rng):
+        proposed.append(model_wp)
+        return sample_fictitious(model_wp, sweeps, init, rng)
+
+    monkeypatch.setattr(inference, "build_param_model", no_build)
+    monkeypatch.setattr(inference, "sample_fictitious", fictitious)
+    accepted = 0
+    for _ in range(20):
+        res = dmh_step(
+            model, np.zeros(6), PriorSpec(), ProposalSpec(),
+            BridgeConfig(1, inner_sweeps=2), rng, np.zeros(6), block=MEAN_BLOCK,
+        )
+        accepted += res.accepted
+    assert accepted > 0
+    assert len(proposed) == 20
+    for model_wp in proposed:
+        assert model_wp.w.kernel is w.kernel
+        assert model_wp.w != w
+        assert model_wp.gram is model.gram
+        assert model_wp.precision is model.precision
+        assert model_wp.full_aug is model.full_aug
+
+
+def test_fit_keeps_latent_augmentation_after_mean_moves(monkeypatch, rng):
+    # only kernel moves change the latent coupling block, so the latent
+    # augmentation is built once plus once per accepted kernel move
+    calls = []
+    make_augmentation = inference.make_augmentation
+
+    def counting(Q, slack):
+        calls.append(Q.shape)
+        return make_augmentation(Q, slack)
+
+    monkeypatch.setattr(inference, "make_augmentation", counting)
+    w = ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3)
+    theta = np.array([0.2, -0.4, 0.9, 0.1])
+    train = np.arange(4, dtype=float).reshape(-1, 1)
+    cfg = FitConfig(n_iter=40, burn_in=10, phi_sweeps=1, bridge=BridgeConfig(0, inner_sweeps=2))
+    out = block_gibbs_fit(theta, train, np.array([[0.5], [2.5]]), w, cfg, rng)
+    assert out.outcomes["mean"]["accepted"] > 0
+    assert len(calls) == 1 + out.outcomes["kernel"]["accepted"]
+
+
+def test_fit_counts_every_outcome_by_block(rng):
+    w = ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.05, 0.3)
+    theta = np.array([0.2, -0.4, 0.9, 0.1])
+    train = np.arange(4, dtype=float).reshape(-1, 1)
+    cfg = FitConfig(
+        n_iter=60, burn_in=10, phi_sweeps=1, dmh_steps=2,
+        proposals=ProposalSpec(kappa_step=0.5),
+        bridge=BridgeConfig(0, inner_sweeps=2),
+    )
+    out = block_gibbs_fit(theta, train, np.array([[0.5]]), w, cfg, rng)
+    for name, counts in out.outcomes.items():
+        assert tuple(counts) == inference.DMH_REASONS
+        assert sum(counts.values()) == 120
+        assert out.accept_rates[name] == counts["accepted"] / 120
+    # kappa starts near zero with a wide step, so some moves leave the support
+    assert out.outcomes["mean"]["support"] > 0
+    assert out.outcomes["kernel"]["numerical"] == 0
+
