@@ -23,7 +23,7 @@ from .inference import (
     dmh_step,
     sample_fictitious,
 )
-from .kernels import GramMatrix, KernelSpec, build_gram, kernel_eval
+from .kernels import GramMatrix, KernelSpec, build_gram
 from .model import (
     ConditionalParams,
     ParamVector,
@@ -32,8 +32,6 @@ from .model import (
     conditional_params,
     energy,
     full_state_params,
-    log_f,
-    noisy_log_factor,
 )
 
 __all__ = [
@@ -69,10 +67,7 @@ __all__ = [
     "energy",
     "full_state_params",
     "gibbs_sweep",
-    "kernel_eval",
-    "log_f",
     "make_augmentation",
-    "noisy_log_factor",
     "normalize_angle",
     "predictive_summary",
     "ress",

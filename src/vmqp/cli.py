@@ -21,15 +21,15 @@ from .circular import sample_von_mises
 from .config import RunConfig, parse_config
 from .data import Dataset, ingest, load_dataset, split_indices, write_rows
 from .errors import ConfigError, DataError, NumericalError, VmqpError
-from .gibbs import run_chain
+from .gibbs import augmentation_at, run_chain
 from .inference import (
-    FitConfig,
     block_gibbs_fit,
     build_param_model,
     cd_gradient,
     gradient_names,
+    latent_factor,
+    latent_params,
 )
-from .model import conditional_params, full_state_params
 
 
 def _fmt(x) -> str:
@@ -61,17 +61,14 @@ def read_samples_csv(path) -> np.ndarray:
 
 
 def _assemble(cfg: RunConfig, dataset: Dataset):
-    """Model pieces shared by sample and diagnose."""
+    """Model, latent target and latent factor shared by sample and diagnose."""
     if dataset.n_test == 0:
         raise DataError("no prediction locations")
     w = cfg.param_vector()
     locations = np.vstack([dataset.test_locations, dataset.observed_locations])
     model = build_param_model(w, locations, dataset.n_test, cfg.slack)
-    if w.noise_concentration is not None:
-        cp = full_state_params(model.precision, w, dataset.observed_angles)
-    else:
-        cp = conditional_params(model.precision, dataset.observed_angles, w)
-    return w, model, cp
+    cp = latent_params(model, dataset.observed_angles)
+    return w, model, cp, latent_factor(model, cp)
 
 
 def _diagnostics_rows(samples: np.ndarray, ress: np.ndarray):
@@ -80,13 +77,13 @@ def _diagnostics_rows(samples: np.ndarray, ress: np.ndarray):
 
 
 def cmd_sample(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
-    w, model, cp = _assemble(cfg, dataset)
+    w, _, cp, aug = _assemble(cfg, dataset)
     chain = run_chain(
         cp,
+        aug,
         cfg.n_iter,
         cfg.burn_in,
         cfg.thin,
-        cfg.slack,
         seed=cfg.seed,
         init_mean=w.mean_direction,
         init_conc=w.concentration,
@@ -117,24 +114,12 @@ def cmd_sample(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
 def cmd_fit(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
     if dataset.n_test == 0:
         raise DataError("no prediction locations")
-    fit_cfg = FitConfig(
-        n_iter=cfg.n_iter,
-        burn_in=cfg.burn_in,
-        thin=cfg.thin,
-        phi_sweeps=cfg.phi_sweeps,
-        dmh_steps=cfg.dmh_steps,
-        priors=cfg.priors(),
-        proposals=cfg.proposals(),
-        bridge=cfg.bridge(),
-        learn_mean=cfg.learn_mean,
-        slack=cfg.slack,
-    )
     result = block_gibbs_fit(
         dataset.observed_angles,
         dataset.observed_locations,
         dataset.test_locations,
         cfg.param_vector(),
-        fit_cfg,
+        cfg.fit_config(),
         np.random.default_rng(cfg.seed),
     )
     names = list(result.param_names)
@@ -210,18 +195,19 @@ def cmd_eval(pred_paths, truth_paths, schema: str, out: Path) -> None:
 
 
 def cmd_diagnose(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
-    w, model, cp = _assemble(cfg, dataset)
+    w, model, cp, latent_aug = _assemble(cfg, dataset)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.sweep_seeds + cfg.cd_repeats)
     sweep_rows = []
     for mult in cfg.lambda_multipliers:
+        aug = augmentation_at(cp.coupling, mult * latent_aug.lam_max_estimate)
         cell = []
         for s in range(cfg.sweep_seeds):
             chain = run_chain(
                 cp,
+                aug,
                 cfg.sweep_iters,
                 cfg.sweep_burn_in,
                 thin=1,
-                lam_multiplier=mult,
                 seed=np.random.default_rng(seeds[s]),
                 init_mean=w.mean_direction,
                 init_conc=w.concentration,

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
-from .inference import BridgeConfig, PriorSpec, ProposalSpec
+from .inference import BridgeConfig, FitConfig, PriorSpec, ProposalSpec
 from .kernels import KernelSpec
 from .model import ParamVector
 
@@ -69,57 +69,59 @@ class RunConfig:
     sweep_burn_in: int = 500
     cd_mc_samples: int = 50
     cd_repeats: int = 50
-    # split
-    split_fraction: float = 0.2
 
     def validate(self):
-        if self.n_iter <= self.burn_in or self.burn_in < 0:
-            raise ConfigError("need n_iter > burn_in >= 0")
-        if self.thin < 1:
-            raise ConfigError("thin must be >= 1")
-        if self.slack <= 0:
-            raise ConfigError("slack must be positive")
-        if self.inner_sweeps < 1:
-            raise ConfigError("inner_sweeps must be >= 1")
-        if self.bridge_levels < 0:
-            raise ConfigError("bridge_levels must be >= 0")
-        if self.kappa < 0:
-            raise ConfigError("kappa must be >= 0")
-        return self
+        """Check every key by building the objects that use it.
 
-    def kernel_spec(self) -> KernelSpec:
+        The library objects check their own fields; the keys that only the
+        CLI reads are checked here.
+        """
+        if not (math.isfinite(self.slack) and self.slack > 0):
+            raise ConfigError("slack must be positive and finite")
+        if not self.sweep_iters > self.sweep_burn_in >= 0:
+            raise ConfigError("need sweep_iters > sweep_burn_in >= 0")
+        if self.cd_mc_samples < 1:
+            raise ConfigError("cd_mc_samples must be >= 1")
         try:
-            return KernelSpec(
-                self.kernel_family,
-                self.kernel_variance,
-                self.kernel_lengthscale,
-                self.kernel_gradient_lengthscale,
-            )
+            self.param_vector()
+            self.fit_config()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        return self
 
     def param_vector(self) -> ParamVector:
-        return ParamVector(self.kernel_spec(), self.kappa, self.nu_rad, self.chi)
-
-    def priors(self) -> PriorSpec:
-        return PriorSpec(
-            self.prior_sigma2_scale,
-            self.prior_lengthscale2_scale,
-            self.prior_gradient2_scale,
-            self.prior_kappa_scale,
+        kernel = KernelSpec(
+            self.kernel_family,
+            self.kernel_variance,
+            self.kernel_lengthscale,
+            self.kernel_gradient_lengthscale,
         )
+        return ParamVector(kernel, self.kappa, self.nu_rad, self.chi)
 
-    def proposals(self) -> ProposalSpec:
-        return ProposalSpec(
-            self.step_sigma2,
-            self.step_lengthscale2,
-            self.step_gradient2,
-            self.step_kappa,
-            self.step_nu,
+    def fit_config(self) -> FitConfig:
+        return FitConfig(
+            n_iter=self.n_iter,
+            burn_in=self.burn_in,
+            thin=self.thin,
+            phi_sweeps=self.phi_sweeps,
+            dmh_steps=self.dmh_steps,
+            priors=PriorSpec(
+                self.prior_sigma2_scale,
+                self.prior_lengthscale2_scale,
+                self.prior_gradient2_scale,
+                self.prior_kappa_scale,
+            ),
+            proposals=ProposalSpec(
+                self.step_sigma2,
+                self.step_lengthscale2,
+                self.step_gradient2,
+                self.step_kappa,
+                self.step_nu,
+            ),
+            bridge=BridgeConfig(self.bridge_levels, self.inner_sweeps),
+            learn_mean=self.learn_mean,
+            slack=self.slack,
         )
-
-    def bridge(self) -> BridgeConfig:
-        return BridgeConfig(self.bridge_levels, self.inner_sweeps)
 
 
 _PARSERS = {
@@ -176,6 +178,4 @@ def parse_config(path) -> RunConfig:
         cfg = RunConfig(**values)
     except TypeError as exc:  # pragma: no cover - guarded by key check
         raise ConfigError(str(exc)) from None
-    if not math.isfinite(cfg.kernel_variance):
-        raise ConfigError("kernel_variance must be finite")
     return cfg.validate()

@@ -10,6 +10,11 @@ conditionals gives the sweep implemented here.
 Small lambda mixes best: in the large-lambda limit the conditional mean
 of each coordinate collapses onto its previous value. The default rule is
 lambda = (1 + slack) * lambda_max with slack = 0.01, both tunable.
+
+Every chain of the package advances through ``run_sweeps`` on a factor
+its caller built once: ``make_augmentation`` for the slack rule,
+``augmentation_at`` for an explicit lambda, or the spectral factor of a
+full-space model.
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ class Augmentation:
     The sweep sees A only through A'z ~ N(A'A cos(phi), A'A), so every
     such factor gives the same Markov kernel. ``make_augmentation`` and
     ``augmentation_at`` return the upper Cholesky factor; the full-space
-    models of the parameter sampler use a spectral factor.
+    models of the parameter sampler use a spectral factor. A chain takes
+    its factor from the caller and never refactors Q itself.
     """
 
     lam: float
@@ -138,6 +144,21 @@ def gibbs_sweep(
     return sample_von_mises(gamma, a, rng)
 
 
+def run_sweeps(phi, aug: Augmentation, cp: ConditionalParams, rng, first: int,
+               n_kept: int = 1, thin: int = 1) -> np.ndarray:
+    """Run exact Gibbs sweeps from ``phi`` on one factor; return kept states.
+
+    Keeps the states after sweeps first, first + thin, ..., n_kept of them,
+    as the rows of an (n_kept, m) array, and runs no sweep past the last.
+    """
+    kept = []
+    for t in range(1, first + (n_kept - 1) * thin + 1):
+        phi = gibbs_sweep(phi, aug, cp, rng)
+        if t >= first and (t - first) % thin == 0:
+            kept.append(phi)
+    return np.array(kept)
+
+
 @dataclass(frozen=True)
 class ChainOutput:
     """Thinned retained samples plus per-coordinate mixing diagnostics."""
@@ -149,45 +170,39 @@ class ChainOutput:
 
 def run_chain(
     cp: ConditionalParams,
+    aug: Augmentation,
     n_iter: int,
     burn_in: int,
     thin: int = 1,
-    slack: float = DEFAULT_SLACK,
-    lam_multiplier: float | None = None,
     seed=0,
     init=None,
     init_mean: float = 0.0,
     init_conc: float = 0.0,
 ) -> ChainOutput:
-    """Run the augmented Gibbs chain and keep every ``thin``-th sweep.
+    """Run the augmented Gibbs chain on ``aug`` and keep every ``thin``-th sweep.
 
-    Deterministic given ``seed``. ``lam_multiplier`` overrides the slack
-    rule with lambda = multiplier * lambda_max (diagnostics sweeps).
-    ``init`` fixes the starting state; otherwise coordinates start at
-    independent von Mises draws (uniform when ``init_conc`` is zero).
+    Sweeps burn_in, burn_in + thin, ... < n_iter (0-based) are kept;
+    deterministic given ``seed``. ``aug`` factors lam*I - cp.coupling and
+    fixes the lambda of the chain. ``init`` fixes the starting state;
+    otherwise coordinates start at independent von Mises draws (uniform
+    when ``init_conc`` is zero).
     """
     if not (n_iter > burn_in >= 0):
         raise ValueError("need n_iter > burn_in >= 0")
     if thin < 1:
         raise ValueError("thin must be >= 1")
-    rng = as_generator(seed)
     m = cp.size
-    if lam_multiplier is not None:
-        aug = augmentation_at(cp.coupling, lam_multiplier * _largest_eigenvalue(cp.coupling))
-    else:
-        aug = make_augmentation(cp.coupling, slack)
+    if aug.size != m:
+        raise ValueError("augmentation and conditional differ in size")
+    rng = as_generator(seed)
     if init is not None:
         phi = np.array(init, dtype=float)
         if phi.shape != (m,):
             raise ValueError(f"init must have shape ({m},)")
     else:
         phi = sample_von_mises(init_mean, init_conc * np.ones(m), rng)
-    retained = []
-    for t in range(n_iter):
-        phi = gibbs_sweep(phi, aug, cp, rng)
-        if t >= burn_in and (t - burn_in) % thin == 0:
-            retained.append(phi)
-    samples = np.array(retained)
+    n_kept = len(range(burn_in, n_iter, thin))
+    samples = run_sweeps(phi, aug, cp, rng, burn_in + 1, n_kept, thin)
     ress = np.full(m, np.nan)
     if samples.shape[0] >= 10:
         for j in range(m):

@@ -27,8 +27,9 @@ import numpy as np
 
 from .circular import as_generator, normalize_angle, sample_von_mises
 from .errors import NumericalError
-from .gibbs import Augmentation, gibbs_sweep, make_augmentation, DEFAULT_SLACK
-from .kernels import GramMatrix, KernelSpec, build_gram, kernel_matrix
+from .gibbs import Augmentation, make_augmentation, run_sweeps, DEFAULT_SLACK
+from .gibbs import gibbs_sweep  # noqa: F401  perfbench/test_perfbench.py reads this binding
+from .kernels import GramMatrix, KernelSpec, build_gram, kernel_derivatives
 from .model import (
     ConditionalParams,
     ParamVector,
@@ -55,6 +56,12 @@ class PriorSpec:
     lengthscale2_scale: float = 1.0
     gradient2_scale: float = 1.0
     kappa_scale: float = 1.0
+
+    def __post_init__(self):
+        for name in ("sigma2_scale", "lengthscale2_scale", "gradient2_scale", "kappa_scale"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"prior {name} must be positive and finite")
 
     def log_density(self, w: ParamVector) -> float:
         k = w.kernel
@@ -96,8 +103,9 @@ class ProposalSpec:
             "kappa_step",
             "nu_step",
         ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -118,11 +126,6 @@ KERNEL_BLOCK = ("sigma2", "lengthscale2", "gradient2")
 MEAN_BLOCK = ("kappa", "nu")
 
 
-def bridge_betas(levels: int) -> np.ndarray:
-    """Annealing schedule beta_k = k / (K + 1) for k = 1..K."""
-    return np.arange(1, levels + 1) / (levels + 1)
-
-
 @dataclass(frozen=True)
 class ParamModel:
     """Everything the samplers need for one parameter value.
@@ -131,7 +134,8 @@ class ParamModel:
     diag(sqrt(lam - 1/s)) V' from the eigendecomposition K = V diag(s) V')
     is cached so repeated fictitious-sample chains and bridging ladders
     reuse it. Models that differ only in the mean parameters share gram,
-    precision and full_aug.
+    precision and full_aug. ``slack`` is the rule lam = (1 + slack) * lam_max
+    of full_aug, and every latent factor built for this model uses it too.
     """
 
     w: ParamVector
@@ -139,6 +143,7 @@ class ParamModel:
     gram: GramMatrix
     precision: PrecisionModel
     full_aug: Augmentation
+    slack: float
 
     @property
     def size(self) -> int:
@@ -166,7 +171,31 @@ def build_param_model(
     lam = (1.0 + slack) * lam_max
     A = np.sqrt(lam - 1.0 / s)[:, None] * V.T  # A'A = lam*I - M
     pm = PrecisionModel(M, n_latent, X.shape[0] - n_latent)
-    return ParamModel(w, X, gram, pm, Augmentation(lam, A, lam_max))
+    return ParamModel(w, X, gram, pm, Augmentation(lam, A, lam_max), slack)
+
+
+def latent_params(model: ParamModel, theta) -> ConditionalParams:
+    """Target of the latent chain given the observed angles ``theta``.
+
+    Without observation noise the chain runs over the m prediction angles
+    conditioned on theta. With noisy observations (chi present) it runs
+    over all d angles, and theta enters as per-coordinate pulls.
+    """
+    if model.w.noise_concentration is not None:
+        return full_state_params(model.precision, model.w, theta)
+    return conditional_params(model.precision, theta, model.w)
+
+
+def latent_factor(model: ParamModel, cp: ConditionalParams) -> Augmentation:
+    """Factor of the latent chain for ``cp = latent_params(model, theta)``.
+
+    It depends on the coupling block only, so on the kernel but not on
+    (kappa, nu). Under noisy observations the coupling is the full
+    precision, whose spectral factor the model already holds.
+    """
+    if model.w.noise_concentration is not None:
+        return model.full_aug
+    return make_augmentation(cp.coupling, model.slack)
 
 
 def _param_dict(w: ParamVector) -> dict:
@@ -244,16 +273,7 @@ def sample_fictitious(
     xi = np.array(init, dtype=float)
     if xi.shape != (model.size,):
         raise ValueError(f"init must have shape ({model.size},)")
-    for _ in range(sweeps):
-        xi = gibbs_sweep(xi, model.full_aug, cp, rng)
-    return xi
-
-
-def interp_log_f(
-    xi, model_w: ParamModel, model_wp: ParamModel, beta: float
-) -> float:
-    """log of the bridging density f(.|w)^beta * f(.|w')^(1-beta)."""
-    return -(beta * model_w.energy(xi) + (1.0 - beta) * model_wp.energy(xi))
+    return run_sweeps(xi, model.full_aug, cp, rng, sweeps)[0]
 
 
 def bridge_ladder(
@@ -340,7 +360,6 @@ def dmh_step(
     rng,
     xi_init: np.ndarray,
     block=None,
-    slack: float = DEFAULT_SLACK,
 ) -> DmhResult:
     """One exchange move on the parameters given the current full state.
 
@@ -349,7 +368,8 @@ def dmh_step(
     (or bridging-ladder) ratio; normalizing constants never appear.
     Proposals outside the prior support are rejected without touching the
     kernel. A proposal that keeps the kernel reuses the current Gram
-    matrix, precision and augmentation factor. The inner chain starts from
+    matrix, precision and augmentation factor; one that moves it is built
+    at the slack of ``model``. The inner chain starts from
     ``xi_init`` (persistent across outer iterations), and the accepted
     move hands back the final ladder state for the next step.
     """
@@ -369,7 +389,7 @@ def dmh_step(
     else:
         try:
             model_wp = build_param_model(
-                wp, model.locations, model.precision.n_latent, slack
+                wp, model.locations, model.precision.n_latent, model.slack
             )
         except NumericalError:
             return DmhResult(model, False, xi_init, -math.inf, "numerical")
@@ -454,19 +474,8 @@ def block_gibbs_fit(
     if config.learn_mean:
         blocks.append(("mean", MEAN_BLOCK))
 
-    def latent_params(mdl):
-        if noisy:
-            return full_state_params(mdl.precision, mdl.w, theta)
-        return conditional_params(mdl.precision, theta, mdl.w)
-
-    def latent_augmentation(mdl, cp):
-        # depends on the coupling block only, so on the kernel but not on (kappa, nu)
-        if noisy:
-            return mdl.full_aug
-        return make_augmentation(cp.coupling, config.slack) if m else None
-
-    cp = latent_params(model)
-    cp_aug = latent_augmentation(model, cp)
+    cp = latent_params(model, theta)
+    cp_aug = latent_factor(model, cp)
     n_lat = d if noisy else m
     phi = sample_von_mises(
         init_w.mean_direction,
@@ -479,9 +488,8 @@ def block_gibbs_fit(
     rows, accepted_rows, phi_rows = [], [], []
     outcomes = {name: dict.fromkeys(DMH_REASONS, 0) for name, _ in blocks}
     for t in range(config.n_iter):
-        if n_lat:
-            for _ in range(config.phi_sweeps):
-                phi = gibbs_sweep(phi, cp_aug, cp, rng)
+        if n_lat and config.phi_sweeps:
+            phi = run_sweeps(phi, cp_aug, cp, rng, config.phi_sweeps)[0]
         phi_full = phi if noisy else np.concatenate([phi, theta])
         accepted_any = False
         for _ in range(config.dmh_steps):
@@ -495,7 +503,6 @@ def block_gibbs_fit(
                     rng,
                     xi,
                     block=block,
-                    slack=config.slack,
                 )
                 outcomes[name][res.reason] += 1
                 xi = res.xi
@@ -503,9 +510,9 @@ def block_gibbs_fit(
                     accepted_any = True
                     kernel_moved = res.model.gram is not model.gram
                     model = res.model
-                    cp = latent_params(model)
+                    cp = latent_params(model, theta)
                     if kernel_moved:
-                        cp_aug = latent_augmentation(model, cp)
+                        cp_aug = latent_factor(model, cp)
         if t >= config.burn_in and (t - config.burn_in) % config.thin == 0:
             values = _param_dict(model.w)
             rows.append([values[nm] for nm in names])
@@ -523,29 +530,6 @@ def block_gibbs_fit(
         rates,
         outcomes,
     )
-
-
-def _kernel_derivatives(w: ParamVector, locations: np.ndarray) -> dict:
-    """dK/dp for each kernel parameter, jitter excluded."""
-    K = kernel_matrix(w.kernel, locations, locations)
-    spec = w.kernel
-    X = locations
-    out = {"sigma2": K / spec.variance}
-    if spec.family == "gaussian":
-        diff = X[:, None, :] - X[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        out["lengthscale"] = K * d2 / spec.lengthscale**3
-    elif spec.family == "exponential":
-        diff = X[:, None, :] - X[None, :, :]
-        d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        out["lengthscale"] = K * d / spec.lengthscale**2
-    else:
-        diff = X[:, None, :-1] - X[None, :, :-1]
-        da2 = np.einsum("ijk,ijk->ij", diff, diff)
-        ds2 = (X[:, -1][:, None] - X[None, :, -1]) ** 2
-        out["lengthscale"] = K * da2 / spec.lengthscale**3
-        out["gradient_lengthscale"] = K * ds2 / spec.gradient_lengthscale**3
-    return out
 
 
 def gradient_names(w: ParamVector) -> tuple:
@@ -567,7 +551,7 @@ def energy_gradient(phi, model: ParamModel) -> np.ndarray:
     M = model.precision.matrix
     c, s = np.cos(phi), np.sin(phi)
     Mc, Ms = M @ c, M @ s
-    derivs = _kernel_derivatives(w, model.locations)
+    derivs = kernel_derivatives(w.kernel, model.locations)
     grad = []
     for name in gradient_names(w):
         if name in derivs:
@@ -602,31 +586,22 @@ def cd_gradient(
     pm = model.precision
     m = pm.n_latent
 
+    first = burn_sweeps + sweeps_between
+
     # Full-space chain over all d angles.
     cp_full = full_state_params(pm, model.w)
     state = sample_von_mises(0.0, np.zeros(pm.size), rng)
-    for _ in range(burn_sweeps):
-        state = gibbs_sweep(state, model.full_aug, cp_full, rng)
-    g_full = np.zeros(len(gradient_names(model.w)))
-    for _ in range(mc_samples):
-        for _ in range(sweeps_between):
-            state = gibbs_sweep(state, model.full_aug, cp_full, rng)
-        g_full += energy_gradient(state, model)
-    g_full /= mc_samples
+    states = run_sweeps(state, model.full_aug, cp_full, rng, first, mc_samples, sweeps_between)
+    g_full = sum(energy_gradient(s, model) for s in states) / mc_samples
 
-    # Conditional chain over the latent angles (empty when m == 0).
+    # Conditional chain over the latent angles (empty when m == 0), factored
+    # at the slack of the model.
     if m > 0:
         cp = conditional_params(pm, theta, model.w)
-        aug = make_augmentation(cp.coupling, DEFAULT_SLACK)
+        aug = make_augmentation(cp.coupling, model.slack)
         lat = sample_von_mises(0.0, np.zeros(m), rng)
-        for _ in range(burn_sweeps):
-            lat = gibbs_sweep(lat, aug, cp, rng)
-        g_cond = np.zeros_like(g_full)
-        for _ in range(mc_samples):
-            for _ in range(sweeps_between):
-                lat = gibbs_sweep(lat, aug, cp, rng)
-            g_cond += energy_gradient(np.concatenate([lat, theta]), model)
-        g_cond /= mc_samples
+        lats = run_sweeps(lat, aug, cp, rng, first, mc_samples, sweeps_between)
+        g_cond = sum(energy_gradient(np.concatenate([x, theta]), model) for x in lats) / mc_samples
     else:
         g_cond = energy_gradient(theta, model)
 

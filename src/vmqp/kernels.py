@@ -96,13 +96,24 @@ def kernel_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     )
 
 
-def kernel_eval(spec: KernelSpec, x, y) -> float:
-    """Evaluate k(x, y) for a single pair of input locations."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.shape != y.shape:
-        raise ValueError("dimension mismatch")
-    return float(kernel_matrix(spec, x[None, :], y[None, :])[0, 0])
+def kernel_derivatives(spec: KernelSpec, X: np.ndarray) -> dict:
+    """dK/dp over the locations ``X`` for each kernel parameter, jitter excluded.
+
+    Keys are the parameter names of ``inference.gradient_names``: sigma2,
+    lengthscale and, for the anisotropic family, gradient_lengthscale.
+    """
+    K = kernel_matrix(spec, X, X)
+    out = {"sigma2": K / spec.variance}
+    if spec.family == "gaussian":
+        out["lengthscale"] = K * _sq_dists(X, X) / spec.lengthscale**3
+    elif spec.family == "exponential":
+        out["lengthscale"] = K * np.sqrt(_sq_dists(X, X)) / spec.lengthscale**2
+    else:
+        da2 = _sq_dists(X[:, :-1], X[:, :-1])
+        ds2 = _sq_dists(X[:, -1:], X[:, -1:])
+        out["lengthscale"] = K * da2 / spec.lengthscale**3
+        out["gradient_lengthscale"] = K * ds2 / spec.gradient_lengthscale**3
+    return out
 
 
 def build_gram(spec: KernelSpec, locations) -> GramMatrix:

@@ -36,6 +36,8 @@ class ParamVector:
     def __post_init__(self):
         if not (np.isfinite(self.concentration) and self.concentration >= 0):
             raise ValueError("concentration must be finite and >= 0")
+        if not np.isfinite(self.mean_direction):
+            raise ValueError("mean_direction must be finite")
         object.__setattr__(
             self, "mean_direction", normalize_angle(self.mean_direction)
         )
@@ -63,10 +65,6 @@ class PrecisionModel:
     @property
     def cross_block(self) -> np.ndarray:
         return self.matrix[: self.n_latent, self.n_latent :]
-
-    @property
-    def observed_block(self) -> np.ndarray:
-        return self.matrix[self.n_latent :, self.n_latent :]
 
 
 @dataclass(frozen=True)
@@ -157,19 +155,3 @@ def energy(phi, w: ParamVector, pm: PrecisionModel) -> float:
     quad = 0.5 * (c @ pm.matrix @ c + s @ pm.matrix @ s)
     pull = w.concentration * np.sum(np.cos(phi - w.mean_direction))
     return float(quad - pull)
-
-
-def log_f(phi, w: ParamVector, pm: PrecisionModel) -> float:
-    """Unnormalized log-density log f(varphi|w) = -U(varphi|w)."""
-    return -energy(phi, w, pm)
-
-
-def noisy_log_factor(theta_obs, phi_latent_tail, chi: float) -> float:
-    """Observation log-factor chi * sum cos(theta_i - varphi_{m+i})."""
-    theta_obs = np.asarray(theta_obs, dtype=float)
-    phi_latent_tail = np.asarray(phi_latent_tail, dtype=float)
-    if theta_obs.shape != phi_latent_tail.shape:
-        raise ValueError("observed and latent tails differ in length")
-    if not (np.isfinite(chi) and chi >= 0):
-        raise ValueError("chi must be finite and >= 0")
-    return float(chi * np.sum(np.cos(theta_obs - phi_latent_tail)))

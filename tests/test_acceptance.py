@@ -14,7 +14,7 @@ from scipy.stats import kstest
 from conftest import QUAD_GRID, bessel_ratio, synthetic_prior_draw
 from vmqp.circular import sample_von_mises
 from vmqp.evaluation import circular_crps
-from vmqp.gibbs import make_augmentation, run_chain
+from vmqp.gibbs import augmentation_at, make_augmentation, run_chain
 from vmqp.inference import (
     BridgeConfig,
     FitConfig,
@@ -71,7 +71,7 @@ def test_c02_gibbs_chain_matches_grid_density():
     # one coordinate: Kolmogorov-Smirnov against the grid-normalized CDF
     rho_c, q = 2.0, 1.0
     cp1 = ConditionalParams(np.array([rho_c]), np.array([0.0]), np.array([[q]]))
-    out1 = run_chain(cp1, 202000, 2000, seed=3)
+    out1 = run_chain(cp1, make_augmentation(cp1.coupling), 202000, 2000, seed=3)
     grid = np.linspace(-np.pi, np.pi, 5761)
     dens = np.exp(
         rho_c * np.cos(grid)
@@ -90,7 +90,7 @@ def test_c02_gibbs_chain_matches_grid_density():
     rho_s2 = np.array([0.5, 0.8])
     Q2 = np.array([[1.5, -0.7], [-0.7, 1.2]])
     cp2 = ConditionalParams(rho_c2, rho_s2, Q2)
-    out2 = run_chain(cp2, 210000, 10000, seed=4)
+    out2 = run_chain(cp2, make_augmentation(Q2), 210000, 10000, seed=4)
     nb = 720
     edges = np.linspace(-np.pi, np.pi, nb + 1)
     centers = (edges[:-1] + edges[1:]) / 2
@@ -161,11 +161,13 @@ def test_c04_lambda_slack_heuristic():
     locations, model, _, observed, _ = synthetic_prior_draw(42)
     cp = conditional_params(model.precision, observed, model.w)
     multipliers = (1.01, 2.0, 5.0, 10.0)
+    lam_max = make_augmentation(cp.coupling).lam_max_estimate
     medians = []
     for mult in multipliers:
+        aug = augmentation_at(cp.coupling, mult * lam_max)
         cell = []
         for s in range(20):
-            out = run_chain(cp, 2500, 500, lam_multiplier=mult, seed=1000 + s)
+            out = run_chain(cp, aug, 2500, 500, seed=1000 + s)
             cell.append(float(np.nanmedian(out.ress)))
         medians.append(float(np.median(cell)))
     elapsed = time.time() - t0

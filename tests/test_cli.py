@@ -295,13 +295,26 @@ def test_cli_fit_reports_numerical_rejections(tmp_path, monkeypatch):
     assert report["rejects_mean_numerical"] == "0"
 
 
+CONFIG_ERRORS = [
+    ("sample", "bogus = 1\n"),
+    ("fit", "step_kappa = 0\n"),
+    ("sample", "chi = -1\n"),
+    ("diagnose", "sweep_iters = 50\nsweep_burn_in = 50\n"),
+    ("diagnose", "cd_mc_samples = 0\n"),
+    ("sample", "nu_rad = inf\n"),
+    ("fit", "prior_kappa_scale = 0\n"),
+]
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
-    cfg = write(tmp_path / "run.cfg", "bogus = 1\n")
     data = make_generic(tmp_path / "d.csv")
-    code = main(["sample", "--config", cfg, "--data", data,
-                 "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert "configuration error" in capsys.readouterr().err
+    for i, (command, text) in enumerate(CONFIG_ERRORS):
+        cfg = write(tmp_path / f"run{i}.cfg", BASE_CONFIG + text)
+        code = main([command, "--config", cfg, "--data", data,
+                     "--out", str(tmp_path / f"o{i}")])
+        err = capsys.readouterr().err
+        assert code == 2, (text, err)
+        assert err.startswith("configuration error"), (text, err)
 
 
 FIT_CONFIG = """
@@ -412,3 +425,63 @@ def test_cli_split(tmp_path):
     original = ingest(data, "generic")
     combined = np.sort(np.concatenate([train.observed_angles, test.observed_angles]))
     assert np.allclose(combined, np.sort(original.observed_angles), atol=1e-12)
+
+
+def test_cli_diagnose_factors_once_per_multiplier(tmp_path, monkeypatch):
+    # one augmentation_at per multiplier, shared by every sweep seed, at
+    # multiplier * lambda_max of the latent coupling
+    import vmqp.cli as cli
+    import vmqp.gibbs as gibbs
+
+    factors = []
+
+    def recording(Q, lam):
+        factors.append((Q, augmentation_at(Q, lam)))
+        return factors[-1][1]
+
+    augmentation_at = gibbs.augmentation_at
+    for module in (gibbs, cli):
+        monkeypatch.setattr(module, "augmentation_at", recording, raising=False)
+    cfg = write(tmp_path / "run.cfg", DIAG_CONFIG.replace(
+        "lambda_multipliers = 1.5", "lambda_multipliers = 1.5, 3.0"))
+    data = make_generic(tmp_path / "d.csv", n_obs=5, n_pred=2)
+    assert run(["diagnose", "--config", cfg, "--data", data,
+                "--out", str(tmp_path / "o")]) == 0
+    assert len(factors) == 2
+    for (Q, aug), mult in zip(factors, (1.5, 3.0)):
+        assert Q.shape == (2, 2)
+        assert aug.lam == pytest.approx(mult * np.linalg.eigvalsh(Q)[-1])
+
+
+def test_cli_noisy_sample_runs_on_the_model_factor(tmp_path, monkeypatch):
+    # under noisy observations the latent chain spans all d angles and its
+    # factor is the spectral one the model already holds
+    import vmqp.cli as cli
+    import vmqp.gibbs as gibbs
+    import vmqp.inference as inference
+
+    def no_factor(*args, **kwargs):
+        raise AssertionError("make_augmentation called")
+
+    models, factors = [], []
+
+    def building(*args, **kwargs):
+        models.append(build_param_model(*args, **kwargs))
+        return models[-1]
+
+    def recording(cp, aug, *args, **kwargs):
+        factors.append(aug)
+        return run_chain(cp, aug, *args, **kwargs)
+
+    build_param_model, run_chain = cli.build_param_model, cli.run_chain
+    monkeypatch.setattr(inference, "make_augmentation", no_factor)
+    monkeypatch.setattr(gibbs, "make_augmentation", no_factor)
+    monkeypatch.setattr(cli, "build_param_model", building)
+    monkeypatch.setattr(cli, "run_chain", recording)
+    cfg = write(tmp_path / "run.cfg", BASE_CONFIG + "chi = 4.0\n")
+    data = make_generic(tmp_path / "d.csv", n_obs=6, n_pred=2)
+    out = tmp_path / "o"
+    assert run(["sample", "--config", cfg, "--data", data, "--out", str(out)]) == 0
+    assert len(models) == 1 and len(factors) == 1
+    assert factors[0] is models[0].full_aug
+    assert read_samples_csv(out / "phi_samples.csv").shape == (100, 2)

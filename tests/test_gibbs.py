@@ -10,6 +10,7 @@ from vmqp.gibbs import (
     make_augmentation,
     polar_params,
     run_chain,
+    run_sweeps,
 )
 from vmqp.model import ConditionalParams
 
@@ -100,37 +101,74 @@ def test_quadratic_cancellation(rng):
 def test_run_chain_deterministic():
     cp = ConditionalParams(np.array([1.0, 0.5]), np.array([0.0, -0.5]),
                            np.array([[1.5, 0.3], [0.3, 1.2]]))
-    out1 = run_chain(cp, 200, 50, thin=2, seed=7)
-    out2 = run_chain(cp, 200, 50, thin=2, seed=7)
+    aug = make_augmentation(cp.coupling)
+    out1 = run_chain(cp, aug, 200, 50, thin=2, seed=7)
+    out2 = run_chain(cp, aug, 200, 50, thin=2, seed=7)
     assert np.array_equal(out1.samples, out2.samples)
-    out3 = run_chain(cp, 200, 50, thin=2, seed=8)
+    out3 = run_chain(cp, aug, 200, 50, thin=2, seed=8)
     assert not np.array_equal(out1.samples, out3.samples)
 
 
 def test_run_chain_shapes_and_validation():
     cp = ConditionalParams(np.array([1.0]), np.array([0.0]), np.array([[1.0]]))
-    out = run_chain(cp, 100, 20, thin=3, seed=0)
+    aug = make_augmentation(cp.coupling)
+    out = run_chain(cp, aug, 100, 20, thin=3, seed=0)
     assert out.samples.shape == (27, 1)
     assert np.all(out.samples > -np.pi) and np.all(out.samples <= np.pi)
     with pytest.raises(ValueError):
-        run_chain(cp, 10, 10)
+        run_chain(cp, aug, 10, 10)
     with pytest.raises(ValueError):
-        run_chain(cp, 10, 0, thin=0)
+        run_chain(cp, aug, 10, 0, thin=0)
     with pytest.raises(ValueError):
-        run_chain(cp, 10, 0, init=np.zeros(2))
+        run_chain(cp, aug, 10, 0, init=np.zeros(2))
+    with pytest.raises(ValueError):
+        run_chain(cp, make_augmentation(np.eye(2)), 10, 0)
 
 
 def test_run_chain_single_retained():
     cp = ConditionalParams(np.array([1.0]), np.array([0.0]), np.array([[1.0]]))
-    out = run_chain(cp, 3, 2, seed=0)
+    out = run_chain(cp, make_augmentation(cp.coupling), 3, 2, seed=0)
     assert out.samples.shape == (1, 1)
     assert np.isnan(out.ress[0])
 
 
 def test_run_chain_lam_multiplier():
+    # lambda = 5 * lambda_max through a factor the caller builds
     cp = ConditionalParams(np.array([1.0]), np.array([0.0]), np.array([[2.0]]))
-    out = run_chain(cp, 50, 10, lam_multiplier=5.0, seed=0)
+    out = run_chain(cp, augmentation_at(cp.coupling, 5.0 * 2.0), 50, 10, seed=0)
     assert out.lam == pytest.approx(10.0)
+
+
+def test_run_chain_stops_at_its_last_kept_sweep(monkeypatch):
+    # kept sweeps are burn_in, burn_in + thin, ... < n_iter; none runs after
+    # the last of them, and the kept states are the chain's own states
+    import vmqp.gibbs as gibbs
+
+    states = []
+
+    def recording(phi, aug, cp, rng):
+        states.append(sweep(phi, aug, cp, rng))
+        return states[-1]
+
+    sweep = gibbs.gibbs_sweep
+    monkeypatch.setattr(gibbs, "gibbs_sweep", recording)
+    cp = ConditionalParams(np.array([1.0, 0.5]), np.array([0.0, -0.5]),
+                           np.array([[1.5, 0.3], [0.3, 1.2]]))
+    out = run_chain(cp, make_augmentation(cp.coupling), 100, 20, thin=3, seed=0)
+    assert len(states) == 99  # sweeps 0..98; sweep 99 is never kept
+    assert np.array_equal(out.samples, np.array(states[20::3]))
+
+
+def test_run_sweeps_keeps_the_requested_states(rng):
+    cp = ConditionalParams(np.array([1.0]), np.array([0.0]), np.array([[1.0]]))
+    aug = make_augmentation(cp.coupling)
+    seed = 4
+    every = run_sweeps(np.zeros(1), aug, cp, np.random.default_rng(seed), 1, 13)
+    kept = run_sweeps(np.zeros(1), aug, cp, np.random.default_rng(seed), 5, 3, 4)
+    assert kept.shape == (3, 1)
+    assert np.array_equal(kept, every[[4, 8, 12]])  # after sweeps 5, 9 and 13
+    last = run_sweeps(np.zeros(1), aug, cp, np.random.default_rng(seed), 7)
+    assert np.array_equal(last, every[[6]])
 
 
 def test_sweep_distribution_m2(rng):
@@ -141,7 +179,7 @@ def test_sweep_distribution_m2(rng):
     rho_c = np.array([1.2, -0.4])
     rho_s = np.array([0.3, 0.9])
     cp = ConditionalParams(rho_c, rho_s, Q)
-    out = run_chain(cp, 52000, 2000, thin=10, seed=3)
+    out = run_chain(cp, make_augmentation(Q), 52000, 2000, thin=10, seed=3)
     draws = out.samples[:, 0]
 
     def dens(p1, p2):

@@ -15,7 +15,6 @@ from vmqp.inference import (
     FitConfig,
     PriorSpec,
     ProposalSpec,
-    bridge_betas,
     bridge_ladder,
     build_param_model,
     block_gibbs_fit,
@@ -23,7 +22,6 @@ from vmqp.inference import (
     dmh_step,
     energy_gradient,
     gradient_names,
-    interp_log_f,
     propose,
     sample_fictitious,
 )
@@ -56,14 +54,13 @@ def test_proposal_validation():
     with pytest.raises(ValueError):
         ProposalSpec(kappa_step=0.0)
     with pytest.raises(ValueError):
+        ProposalSpec(nu_step=math.inf)
+    with pytest.raises(ValueError):
+        PriorSpec(kappa_scale=0.0)
+    with pytest.raises(ValueError):
         BridgeConfig(levels=-1)
     with pytest.raises(ValueError):
         BridgeConfig(inner_sweeps=0)
-
-
-def test_bridge_betas():
-    assert np.allclose(bridge_betas(3), [0.25, 0.5, 0.75])
-    assert bridge_betas(0).size == 0
 
 
 def test_propose_stays_in_support(rng):
@@ -117,16 +114,6 @@ def test_sample_fictitious_deterministic():
     a = sample_fictitious(model, 10, [0.2], np.random.default_rng(5))
     b = sample_fictitious(model, 10, [0.2], np.random.default_rng(5))
     assert np.array_equal(a, b)
-
-
-def test_interp_log_f_endpoints(rng):
-    m_w = simple_model(kappa=1.5, nu=0.3)
-    m_wp = simple_model(kappa=0.5, nu=0.3)
-    xi = rng.uniform(-np.pi, np.pi, 1)
-    assert interp_log_f(xi, m_w, m_wp, 1.0) == pytest.approx(-m_w.energy(xi))
-    assert interp_log_f(xi, m_w, m_wp, 0.0) == pytest.approx(-m_wp.energy(xi))
-    mid = interp_log_f(xi, m_w, m_wp, 0.5)
-    assert mid == pytest.approx(-0.5 * (m_w.energy(xi) + m_wp.energy(xi)), abs=1e-10)
 
 
 def test_bridge_same_params_zero_ratio(rng):
@@ -219,24 +206,26 @@ def test_gradient_names():
     )
 
 
-def test_energy_gradient_finite_differences(rng):
+@pytest.mark.parametrize("family", ["exponential", "gaussian", "anisotropic_gaussian"])
+def test_energy_gradient_finite_differences(rng, family):
     # analytic gradient against central differences in every parameter
-    locs = rng.uniform(0, 3, size=(4, 1))
+    anisotropic = family == "anisotropic_gaussian"
+    locs = rng.uniform(0, 3, size=(4, 2 if anisotropic else 1))
     phi = rng.uniform(-np.pi, np.pi, 4)
     base = {"sigma2": 0.8, "lengthscale": 1.2, "kappa": 0.7, "nu": 0.4}
+    if anisotropic:
+        base["gradient_lengthscale"] = 0.9
+
+    def params(p):
+        kernel = KernelSpec(family, p["sigma2"], p["lengthscale"], p.get("gradient_lengthscale"))
+        return ParamVector(kernel, p["kappa"], p["nu"])
 
     def u(p):
-        w = ParamVector(
-            KernelSpec("exponential", p["sigma2"], p["lengthscale"]),
-            p["kappa"], p["nu"],
-        )
-        return build_param_model(w, locs, 0).energy(phi)
+        return build_param_model(params(p), locs, 0).energy(phi)
 
-    w0 = ParamVector(
-        KernelSpec("exponential", base["sigma2"], base["lengthscale"]),
-        base["kappa"], base["nu"],
-    )
+    w0 = params(base)
     grad = energy_gradient(phi, build_param_model(w0, locs, 0))
+    assert len(grad) == len(base)
     h = 1e-6
     for i, name in enumerate(gradient_names(w0)):
         hi = dict(base, **{name: base[name] + h})
@@ -257,6 +246,27 @@ def test_cd_gradient_shape_and_validation(rng):
     assert g.shape == (4,)
     with pytest.raises(ValueError):
         cd_gradient(np.array([0.5]), model, 0, rng)
+
+
+def test_cd_gradient_factors_its_latent_chain_at_the_model_slack(monkeypatch, rng):
+    factors = []
+    make_augmentation = inference.make_augmentation
+
+    def recording(Q, slack):
+        factors.append(make_augmentation(Q, slack))
+        return factors[-1]
+
+    monkeypatch.setattr(inference, "make_augmentation", recording)
+    w = ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3)
+    model = build_param_model(w, np.linspace(0.0, 3.0, 5)[:, None], 2, slack=0.5)
+    cd_gradient(np.array([0.2, -0.4, 0.9]), model, 3, rng, burn_sweeps=2)
+    assert len(factors) == 1
+    aug = factors[0]
+    assert aug.size == 2
+    assert aug.lam == pytest.approx(1.5 * aug.lam_max_estimate)
+    assert aug.lam_max_estimate == pytest.approx(
+        np.linalg.eigvalsh(model.precision.latent_block)[-1]
+    )
 
 
 @pytest.mark.parametrize("d", [5, 600])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vmqp.errors import NumericalError
-from vmqp.kernels import KernelSpec, build_gram, kernel_eval
+from vmqp.kernels import KernelSpec, build_gram, kernel_matrix
 from vmqp import kernels as kernels_mod
 
 
@@ -23,25 +23,26 @@ def test_eval_zero_distance_is_variance():
         KernelSpec("gaussian", 3.0, 1.5),
         KernelSpec("exponential", 3.0, 1.5),
     ):
-        assert kernel_eval(spec, x, x) == pytest.approx(3.0)
+        assert kernel_matrix(spec, x, x)[0, 0] == pytest.approx(3.0)
     aspec = KernelSpec("anisotropic_gaussian", 3.0, 1.5, 2.0)
-    assert kernel_eval(aspec, [1.0, 2.0, 0.5], [1.0, 2.0, 0.5]) == pytest.approx(3.0)
+    x = [1.0, 2.0, 0.5]
+    assert kernel_matrix(aspec, x, x)[0, 0] == pytest.approx(3.0)
 
 
 def test_eval_gaussian_formula():
     spec = KernelSpec("gaussian", 1.0, 1.0)
-    assert kernel_eval(spec, [0.0], [1.0]) == pytest.approx(np.exp(-0.5))
+    assert kernel_matrix(spec, [[0.0]], [[1.0]])[0, 0] == pytest.approx(np.exp(-0.5))
 
 
 def test_eval_exponential_formula():
     spec = KernelSpec("exponential", 2.0, 2.0)
-    assert kernel_eval(spec, [0.0], [2.0]) == pytest.approx(2.0 * np.exp(-1.0))
+    assert kernel_matrix(spec, [[0.0]], [[2.0]])[0, 0] == pytest.approx(2.0 * np.exp(-1.0))
 
 
 def test_eval_dimension_mismatch():
     spec = KernelSpec("gaussian", 1.0, 1.0)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        kernel_eval(spec, [0.0], [0.0, 1.0])
+        kernel_matrix(spec, [[0.0]], [[0.0, 1.0]])
 
 
 def test_gram_single_location():

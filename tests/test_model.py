@@ -9,8 +9,6 @@ from vmqp.model import (
     conditional_params,
     energy,
     full_state_params,
-    log_f,
-    noisy_log_factor,
 )
 
 
@@ -28,6 +26,9 @@ def test_param_vector_validation():
         pv(kappa=-0.5)
     with pytest.raises(ValueError):
         pv(chi=-1.0)
+    for nu in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="mean_direction"):
+            pv(nu=nu)
     # nu normalized on construction
     assert pv(nu=3 * np.pi).mean_direction == pytest.approx(np.pi)
 
@@ -142,7 +143,7 @@ def test_conditional_matches_energy_up_to_constant(rng):
         c, s = np.cos(phi), np.sin(phi)
         expo = (cp.rho_c @ c + cp.rho_s @ s
                 - 0.5 * c @ cp.coupling @ c - 0.5 * s @ cp.coupling @ s)
-        diffs.append(expo - log_f(np.concatenate([phi, theta]), w, pm))
+        diffs.append(expo + energy(np.concatenate([phi, theta]), w, pm))
     assert np.ptp(diffs) < 1e-8
 
 
@@ -168,12 +169,3 @@ def test_full_state_params_noisy_tail():
     cp = full_state_params(pm, pv(kappa=0.0, chi=3.0), theta)
     assert np.allclose(cp.rho_c, [0.0, 3.0, 0.0], atol=1e-12)
     assert np.allclose(cp.rho_s, [0.0, 0.0, 3.0], atol=1e-12)
-
-
-def test_noisy_log_factor():
-    assert noisy_log_factor([0.1, 0.2], [0.5, -0.5], 0.0) == 0.0
-    theta = np.array([0.3, -1.2, 2.0])
-    assert noisy_log_factor(theta, theta, 1.7) == pytest.approx(1.7 * 3)
-    assert noisy_log_factor([0.0], [np.pi], 1.0) == pytest.approx(-1.0)
-    with pytest.raises(ValueError):
-        noisy_log_factor([0.0, 1.0], [0.0], 1.0)
