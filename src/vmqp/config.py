@@ -82,6 +82,10 @@ class RunConfig:
             raise ConfigError("need sweep_iters > sweep_burn_in >= 0")
         if self.cd_mc_samples < 1:
             raise ConfigError("cd_mc_samples must be >= 1")
+        if self.sweep_seeds < 1:
+            raise ConfigError("sweep_seeds must be >= 1")
+        if not all(math.isfinite(c) and c >= 1 for c in self.lambda_multipliers):
+            raise ConfigError("lambda_multipliers must be finite and >= 1")
         try:
             self.param_vector()
             self.fit_config()

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky as _cholesky
 
 from .circular import as_generator, sample_von_mises
 from .errors import NumericalError
@@ -94,7 +93,7 @@ def make_augmentation(Q: np.ndarray, slack: float = DEFAULT_SLACK) -> Augmentati
         gap = lam * np.eye(m) - Q
         try:
             # upper triangular: factor' @ factor reconstructs the gap
-            A = _cholesky(gap, lower=False)
+            A = np.linalg.cholesky(gap).T
             return Augmentation(lam, A, lam_max)
         except np.linalg.LinAlgError:
             eps *= 2.0
@@ -112,7 +111,7 @@ def augmentation_at(Q: np.ndarray, lam: float) -> Augmentation:
         # up to roundoff; shift the diagonal by a relative epsilon
         gap += 1e-12 * max(abs(lam_max), 1.0) * np.eye(m)
     try:
-        A = _cholesky(gap, lower=False)
+        A = np.linalg.cholesky(gap).T
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"lambda {lam} is below the top eigenvalue") from exc
     return Augmentation(lam, A, lam_max)

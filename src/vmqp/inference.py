@@ -10,9 +10,9 @@ existing full-space augmentation factors via a double Gaussian
 augmentation, so no per-level factorization is needed.
 
 Each kernel value costs one symmetric eigendecomposition of its Gram
-matrix, which yields the precision, its top eigenvalue and the
-augmentation factor at once. Moves of the mean parameters alone leave the
-Gram matrix unchanged and reuse the current decomposition.
+matrix, in ``build_gram``; it sets the jitter and yields the precision,
+its top eigenvalue and the augmentation factor. Moves of the mean
+parameters alone reuse the current decomposition.
 
 The learning setting is transductive: prediction locations are fixed at
 fit time because the model is not closed under marginalization.
@@ -34,6 +34,7 @@ from .model import (
     ConditionalParams,
     ParamVector,
     PrecisionModel,
+    build_precision,
     conditional_params,
     energy,
     full_state_params,
@@ -156,21 +157,18 @@ class ParamModel:
 def build_param_model(
     w: ParamVector, locations, n_latent: int, slack: float = DEFAULT_SLACK
 ) -> ParamModel:
+    """Model at ``w`` from the one eigendecomposition that ``build_gram`` ran."""
     X = np.asarray(locations, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     if not (np.isfinite(slack) and slack > 0):
         raise ValueError("slack must be positive")
     gram = build_gram(w.kernel, X)
-    s, V = np.linalg.eigh(gram.matrix)  # ascending: s[0] is the smallest
-    if not s[0] > 0:
-        raise NumericalError("kernel matrix is not positive definite")
-    M = (V / s) @ V.T
-    M = 0.5 * (M + M.T)
+    pm = build_precision(gram, n_latent, X.shape[0] - n_latent)
+    s, V = gram.eigenvalues, gram.eigenvectors  # ascending, s[0] > 0
     lam_max = 1.0 / s[0]
     lam = (1.0 + slack) * lam_max
     A = np.sqrt(lam - 1.0 / s)[:, None] * V.T  # A'A = lam*I - M
-    pm = PrecisionModel(M, n_latent, X.shape[0] - n_latent)
     return ParamModel(w, X, gram, pm, Augmentation(lam, A, lam_max), slack)
 
 

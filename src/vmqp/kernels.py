@@ -14,8 +14,9 @@ from .errors import NumericalError
 
 FAMILIES = ("gaussian", "exponential", "anisotropic_gaussian")
 
-# Jitter policy: escalate geometrically from 1e-8*variance until the
-# Cholesky factorization succeeds, capped at 1e-2*variance.
+# Jitter policy: the first rung of 1e-8*variance * 10**k, capped at
+# 1e-2*variance, that lifts the smallest eigenvalue of the raw kernel matrix
+# above n * machine epsilon times its largest.
 JITTER_START = 1e-8
 JITTER_FACTOR = 10.0
 JITTER_CAP = 1e-2
@@ -54,13 +55,14 @@ class KernelSpec:
 class GramMatrix:
     """Symmetric positive-definite kernel matrix with its jitter on record.
 
-    ``matrix`` already includes ``jitter`` on the diagonal and
-    ``chol_lower`` is its lower Cholesky factor.
+    ``matrix`` includes ``jitter`` on the diagonal and equals V diag(s) V'
+    for V = ``eigenvectors`` and s = ``eigenvalues``, in ascending order.
     """
 
     matrix: np.ndarray
     jitter: float
-    chol_lower: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
 
     @property
     def size(self) -> int:
@@ -68,8 +70,10 @@ class GramMatrix:
 
 
 def _sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    diff = X[:, None, :] - Y[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    d2 = np.zeros((X.shape[0], Y.shape[0]))
+    for k in range(X.shape[1]):
+        d2 += np.subtract.outer(X[:, k], Y[:, k]) ** 2
+    return d2
 
 
 def kernel_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -89,7 +93,7 @@ def kernel_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     if X.shape[1] < 2:
         raise ValueError("anisotropic_gaussian needs >= 2 coordinates")
     da2 = _sq_dists(X[:, :-1], Y[:, :-1])
-    ds2 = (X[:, -1][:, None] - Y[:, -1][None, :]) ** 2
+    ds2 = _sq_dists(X[:, -1:], Y[:, -1:])
     return spec.variance * np.exp(
         -da2 / (2.0 * spec.lengthscale**2)
         - ds2 / (2.0 * spec.gradient_lengthscale**2)
@@ -117,7 +121,7 @@ def kernel_derivatives(spec: KernelSpec, X: np.ndarray) -> dict:
 
 
 def build_gram(spec: KernelSpec, locations) -> GramMatrix:
-    """Assemble the kernel matrix over ``locations`` with escalating jitter."""
+    """Kernel matrix over ``locations``; one ``eigh`` sets its jitter (see above)."""
     X = np.asarray(locations, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
@@ -127,14 +131,16 @@ def build_gram(spec: KernelSpec, locations) -> GramMatrix:
         raise ValueError("locations must be finite")
     K0 = kernel_matrix(spec, X, X)
     K0 = 0.5 * (K0 + K0.T)
-    eye = np.eye(X.shape[0])
+    n = X.shape[0]
+    try:
+        s0, V = np.linalg.eigh(K0)  # ascending
+    except np.linalg.LinAlgError:
+        raise NumericalError("kernel matrix numerically singular") from None
+    floor = n * np.finfo(float).eps * s0[-1]
     jitter = JITTER_START * spec.variance
     cap = JITTER_CAP * spec.variance
-    while True:
-        try:
-            L = np.linalg.cholesky(K0 + jitter * eye)
-            return GramMatrix(K0 + jitter * eye, jitter, L)
-        except np.linalg.LinAlgError:
-            if jitter >= cap:
-                raise NumericalError("kernel matrix numerically singular") from None
-            jitter = min(jitter * JITTER_FACTOR, cap)
+    while not s0[0] + jitter > floor:
+        if jitter >= cap:
+            raise NumericalError("kernel matrix numerically singular")
+        jitter = min(jitter * JITTER_FACTOR, cap)
+    return GramMatrix(K0 + jitter * np.eye(n), jitter, s0 + jitter, V)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .circular import normalize_angle
 from .errors import NumericalError
@@ -86,14 +85,14 @@ class ConditionalParams:
 
 
 def build_precision(gram: GramMatrix, m: int, n: int) -> PrecisionModel:
-    """Invert the Gram matrix via its Cholesky factor and record the split."""
+    """Invert the Gram matrix as M = V diag(1/s) V' and record the split."""
     d = gram.size
     if m < 0 or n < 0 or m + n != d:
         raise ValueError(f"partition {m}+{n} does not match matrix size {d}")
-    try:
-        M = cho_solve((gram.chol_lower, True), np.eye(d))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - gram is factored
-        raise NumericalError("precision factorization failed") from exc
+    s, V = gram.eigenvalues, gram.eigenvectors
+    if not s[0] > 0:
+        raise NumericalError("kernel matrix is not positive definite")
+    M = (V / s) @ V.T
     M = 0.5 * (M + M.T)
     return PrecisionModel(M, m, n)
 

@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +307,9 @@ CONFIG_ERRORS = [
     ("diagnose", "cd_mc_samples = 0\n"),
     ("sample", "nu_rad = inf\n"),
     ("fit", "prior_kappa_scale = 0\n"),
+    ("diagnose", "sweep_seeds = 0\n"),
+    ("diagnose", "lambda_multipliers = 2.0, 0.5\n"),
+    ("diagnose", "lambda_multipliers = 1.01, nan\n"),
 ]
 
 
@@ -315,6 +322,15 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2, (text, err)
         assert err.startswith("configuration error"), (text, err)
+
+
+def test_cli_imports_no_scipy():
+    # a fresh interpreter, because the test modules themselves import scipy
+    code = "import sys, vmqp.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 FIT_CONFIG = """

@@ -295,7 +295,7 @@ def test_spectral_param_model_identities(d):
 
 def test_build_param_model_rejects_indefinite_gram(monkeypatch):
     K = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
-    monkeypatch.setattr(inference, "build_gram", lambda spec, X: GramMatrix(K, 0.0, None))
+    monkeypatch.setattr(inference, "build_gram", lambda spec, X: GramMatrix(K, 0.0, *np.linalg.eigh(K)))
     w = ParamVector(KernelSpec("gaussian", 1.0, 1.0), 0.5, 0.0)
     with pytest.raises(NumericalError):
         build_param_model(w, np.array([[0.0], [1.0]]), 1)

@@ -59,8 +59,9 @@ def test_gram_coincident_locations():
     off = g.matrix[0, 1]
     assert off == pytest.approx(1.0)
     assert g.matrix[0, 0] == pytest.approx(1.0 + g.jitter)
-    # the factor exists, i.e. Cholesky succeeded
-    assert np.allclose(g.chol_lower @ g.chol_lower.T, g.matrix)
+    s, V = g.eigenvalues, g.eigenvectors
+    assert np.all(s > 0)
+    assert np.allclose((V * s) @ V.T, g.matrix, atol=1e-12)
 
 
 def test_gram_collinear_entry():
@@ -91,25 +92,60 @@ def test_anisotropic_reduces_to_gaussian(rng):
     assert np.max(np.abs(aniso.matrix - iso.matrix)) < 1e-12
 
 
-def test_gram_singular_error(monkeypatch):
-    def always_fail(_):
-        raise np.linalg.LinAlgError("nope")
+def patch_smallest_eigenvalue(monkeypatch, s_min):
+    """Make eigh report ``s_min`` as the smallest eigenvalue of every matrix."""
+    real = np.linalg.eigh
 
-    monkeypatch.setattr(np.linalg, "cholesky", always_fail)
+    def patched(mat):
+        s, V = real(mat)
+        s[0] = s_min
+        return s, V
+
+    monkeypatch.setattr(np.linalg, "eigh", patched)
+
+
+def test_gram_singular_error(monkeypatch):
+    sigma2 = 2.0
+    patch_smallest_eigenvalue(monkeypatch, -1.5 * kernels_mod.JITTER_CAP * sigma2)
+    with pytest.raises(NumericalError, match="numerically singular"):
+        build_gram(KernelSpec("gaussian", sigma2, 1.0), [[0.0], [0.1]])
+
+
+def test_gram_jitter_escalates(monkeypatch):
+    sigma2 = 2.0
+    patch_smallest_eigenvalue(monkeypatch, -5e-7 * sigma2)
+    g = build_gram(KernelSpec("gaussian", sigma2, 1.0), [[0.0], [1.0]])
+    assert g.jitter == pytest.approx(1e-6 * sigma2)
+    assert g.eigenvalues[0] == pytest.approx(5e-7 * sigma2)
+
+
+def test_gram_near_singular_keeps_the_first_jitter():
+    sigma2 = 2.0
+    spec = KernelSpec("gaussian", sigma2, 1.0)
+    X = np.linspace(0.0, 1.0, 300)[:, None]
+    s0 = np.linalg.eigvalsh(kernel_matrix(spec, X, X))[0]
+    assert -1e-12 * sigma2 < s0 < 0  # indefinite by roundoff only
+    g = build_gram(spec, X)
+    assert g.jitter == 1e-8 * sigma2
+    assert g.eigenvalues[0] > 0
+
+
+def test_gram_eigh_failure_is_numerical(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(NumericalError, match="numerically singular"):
         build_gram(KernelSpec("gaussian", 1.0, 1.0), [[0.0], [0.1]])
 
 
-def test_gram_jitter_escalates(monkeypatch, rng):
-    calls = []
-    real = np.linalg.cholesky
-
-    def fail_twice(mat):
-        calls.append(mat[0, 0])
-        if len(calls) <= 2:
-            raise np.linalg.LinAlgError("nope")
-        return real(mat)
-
-    monkeypatch.setattr(np.linalg, "cholesky", fail_twice)
-    g = build_gram(KernelSpec("gaussian", 1.0, 1.0), [[0.0], [1.0]])
-    assert g.jitter == pytest.approx(1e-6)
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_sq_dists_matches_einsum(rng, p):
+    X, Y = rng.normal(size=(7, p)), rng.normal(size=(5, p))
+    diff = X[:, None, :] - Y[None, :, :]
+    ref = np.einsum("ijk,ijk->ij", diff, diff)
+    got = kernels_mod._sq_dists(X, Y)
+    if p <= 2:
+        assert np.array_equal(got, ref)
+    else:
+        assert np.allclose(got, ref, rtol=1e-12, atol=0.0)

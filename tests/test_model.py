@@ -14,7 +14,7 @@ from vmqp.model import (
 
 def gram_from_matrix(K):
     K = np.asarray(K, dtype=float)
-    return GramMatrix(K, 0.0, np.linalg.cholesky(K))
+    return GramMatrix(K, 0.0, *np.linalg.eigh(K))
 
 
 def pv(kappa=0.0, nu=0.0, chi=None):
