@@ -60,6 +60,18 @@ def circular_summary(angles) -> CircularSummary:
     return CircularSummary(r, gamma, 1.0 - r, degenerate)
 
 
+def cos_sin(phi: np.ndarray) -> np.ndarray:
+    """The (2, d) block [cos(phi); sin(phi)] of a vector of d angles.
+
+    Both rows are written in place into one buffer, which costs less than
+    stacking two new arrays.
+    """
+    cs = np.empty((2, len(phi)))
+    np.cos(phi, out=cs[0])
+    np.sin(phi, out=cs[1])
+    return cs
+
+
 def sample_von_mises(mean, concentration, rng, size=None):
     """Draw from the density proportional to exp(a*cos(phi - mean)).
 
@@ -69,7 +81,8 @@ def sample_von_mises(mean, concentration, rng, size=None):
     a vector of independent heterogeneous draws costs one call.
     """
     conc = np.asarray(concentration, dtype=float)
-    if not np.all(np.isfinite(conc)) or np.any(conc < 0):
+    # min >= 0 fails on NaN, -inf and negatives, max < inf on +inf
+    if conc.size and not (conc.min() >= 0.0 and conc.max() < np.inf):
         raise ValueError("concentration must be finite and >= 0")
     rng = as_generator(rng)
     draw = rng.vonmises(np.asarray(mean, dtype=float), conc, size=size)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circular import as_generator, sample_von_mises
+from .circular import as_generator, cos_sin, sample_von_mises
 from .errors import NumericalError
 from .model import ConditionalParams
 from . import evaluation
@@ -130,16 +130,21 @@ def gibbs_sweep(
     cp: ConditionalParams,
     rng,
 ) -> np.ndarray:
-    """One full sweep: refresh z given phi, then redraw every phi_i given z."""
+    """One full sweep: refresh z given phi, then redraw every phi_i given z.
+
+    Reads only rho and the factor of ``cp``/``aug``. Each pass is one
+    product of A with the (2, m) block of cos/sin rows: z = A cs + eps,
+    then b = rho + A'z.
+    """
     rng = as_generator(rng)
-    m = aug.size
     A = aug.factor
-    eps = rng.standard_normal((2, m))
-    z1 = A @ np.cos(phi) + eps[0]
-    z2 = A @ np.sin(phi) + eps[1]
-    b_c = cp.rho_c + A.T @ z1
-    b_s = cp.rho_s + A.T @ z2
-    a, gamma = polar_params(b_c, b_s)
+    eps = rng.standard_normal((2, aug.size))
+    z = cos_sin(phi) @ A.T
+    z += eps
+    b = z @ A
+    b[0] += cp.rho_c
+    b[1] += cp.rho_s
+    a, gamma = polar_params(b[0], b[1])
     return sample_von_mises(gamma, a, rng)
 
 

@@ -11,8 +11,12 @@ augmentation, so no per-level factorization is needed.
 
 Each kernel value costs one symmetric eigendecomposition of its Gram
 matrix, in ``build_gram``; it sets the jitter and yields the precision,
-its top eigenvalue and the augmentation factor. Moves of the mean
-parameters alone reuse the current decomposition.
+its top eigenvalue and the augmentation factor. The exchange move reads
+the precision only through energies, which come straight from the
+eigenpairs, so a proposal forms no d x d precision; an accepted kernel
+move forms only its latent rows, for the latent chain. Moves of the mean
+parameters alone reuse the current decomposition, and their energy
+differences need only the pull.
 
 The learning setting is transductive: prediction locations are fixed at
 fit time because the model is not closed under marginalization.
@@ -22,10 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from .circular import as_generator, normalize_angle, sample_von_mises
+from .circular import as_generator, cos_sin, normalize_angle, sample_von_mises
 from .errors import NumericalError
 from .gibbs import Augmentation, make_augmentation, run_sweeps, DEFAULT_SLACK
 from .gibbs import gibbs_sweep  # noqa: F401  perfbench/test_perfbench.py reads this binding
@@ -38,6 +43,7 @@ from .model import (
     conditional_params,
     energy,
     full_state_params,
+    mean_pull,
 )
 
 _LOG_HALF_NORMAL = 0.5 * math.log(2.0 / math.pi)
@@ -134,9 +140,12 @@ class ParamModel:
     The full-space augmentation factor A (any A with A'A = lam*I - M, here
     diag(sqrt(lam - 1/s)) V' from the eigendecomposition K = V diag(s) V')
     is cached so repeated fictitious-sample chains and bridging ladders
-    reuse it. Models that differ only in the mean parameters share gram,
-    precision and full_aug. ``slack`` is the rule lam = (1 + slack) * lam_max
-    of full_aug, and every latent factor built for this model uses it too.
+    reuse it. ``precision`` holds the same eigenpairs and forms products of
+    M only when read. Models that differ only in the mean parameters share
+    gram, precision and full_aug. ``slack`` is the rule
+    lam = (1 + slack) * lam_max of full_aug, and every latent factor built
+    for this model uses it too. ``derivatives`` (dK/dp for
+    ``energy_gradient``) is computed on first read and kept.
     """
 
     w: ParamVector
@@ -153,11 +162,31 @@ class ParamModel:
     def energy(self, phi) -> float:
         return energy(phi, self.w, self.precision)
 
+    @cached_property
+    def derivatives(self) -> dict:
+        return kernel_derivatives(self.w.kernel, self.locations)
+
+
+def energy_change(model_w: ParamModel, model_wp: ParamModel, phi) -> float:
+    """U(phi|w') - U(phi|w).
+
+    Models that share their precision, as a mean-block proposal does with
+    the current model, differ only in the pull, so their difference costs
+    O(d) and no product with the eigenvectors.
+    """
+    if model_wp.precision is model_w.precision:
+        return float(mean_pull(phi, model_w.w) - mean_pull(phi, model_wp.w))
+    return model_wp.energy(phi) - model_w.energy(phi)
+
 
 def build_param_model(
     w: ParamVector, locations, n_latent: int, slack: float = DEFAULT_SLACK
 ) -> ParamModel:
-    """Model at ``w`` from the one eigendecomposition that ``build_gram`` ran."""
+    """Model at ``w`` from the one eigendecomposition that ``build_gram`` ran.
+
+    Besides that ``eigh`` it only scales V' into the factor A; it forms no
+    product of d x d matrices.
+    """
     X = np.asarray(locations, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
@@ -288,7 +317,9 @@ def bridge_ladder(
     sqrt(beta_k) * A_w * cos/sin and sqrt(1 - beta_k) * A_w' * cos/sin
     linearize both coupling terms at once, so each transition is a single
     product-von-Mises redraw and the two cached augmentation factors
-    (any A with A'A = lam*I - M) serve every level. The returned estimate is
+    (any A with A'A = lam*I - M) serve every level. Each factor is applied
+    to the (2, d) block of cos/sin rows in one product per pass, as in
+    ``gibbs_sweep``. The returned estimate is
     sum_k [log f_{k+1}(xi_k) - log f_k(xi_k)], endpoints included, which
     telescopes to (1/(K+1)) * sum_k [U(xi_k|w') - U(xi_k|w)].
     """
@@ -300,22 +331,19 @@ def bridge_ladder(
         raise ValueError("models are defined over different location sets")
     w, wp = model_w.w, model_wp.w
     A_w, A_wp = model_w.full_aug.factor, model_wp.full_aug.factor
-    ones = np.ones(d)
     xis = [np.array(xi0, dtype=float)]
     log_ratio = 0.0
     denom = levels + 1
     # k = 0 endpoint term (xi0 was drawn under w')
-    log_ratio += (model_wp.energy(xis[0]) - model_w.energy(xis[0])) / denom
+    log_ratio += energy_change(model_w, model_wp, xis[0]) / denom
     xi = xis[0]
     for k in range(1, levels + 1):
         beta = k / denom
         rb, rbp = math.sqrt(beta), math.sqrt(1.0 - beta)
-        c, s = np.cos(xi), np.sin(xi)
+        cs = cos_sin(xi)
         eps = rng.standard_normal((4, d))
-        y1 = rb * (A_w @ c) + eps[0]
-        y2 = rb * (A_w @ s) + eps[1]
-        y3 = rbp * (A_wp @ c) + eps[2]
-        y4 = rbp * (A_wp @ s) + eps[3]
+        y_w = rb * (cs @ A_w.T) + eps[:2]  # rows y1, y2
+        y_wp = rbp * (cs @ A_wp.T) + eps[2:]  # rows y3, y4
         alpha_c = (
             beta * w.concentration * math.cos(w.mean_direction)
             + (1.0 - beta) * wp.concentration * math.cos(wp.mean_direction)
@@ -324,13 +352,14 @@ def bridge_ladder(
             beta * w.concentration * math.sin(w.mean_direction)
             + (1.0 - beta) * wp.concentration * math.sin(wp.mean_direction)
         )
-        kap_c = rb * (A_w.T @ y1) + rbp * (A_wp.T @ y3) + alpha_c * ones
-        kap_s = rb * (A_w.T @ y2) + rbp * (A_wp.T @ y4) + alpha_s * ones
-        conc = np.hypot(kap_c, kap_s)
-        gamma = np.arctan2(kap_s, kap_c)
+        kap = rb * (y_w @ A_w) + rbp * (y_wp @ A_wp)
+        kap[0] += alpha_c
+        kap[1] += alpha_s
+        conc = np.hypot(kap[0], kap[1])
+        gamma = np.arctan2(kap[1], kap[0])
         xi = sample_von_mises(gamma, conc, rng)
         xis.append(xi)
-        log_ratio += (model_wp.energy(xi) - model_w.energy(xi)) / denom
+        log_ratio += energy_change(model_w, model_wp, xi) / denom
     return xis, float(log_ratio)
 
 
@@ -366,8 +395,9 @@ def dmh_step(
     (or bridging-ladder) ratio; normalizing constants never appear.
     Proposals outside the prior support are rejected without touching the
     kernel. A proposal that keeps the kernel reuses the current Gram
-    matrix, precision and augmentation factor; one that moves it is built
-    at the slack of ``model``. The inner chain starts from
+    matrix, precision and augmentation factor, and its energy differences
+    are differences of the pull alone; one that moves it is built at the
+    slack of ``model``. The inner chain starts from
     ``xi_init`` (persistent across outer iterations), and the accepted
     move hands back the final ladder state for the next step.
     """
@@ -396,11 +426,11 @@ def dmh_step(
         xis, log_ratio = bridge_ladder(xi0, model, model_wp, bridge.levels, rng)
         xi_last = xis[-1]
     else:
-        log_ratio = model_wp.energy(xi0) - model.energy(xi0)
+        log_ratio = energy_change(model, model_wp, xi0)
         xi_last = xi0
     log_acc = (
         (lp_wp - lp_w)
-        + (model.energy(phi_full) - model_wp.energy(phi_full))
+        - energy_change(model, model_wp, phi_full)
         + log_ratio
     )
     if math.log(rng.uniform()) < log_acc:
@@ -542,14 +572,15 @@ def energy_gradient(phi, model: ParamModel) -> np.ndarray:
     """Analytic gradient of U(varphi|w) in the parameters.
 
     Kernel components use dM = -M dK M, contracted against the angle
-    cosine matrix through two matrix-vector products per parameter.
+    cosine matrix through two matrix-vector products per parameter. It
+    reads the whole precision and the model's cached kernel derivatives.
     """
     phi = np.asarray(phi, dtype=float)
     w = model.w
     M = model.precision.matrix
     c, s = np.cos(phi), np.sin(phi)
     Mc, Ms = M @ c, M @ s
-    derivs = kernel_derivatives(w.kernel, model.locations)
+    derivs = model.derivatives
     grad = []
     for name in gradient_names(w):
         if name in derivs:

@@ -129,8 +129,7 @@ def build_gram(spec: KernelSpec, locations) -> GramMatrix:
         raise ValueError("need at least one location")
     if not np.all(np.isfinite(X)):
         raise ValueError("locations must be finite")
-    K0 = kernel_matrix(spec, X, X)
-    K0 = 0.5 * (K0 + K0.T)
+    K0 = kernel_matrix(spec, X, X)  # exactly symmetric for every family
     n = X.shape[0]
     try:
         s0, V = np.linalg.eigh(K0)  # ascending
@@ -143,4 +142,5 @@ def build_gram(spec: KernelSpec, locations) -> GramMatrix:
         if jitter >= cap:
             raise NumericalError("kernel matrix numerically singular")
         jitter = min(jitter * JITTER_FACTOR, cap)
-    return GramMatrix(K0 + jitter * np.eye(n), jitter, s0 + jitter, V)
+    K0.flat[:: n + 1] += jitter  # in place: the eigh above has read the raw K0
+    return GramMatrix(K0, jitter, s0 + jitter, V)

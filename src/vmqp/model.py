@@ -10,10 +10,11 @@ whose natural parameters are assembled by conditional_params().
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .circular import normalize_angle
+from .circular import cos_sin, normalize_angle
 from .errors import NumericalError
 from .kernels import GramMatrix, KernelSpec
 
@@ -47,9 +48,17 @@ class ParamVector:
 
 @dataclass(frozen=True)
 class PrecisionModel:
-    """Inverse of the Gram matrix with its latent/observed partition."""
+    """Precision M = K^-1 = V diag(1/s) V', kept as the eigenpairs of K.
 
-    matrix: np.ndarray
+    ``eigenvalues`` s and ``eigenvectors`` V are those of the Gram matrix
+    K = V diag(s) V', with the latent/observed split of its rows. The
+    samplers read M only through quadratic forms (``energy``) and its first
+    ``n_latent`` rows (``latent_block``, ``cross_block``). Those rows and the
+    whole ``matrix`` are each formed on first read and kept.
+    """
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
     n_latent: int
     n_observed: int
 
@@ -57,13 +66,27 @@ class PrecisionModel:
     def size(self) -> int:
         return self.n_latent + self.n_observed
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The whole d x d precision, exactly symmetric."""
+        V = self.eigenvectors
+        M = (V / self.eigenvalues) @ V.T
+        return 0.5 * (M + M.T)
+
+    @cached_property
+    def latent_rows(self) -> np.ndarray:
+        """The first n_latent rows of M, (V[:m] / s) V'."""
+        V = self.eigenvectors
+        return (V[: self.n_latent] / self.eigenvalues) @ V.T
+
     @property
     def latent_block(self) -> np.ndarray:
-        return self.matrix[: self.n_latent, : self.n_latent]
+        L = self.latent_rows[:, : self.n_latent]
+        return 0.5 * (L + L.T)
 
     @property
     def cross_block(self) -> np.ndarray:
-        return self.matrix[: self.n_latent, self.n_latent :]
+        return self.latent_rows[:, self.n_latent :]
 
 
 @dataclass(frozen=True)
@@ -73,11 +96,20 @@ class ConditionalParams:
     The density is proportional to
     exp(rho_c . cos(phi) + rho_s . sin(phi)
         - cos(phi)' Q cos(phi) / 2 - sin(phi)' Q sin(phi) / 2).
+    Q is given either as a matrix or as the ``PrecisionModel`` whose whole
+    matrix it is; the latter is formed only when ``coupling`` is read,
+    which a Gibbs sweep never does.
     """
 
     rho_c: np.ndarray
     rho_s: np.ndarray
-    coupling: np.ndarray  # Q, symmetric positive definite
+    _coupling: np.ndarray | PrecisionModel
+
+    @property
+    def coupling(self) -> np.ndarray:
+        """Q, symmetric positive definite."""
+        Q = self._coupling
+        return Q.matrix if isinstance(Q, PrecisionModel) else Q
 
     @property
     def size(self) -> int:
@@ -85,16 +117,17 @@ class ConditionalParams:
 
 
 def build_precision(gram: GramMatrix, m: int, n: int) -> PrecisionModel:
-    """Invert the Gram matrix as M = V diag(1/s) V' and record the split."""
+    """Precision of ``gram`` from its eigenpairs, with the split m + n.
+
+    Checks the partition and that K is positive definite; forms no product.
+    """
     d = gram.size
     if m < 0 or n < 0 or m + n != d:
         raise ValueError(f"partition {m}+{n} does not match matrix size {d}")
-    s, V = gram.eigenvalues, gram.eigenvectors
+    s = gram.eigenvalues  # ascending
     if not s[0] > 0:
         raise NumericalError("kernel matrix is not positive definite")
-    M = (V / s) @ V.T
-    M = 0.5 * (M + M.T)
-    return PrecisionModel(M, m, n)
+    return PrecisionModel(s, gram.eigenvectors, m, n)
 
 
 def conditional_params(
@@ -138,19 +171,25 @@ def full_state_params(
             raise ValueError("noisy conditional requires noise_concentration")
         rho_c[pm.n_latent :] += chi * np.cos(theta)
         rho_s[pm.n_latent :] += chi * np.sin(theta)
-    return ConditionalParams(rho_c, rho_s, pm.matrix)
+    return ConditionalParams(rho_c, rho_s, pm)
 
 
 def energy(phi, w: ParamVector, pm: PrecisionModel) -> float:
     """U(varphi|w): quadratic spin coupling minus the concentration pull.
 
     Uses cos(a - b) = cos a cos b + sin a sin b to reduce the double sum
-    over precision entries to two quadratic forms.
+    over precision entries to cos' M cos + sin' M sin, which with
+    M = V diag(1/s) V' is sum((V' cos)^2 + (V' sin)^2) / s: one product of
+    the (2, d) cos/sin block with V, and M itself is never formed.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (pm.size,):
         raise ValueError(f"expected {pm.size} angles, got {phi.shape}")
-    c, s = np.cos(phi), np.sin(phi)
-    quad = 0.5 * (c @ pm.matrix @ c + s @ pm.matrix @ s)
-    pull = w.concentration * np.sum(np.cos(phi - w.mean_direction))
-    return float(quad - pull)
+    p = cos_sin(phi) @ pm.eigenvectors
+    quad = 0.5 * np.sum(p * p / pm.eigenvalues)
+    return float(quad - mean_pull(phi, w))
+
+
+def mean_pull(phi, w: ParamVector) -> float:
+    """kappa * sum_i cos(varphi_i - nu), the concentration term of U."""
+    return w.concentration * np.sum(np.cos(np.asarray(phi) - w.mean_direction))

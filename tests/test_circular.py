@@ -128,3 +128,21 @@ def test_von_mises_histogram_chi2(conc, rng):
 def test_von_mises_range(rng):
     draws = sample_von_mises(3.0, 1.0, rng, size=10_000)
     assert np.all(draws > -np.pi) and np.all(draws <= np.pi)
+
+
+@pytest.mark.parametrize("conc", [np.nan, np.inf, -np.inf, -1e-300])
+@pytest.mark.parametrize("shape", [(), (1,), (5,)])
+def test_von_mises_rejects_each_bad_concentration(conc, shape, rng):
+    bad = np.full(shape, 2.0)
+    bad.flat[-1] = conc  # last among valid values
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        sample_von_mises(0.0, bad, rng)
+
+
+def test_von_mises_accepts_empty_and_scalar_concentrations(rng):
+    assert sample_von_mises(np.zeros(0), np.zeros(0), rng).shape == (0,)
+    for conc in (0.0, np.float64(3.0), np.array(1.5)):
+        draw = sample_von_mises(0.5, conc, rng)
+        assert -np.pi < draw <= np.pi
+    draws = sample_von_mises(np.full(4, np.pi), np.array([0.0, 1e-300, 5.0, 1e300]), rng)
+    assert np.all(draws > -np.pi) and np.all(draws <= np.pi)

@@ -501,3 +501,12 @@ def test_cli_noisy_sample_runs_on_the_model_factor(tmp_path, monkeypatch):
     assert len(models) == 1 and len(factors) == 1
     assert factors[0] is models[0].full_aug
     assert read_samples_csv(out / "phi_samples.csv").shape == (100, 2)
+
+
+def test_package_version_matches_pyproject():
+    # outputs are byte-identical only within one version, so both must agree
+    tomllib = pytest.importorskip("tomllib")
+    import vmqp
+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["version"] == vmqp.__version__

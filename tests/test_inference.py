@@ -1,5 +1,7 @@
 import inspect
 import math
+from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -20,13 +22,16 @@ from vmqp.inference import (
     block_gibbs_fit,
     cd_gradient,
     dmh_step,
+    energy_change,
     energy_gradient,
     gradient_names,
+    latent_params,
     propose,
     sample_fictitious,
 )
 from vmqp.kernels import GramMatrix, KernelSpec
-from vmqp.model import ParamVector
+from vmqp.circular import sample_von_mises
+from vmqp.model import ParamVector, PrecisionModel
 
 
 def simple_model(kappa=1.0, nu=0.0, n_latent=0):
@@ -371,3 +376,169 @@ def test_fit_counts_every_outcome_by_block(rng):
     assert out.outcomes["mean"]["support"] > 0
     assert out.outcomes["kernel"]["numerical"] == 0
 
+
+
+def four_matvec_ladder(xi0, model_w, model_wp, levels, rng):
+    """Reference ladder: one matrix-vector product per Gaussian and per pull."""
+    w, wp = model_w.w, model_wp.w
+    A_w, A_wp = model_w.full_aug.factor, model_wp.full_aug.factor
+    denom = levels + 1
+    xi = np.array(xi0, dtype=float)
+    xis = [xi]
+    log_ratio = (model_wp.energy(xi) - model_w.energy(xi)) / denom
+    for k in range(1, levels + 1):
+        beta = k / denom
+        rb, rbp = math.sqrt(beta), math.sqrt(1.0 - beta)
+        c, s = np.cos(xi), np.sin(xi)
+        eps = rng.standard_normal((4, len(xi)))
+        y1 = rb * (A_w @ c) + eps[0]
+        y2 = rb * (A_w @ s) + eps[1]
+        y3 = rbp * (A_wp @ c) + eps[2]
+        y4 = rbp * (A_wp @ s) + eps[3]
+        alpha_c = (beta * w.concentration * math.cos(w.mean_direction)
+                   + (1.0 - beta) * wp.concentration * math.cos(wp.mean_direction))
+        alpha_s = (beta * w.concentration * math.sin(w.mean_direction)
+                   + (1.0 - beta) * wp.concentration * math.sin(wp.mean_direction))
+        kap_c = rb * (A_w.T @ y1) + rbp * (A_wp.T @ y3) + alpha_c
+        kap_s = rb * (A_w.T @ y2) + rbp * (A_wp.T @ y4) + alpha_s
+        xi = sample_von_mises(np.arctan2(kap_s, kap_c), np.hypot(kap_c, kap_s), rng)
+        xis.append(xi)
+        # dense energies: cos' M cos + sin' M sin - kappa * sum cos(xi - nu)
+        for model, sign in ((model_wp, 1.0), (model_w, -1.0)):
+            M = model.precision.matrix
+            u = 0.5 * (np.cos(xi) @ M @ np.cos(xi) + np.sin(xi) @ M @ np.sin(xi))
+            u -= model.w.concentration * np.sum(np.cos(xi - model.w.mean_direction))
+            log_ratio += sign * u / denom
+    return xis, log_ratio
+
+
+@pytest.mark.parametrize("levels", [1, 3])
+def test_bridge_ladder_matches_four_matvec_reference(levels):
+    locations = np.linspace(0.0, 4.0, 8)[:, None]
+    model_w = build_param_model(
+        ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3), locations, 2)
+    model_wp = build_param_model(
+        ParamVector(KernelSpec("exponential", 1.4, 0.7), 0.9, -1.0), locations, 2)
+    xi0 = np.random.default_rng(1).uniform(-np.pi, np.pi, 8)
+    got_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    xis, log_ratio = bridge_ladder(xi0, model_w, model_wp, levels, got_rng)
+    ref_xis, ref_ratio = four_matvec_ladder(xi0, model_w, model_wp, levels, ref_rng)
+    assert len(xis) == levels + 1
+    for got, ref in zip(xis, ref_xis):
+        assert np.max(np.abs(np.angle(np.exp(1j * (got - ref))))) < 1e-12
+    assert log_ratio == pytest.approx(ref_ratio, rel=0, abs=1e-12)
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def counting_latent_rows(monkeypatch):
+    """Record each PrecisionModel whose latent rows get formed."""
+    formed = []
+    form = PrecisionModel.__dict__["latent_rows"].func
+
+    def counting(pm):
+        formed.append(pm)
+        return form(pm)
+
+    prop = cached_property(counting)
+    prop.__set_name__(PrecisionModel, "latent_rows")
+    monkeypatch.setattr(PrecisionModel, "latent_rows", prop)
+    return formed
+
+
+def forbid_whole_precision(monkeypatch):
+    def never(pm):
+        raise AssertionError("the whole d x d precision was formed")
+
+    monkeypatch.setattr(PrecisionModel, "matrix", property(never))
+
+
+def test_exchange_moves_form_no_whole_precision(monkeypatch, rng):
+    forbid_whole_precision(monkeypatch)
+    formed = counting_latent_rows(monkeypatch)
+    d, m = 10, 3
+    locations = np.linspace(0.0, 5.0, d)[:, None]
+    w = ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3)
+    model = build_param_model(w, locations, m)
+    theta = rng.uniform(-np.pi, np.pi, d - m)
+    phi_full = np.concatenate([rng.uniform(-np.pi, np.pi, m), theta])
+    xi = sample_fictitious(model, 5, np.zeros(d), rng)
+    outcomes = []
+    for _ in range(40):
+        res = dmh_step(model, phi_full, PriorSpec(), ProposalSpec(lengthscale2_step=0.5),
+                       BridgeConfig(1, inner_sweeps=3), rng, xi, block=inference.KERNEL_BLOCK)
+        outcomes.append(res.reason)
+        xi = res.xi
+        assert formed == []
+        if res.accepted:
+            # the latent chain of the fit reads the m latent rows, and only them
+            latent_params(res.model, theta)
+            assert formed == [res.model.precision]
+            assert res.model.precision.latent_rows.shape == (m, d)
+            formed.clear()
+            model = res.model
+    assert "accepted" in outcomes and "mh" in outcomes
+
+
+def test_kernel_proposal_runs_one_eigh_and_forms_no_whole_precision(monkeypatch, rng):
+    # chi unset: a kernel proposal factors nothing of size d but its one eigh,
+    # and the whole precision M, the d x d x d product this path used to form,
+    # is never read; the latent rows are formed once per accepted kernel move
+    d, m = 12, 3
+    sizes = {"eigh": [], "eigvalsh": [], "cholesky": [], "inv": [], "solve": []}
+    for name in sizes:
+        def recording(a, *args, _fn=getattr(np.linalg, name), _sizes=sizes[name], **kwargs):
+            _sizes.append(np.shape(a)[-1])
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    forbid_whole_precision(monkeypatch)
+    formed = counting_latent_rows(monkeypatch)
+    w = ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3)
+    train = np.linspace(0.0, 6.0, d - m)[:, None]
+    theta = rng.uniform(-np.pi, np.pi, d - m)
+    cfg = FitConfig(n_iter=30, burn_in=10, phi_sweeps=1,
+                    proposals=ProposalSpec(lengthscale2_step=0.5),
+                    bridge=BridgeConfig(1, inner_sweeps=2))
+    out = block_gibbs_fit(theta, train, np.array([[0.5], [2.5], [4.5]]), w, cfg, rng)
+    kernel = out.outcomes["kernel"]
+    assert kernel["accepted"] > 0 and kernel["mh"] > 0
+    assert sizes["eigh"] == [d] * (1 + sum(kernel.values()) - kernel["support"])
+    assert sizes["inv"] == sizes["solve"] == []
+    assert set(sizes["eigvalsh"]) == set(sizes["cholesky"]) == {m}
+    assert len(formed) == 1 + kernel["accepted"]
+
+
+def test_cd_gradient_repeats_evaluate_kernel_derivatives_once(monkeypatch, rng):
+    calls = []
+    derivatives = inference.kernel_derivatives
+
+    def counting(spec, X):
+        calls.append(spec)
+        return derivatives(spec, X)
+
+    monkeypatch.setattr(inference, "kernel_derivatives", counting)
+    w = ParamVector(KernelSpec("gaussian", 1.0, 1.0), 0.5, 0.3)
+    model = build_param_model(w, np.linspace(0.0, 3.0, 6)[:, None], 2)
+    theta = np.array([0.2, -0.4, 0.9, 0.1])
+    for _ in range(3):
+        cd_gradient(theta, model, 4, rng, burn_sweeps=2)
+    assert len(calls) == 1
+
+
+def test_energy_change_of_a_shared_precision_is_the_pull_alone(monkeypatch, rng):
+    locations = np.linspace(0.0, 4.0, 8)[:, None]
+    w = ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3)
+    model = build_param_model(w, locations, 2)
+    mean_moved = replace(model, w=ParamVector(w.kernel, 1.3, -0.8))
+    kernel_moved = build_param_model(
+        ParamVector(KernelSpec("exponential", 1.4, 0.7), 0.5, 0.3), locations, 2)
+    phi = rng.uniform(-np.pi, np.pi, 8)
+    full = mean_moved.energy(phi) - model.energy(phi)
+    assert energy_change(model, kernel_moved, phi) == kernel_moved.energy(phi) - model.energy(phi)
+
+    def no_quadratic_form(*args):
+        raise AssertionError("a shared precision was multiplied out")
+
+    monkeypatch.setattr(inference, "energy", no_quadratic_form)
+    assert energy_change(model, mean_moved, phi) == pytest.approx(full, rel=0, abs=1e-12)
+    assert energy_change(mean_moved, model, phi) == pytest.approx(-full, rel=0, abs=1e-12)

@@ -76,6 +76,17 @@ def test_gram_symmetry(rng):
     assert np.max(np.abs(g.matrix - g.matrix.T)) < 1e-12
 
 
+@pytest.mark.parametrize("family", ["gaussian", "exponential", "anisotropic_gaussian"])
+def test_kernel_matrix_is_exactly_symmetric(family, rng):
+    # build_gram adds the jitter to this matrix as it is, unsymmetrized
+    spec = KernelSpec(family, 1.3, 0.7, 0.4 if family == "anisotropic_gaussian" else None)
+    X = rng.uniform(-3.0, 3.0, size=(60, 3))
+    K0 = kernel_matrix(spec, X, X)
+    assert np.array_equal(K0, K0.T)
+    g = build_gram(spec, X)
+    assert np.array_equal(g.matrix, K0 + g.jitter * np.eye(60))
+
+
 def test_gram_scale_invariance(rng):
     X = rng.uniform(size=(8, 2))
     factor = 3.7

@@ -17,6 +17,12 @@ def gram_from_matrix(K):
     return GramMatrix(K, 0.0, *np.linalg.eigh(K))
 
 
+def precision_from_matrix(M, m, n):
+    """PrecisionModel whose matrix is M, from the eigenpairs of K = M^-1."""
+    t, V = np.linalg.eigh(np.asarray(M, dtype=float))
+    return PrecisionModel(1.0 / t, V, m, n)
+
+
 def pv(kappa=0.0, nu=0.0, chi=None):
     return ParamVector(KernelSpec("gaussian", 1.0, 1.0), kappa, nu, chi)
 
@@ -76,7 +82,7 @@ def test_conditional_zero_kappa(rng):
 
 def test_conditional_hand_example():
     # M = [[2, -1], [-1, 2]] is the inverse of K = [[2,1],[1,2]]/3
-    pm = PrecisionModel(np.array([[2.0, -1.0], [-1.0, 2.0]]), 1, 1)
+    pm = precision_from_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]), 1, 1)
     cp = conditional_params(pm, np.array([0.0]), pv(kappa=0.0))
     assert cp.rho_c[0] == pytest.approx(1.0)
     assert cp.rho_s[0] == pytest.approx(0.0)
@@ -90,13 +96,13 @@ def test_conditional_length_mismatch():
 
 
 def test_energy_identity_precision(rng):
-    pm = PrecisionModel(np.eye(3), 1, 2)
+    pm = precision_from_matrix(np.eye(3), 1, 2)
     phi = rng.uniform(-np.pi, np.pi, 3)
     assert energy(phi, pv(kappa=0.0), pm) == pytest.approx(1.5)
 
 
 def test_energy_hand_example():
-    pm = PrecisionModel(np.array([[2.0, -1.0], [-1.0, 2.0]]), 1, 1)
+    pm = precision_from_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]), 1, 1)
     assert energy(np.zeros(2), pv(kappa=0.0), pm) == pytest.approx(1.0)
 
 
@@ -104,7 +110,7 @@ def test_energy_kappa_sign_symmetry(rng):
     # (kappa, nu) and (-kappa, nu - pi) give identical densities; with the
     # nonnegative-kappa convention this reads (kappa, nu) vs (kappa, nu - pi)
     # after flipping the pull term by pi.
-    pm = PrecisionModel(np.array([[2.0, -1.0], [-1.0, 2.0]]), 1, 1)
+    pm = precision_from_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]), 1, 1)
     for _ in range(100):
         phi = rng.uniform(-np.pi, np.pi, 2)
         kappa, nu = rng.uniform(0.1, 3.0), rng.uniform(-np.pi, np.pi)
@@ -156,7 +162,7 @@ def test_conditional_coupling_positive_definite(rng):
 
 
 def test_full_state_params_prior_mode():
-    pm = PrecisionModel(np.eye(3), 1, 2)
+    pm = precision_from_matrix(np.eye(3), 1, 2)
     cp = full_state_params(pm, pv(kappa=2.0, nu=np.pi / 2))
     assert np.allclose(cp.rho_c, 0.0, atol=1e-12)
     assert np.allclose(cp.rho_s, 2.0)
@@ -164,8 +170,41 @@ def test_full_state_params_prior_mode():
 
 
 def test_full_state_params_noisy_tail():
-    pm = PrecisionModel(np.eye(3), 1, 2)
+    pm = precision_from_matrix(np.eye(3), 1, 2)
     theta = np.array([0.0, np.pi / 2])
     cp = full_state_params(pm, pv(kappa=0.0, chi=3.0), theta)
     assert np.allclose(cp.rho_c, [0.0, 3.0, 0.0], atol=1e-12)
     assert np.allclose(cp.rho_s, [0.0, 0.0, 3.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [5, 400])
+def test_spectral_energy_matches_dense_form(d, rng):
+    spec = KernelSpec("exponential", 1.3, 1.0)
+    pm = build_precision(build_gram(spec, np.linspace(0.0, 0.5 * d, d)[:, None]), 2, d - 2)
+    w = pv(kappa=0.7, nu=0.4)
+    for _ in range(5):
+        phi = rng.uniform(-np.pi, np.pi, d)
+        c, s = np.cos(phi), np.sin(phi)
+        dense = 0.5 * (c @ pm.matrix @ c + s @ pm.matrix @ s)
+        dense -= w.concentration * np.sum(np.cos(phi - w.mean_direction))
+        assert energy(phi, w, pm) == pytest.approx(dense, rel=1e-12)
+
+
+def test_precision_forms_only_what_is_read(rng):
+    spec = KernelSpec("gaussian", 1.0, 0.5)
+    X = rng.uniform(size=(7, 2))
+    pm = build_precision(build_gram(spec, X), 3, 4)
+    assert "matrix" not in vars(pm) and "latent_rows" not in vars(pm)
+    energy(rng.uniform(-np.pi, np.pi, 7), pv(kappa=0.5), pm)
+    cp = full_state_params(pm, pv(kappa=0.5))
+    assert cp.size == 7
+    assert "matrix" not in vars(pm) and "latent_rows" not in vars(pm)
+    cp_lat = conditional_params(pm, np.zeros(4), pv())
+    assert "matrix" not in vars(pm)
+    assert pm.latent_rows.shape == (3, 7)
+    # the latent rows agree with the whole matrix once that is read
+    M = cp.coupling
+    assert M is pm.matrix
+    assert np.allclose(cp_lat.coupling, M[:3, :3], rtol=0, atol=1e-12 * np.abs(M).max())
+    assert np.array_equal(cp_lat.coupling, cp_lat.coupling.T)
+    assert np.allclose(pm.cross_block, M[:3, 3:], rtol=0, atol=1e-12 * np.abs(M).max())
