@@ -11,10 +11,13 @@ Small lambda mixes best: in the large-lambda limit the conditional mean
 of each coordinate collapses onto its previous value. The default rule is
 lambda = (1 + slack) * lambda_max with slack = 0.01, both tunable.
 
-Every chain of the package advances through ``run_sweeps`` on a factor
-its caller built once: ``make_augmentation`` for the slack rule,
-``augmentation_at`` for an explicit lambda, or the spectral factor of a
-full-space model.
+Every factor comes from eigenpairs: with Q = U diag(e) U', the factor
+A = diag(sqrt(lambda - e)) U' is built by ``spectral_augmentation``, and
+lambda_max = max(e) is exact. ``make_augmentation`` (slack rule) and
+``augmentation_at`` (explicit lambda) run one ``eigh`` of Q; the
+full-space models reuse the eigenpairs of their Gram matrix. Every chain
+of the package advances through ``run_sweeps`` on a factor its caller
+built once.
 """
 
 from __future__ import annotations
@@ -30,8 +33,7 @@ from . import evaluation
 
 DEFAULT_SLACK = 0.01
 
-# Above this size the top eigenvalue is estimated by power iteration
-# instead of a full symmetric eigensolve.
+# Only the perfbench tracer's flop model reads these; ROADMAP item 1 deletes them.
 _EIG_EXACT_LIMIT = 512
 _POWER_ITERATIONS = 200
 
@@ -41,10 +43,11 @@ class Augmentation:
     """Augmentation factor: any A with A'A = lam*I - Q.
 
     The sweep sees A only through A'z ~ N(A'A cos(phi), A'A), so every
-    such factor gives the same Markov kernel. ``make_augmentation`` and
-    ``augmentation_at`` return the upper Cholesky factor; the full-space
-    models of the parameter sampler use a spectral factor. A chain takes
-    its factor from the caller and never refactors Q itself.
+    such factor gives the same Markov kernel. Every factor of the package
+    is the spectral one, diag(sqrt(lam - e)) U' from the eigenpairs
+    (e, U) of Q, so ``lam_max_estimate`` is the exact top eigenvalue
+    max(e). A chain takes its factor from the caller and never refactors
+    Q itself.
     """
 
     lam: float
@@ -56,65 +59,59 @@ class Augmentation:
         return self.factor.shape[0]
 
 
-def _largest_eigenvalue(Q: np.ndarray) -> float:
-    m = Q.shape[0]
-    if m <= _EIG_EXACT_LIMIT:
-        return float(np.linalg.eigvalsh(Q)[-1])
-    v = np.ones(m) / np.sqrt(m)
-    lam = 0.0
-    for _ in range(_POWER_ITERATIONS):
-        u = Q @ v
-        norm = np.linalg.norm(u)
-        if norm == 0.0:
-            return 0.0
-        v = u / norm
-        lam = float(v @ Q @ v)
-    return lam
+def spectral_augmentation(e: np.ndarray, U: np.ndarray, lam: float) -> Augmentation:
+    """Factor A = diag(sqrt(lam - e)) U' of lam*I - U diag(e) U'.
+
+    ``e`` holds the eigenvalues in any order and ``U`` the eigenvectors as
+    columns. At lam = max(e) the top row is exactly zero. A lam below
+    max(e) by no more than the eigensolver's roundoff, len(e) * eps *
+    |max(e)|, counts as max(e): a lambda_max taken from another
+    decomposition of the same matrix (the Gram eigenpairs of a
+    full-space model) may differ from max(e) by that much.
+    """
+    if not np.isfinite(lam):
+        raise ValueError("lambda must be finite")
+    lam_max = float(e.max()) if len(e) else 0.0
+    if lam < lam_max - len(e) * np.finfo(float).eps * abs(lam_max):
+        raise NumericalError(f"lambda {lam} is below the top eigenvalue {lam_max}")
+    return Augmentation(float(lam), np.sqrt(np.maximum(lam - e, 0.0))[:, None] * U.T, lam_max)
+
+
+def _spectrum(Q) -> tuple:
+    """Ascending eigenpairs (e, U) of the symmetric matrix Q."""
+    Q = np.asarray(Q, dtype=float)
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+        raise ValueError("Q must be a square matrix")
+    if not np.isfinite(Q).all():
+        raise NumericalError("Q has a non-finite entry")
+    try:
+        return np.linalg.eigh(Q)
+    except np.linalg.LinAlgError:
+        raise NumericalError("eigendecomposition of Q failed") from None
 
 
 def make_augmentation(Q: np.ndarray, slack: float = DEFAULT_SLACK) -> Augmentation:
     """Factor lam*I - Q with lam = (1 + slack) * lambda_max(Q).
 
-    If the factorization fails because lam is too tight numerically, the
-    slack is doubled up to three times before giving up.
+    One ``eigh`` of Q gives the exact lambda_max and the factor; an empty
+    Q gives an empty factor. Q needs a positive top eigenvalue.
     """
-    Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise ValueError("Q must be a square matrix")
     if not (np.isfinite(slack) and slack > 0):
         raise ValueError("slack must be positive")
-    m = Q.shape[0]
-    if m == 0:
-        return Augmentation(0.0, np.zeros((0, 0)), 0.0)
-    lam_max = _largest_eigenvalue(Q)
-    eps = slack
-    for _ in range(4):
-        lam = (1.0 + eps) * lam_max
-        gap = lam * np.eye(m) - Q
-        try:
-            # upper triangular: factor' @ factor reconstructs the gap
-            A = np.linalg.cholesky(gap).T
-            return Augmentation(lam, A, lam_max)
-        except np.linalg.LinAlgError:
-            eps *= 2.0
-    raise NumericalError("augmentation factorization failed at maximal slack")
+    e, U = _spectrum(Q)
+    lam_max = e[-1] if len(e) else 0.0
+    if len(e) and not lam_max > 0:
+        raise NumericalError("Q has no positive eigenvalue")
+    return spectral_augmentation(e, U, (1.0 + slack) * lam_max)
 
 
 def augmentation_at(Q: np.ndarray, lam: float) -> Augmentation:
-    """Factor lam*I - Q at an explicitly chosen lam (diagnostics use)."""
-    Q = np.asarray(Q, dtype=float)
-    m = Q.shape[0]
-    lam_max = _largest_eigenvalue(Q)
-    gap = lam * np.eye(m) - Q
-    if m > 0 and lam <= lam_max:
-        # exactly at lam_max the gap is singular but still factorizable
-        # up to roundoff; shift the diagonal by a relative epsilon
-        gap += 1e-12 * max(abs(lam_max), 1.0) * np.eye(m)
-    try:
-        A = np.linalg.cholesky(gap).T
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"lambda {lam} is below the top eigenvalue") from exc
-    return Augmentation(lam, A, lam_max)
+    """Factor lam*I - Q at an explicitly chosen lam >= lambda_max(Q).
+
+    Diagnostics use; one ``eigh`` of Q, as in ``make_augmentation``.
+    """
+    e, U = _spectrum(Q)
+    return spectral_augmentation(e, U, lam)
 
 
 def polar_params(b_c: np.ndarray, b_s: np.ndarray):

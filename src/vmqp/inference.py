@@ -32,7 +32,7 @@ import numpy as np
 
 from .circular import as_generator, cos_sin, normalize_angle, sample_von_mises
 from .errors import NumericalError
-from .gibbs import Augmentation, make_augmentation, run_sweeps, DEFAULT_SLACK
+from .gibbs import Augmentation, make_augmentation, run_sweeps, spectral_augmentation, DEFAULT_SLACK
 from .gibbs import gibbs_sweep  # noqa: F401  perfbench/test_perfbench.py reads this binding
 from .kernels import GramMatrix, KernelSpec, build_gram, kernel_derivatives
 from .model import (
@@ -194,11 +194,9 @@ def build_param_model(
         raise ValueError("slack must be positive")
     gram = build_gram(w.kernel, X)
     pm = build_precision(gram, n_latent, X.shape[0] - n_latent)
-    s, V = gram.eigenvalues, gram.eigenvectors  # ascending, s[0] > 0
-    lam_max = 1.0 / s[0]
-    lam = (1.0 + slack) * lam_max
-    A = np.sqrt(lam - 1.0 / s)[:, None] * V.T  # A'A = lam*I - M
-    return ParamModel(w, X, gram, pm, Augmentation(lam, A, lam_max), slack)
+    e = 1.0 / gram.eigenvalues  # eigenvalues of M, descending: e[0] is the top
+    aug = spectral_augmentation(e, gram.eigenvectors, (1.0 + slack) * e[0])
+    return ParamModel(w, X, gram, pm, aug, slack)
 
 
 def latent_params(model: ParamModel, theta) -> ConditionalParams:

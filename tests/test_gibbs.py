@@ -36,8 +36,10 @@ def test_make_augmentation_reconstruction(rng):
     aug = make_augmentation(Q)
     gap = aug.factor.T @ aug.factor
     assert np.max(np.abs(gap + Q - aug.lam * np.eye(6))) < 1e-8
-    # upper triangular factor
-    assert np.allclose(aug.factor, np.triu(aug.factor))
+    # lambda_max is exact, not an estimate
+    top = np.linalg.eigvalsh(Q)[-1]
+    assert aug.lam_max_estimate == pytest.approx(top, rel=1e-12)
+    assert aug.lam == pytest.approx(1.01 * top, rel=1e-12)
 
 
 def test_make_augmentation_validation():
@@ -58,6 +60,67 @@ def test_augmentation_at_exact_top_eigenvalue():
 def test_augmentation_at_below_top_raises():
     with pytest.raises(NumericalError):
         augmentation_at(np.diag([2.0, 1.0]), 1.5)
+
+
+def test_augmentation_at_accepts_a_top_eigenvalue_within_roundoff(rng):
+    # a lambda_max from another decomposition of Q may undershoot the one
+    # eigh finds by roundoff; that still factors, with a zero top row
+    B = rng.standard_normal((40, 40))
+    Q = B @ B.T / 40
+    top = np.linalg.eigvalsh(Q)[-1]
+    aug = augmentation_at(Q, top * (1.0 - 1e-15))
+    assert np.min(np.linalg.norm(aug.factor, axis=1)) == 0.0
+    assert np.max(np.abs(aug.factor.T @ aug.factor + Q - aug.lam * np.eye(40))) < 1e-12 * top
+    with pytest.raises(NumericalError):
+        augmentation_at(Q, top * (1.0 - 1e-9))
+
+
+def test_exact_top_eigenvalue_above_512():
+    # Q = I + 2uu' with u = (e1 - e2)/sqrt(2) has top eigenvalue 3; u is
+    # orthogonal to the all-ones vector, so a power iteration started
+    # there never sees it
+    Q = np.eye(600)
+    Q[:2, :2] += np.array([[1.0, -1.0], [-1.0, 1.0]])
+    assert make_augmentation(Q).lam == pytest.approx(1.01 * 3.0, rel=1e-12)
+    assert augmentation_at(Q, 3.0).lam_max_estimate == pytest.approx(3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda: augmentation_at(np.zeros((0, 0)), 1.0), None, None),
+        (lambda: make_augmentation(np.zeros((0, 0))), None, None),
+        (lambda: augmentation_at(np.zeros((2, 3)), 1.0), ValueError, "Q must be a square"),
+        (lambda: augmentation_at(np.zeros(3), 1.0), ValueError, "Q must be a square"),
+        (lambda: make_augmentation(np.eye(2), slack=np.inf), ValueError, "slack"),
+        (lambda: augmentation_at(np.eye(2), np.nan), ValueError, "finite"),
+        (lambda: augmentation_at(np.eye(2), np.inf), ValueError, "finite"),
+        (lambda: make_augmentation(np.array([[1.0, np.nan], [np.nan, 1.0]])), NumericalError, "non-finite"),
+        (lambda: augmentation_at(np.array([[1.0, np.inf], [np.inf, 1.0]]), 2.0), NumericalError, "non-finite"),
+        (lambda: make_augmentation(np.zeros((2, 2))), NumericalError, "positive"),
+        (lambda: make_augmentation(-np.eye(2)), NumericalError, "positive"),
+    ],
+    ids=[
+        "at-empty", "make-empty", "at-non-square", "at-vector", "make-inf-slack",
+        "at-nan-lambda", "at-inf-lambda", "make-nan-entry", "at-inf-entry",
+        "make-zero", "make-negative-definite",
+    ],
+)
+def test_augmentation_input_checks(build, error, match):
+    if error is None:
+        assert build().factor.shape == (0, 0)
+    else:
+        with pytest.raises(error, match=match):
+            build()
+
+
+def test_eigh_failure_is_a_numerical_error(monkeypatch):
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(NumericalError):
+        make_augmentation(np.eye(2))
 
 
 def test_polar_params_examples():
