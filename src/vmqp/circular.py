@@ -61,12 +61,12 @@ def circular_summary(angles) -> CircularSummary:
 
 
 def cos_sin(phi: np.ndarray) -> np.ndarray:
-    """The (2, d) block [cos(phi); sin(phi)] of a vector of d angles.
+    """The block [cos(phi); sin(phi)] of shape (2,) + phi.shape.
 
-    Both rows are written in place into one buffer, which costs less than
+    Both halves are written in place into one buffer, which costs less than
     stacking two new arrays.
     """
-    cs = np.empty((2, len(phi)))
+    cs = np.empty((2,) + np.shape(phi))
     np.cos(phi, out=cs[0])
     np.sin(phi, out=cs[1])
     return cs

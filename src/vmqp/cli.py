@@ -1,8 +1,9 @@
 """Command-line pipeline: sample, fit, eval, diagnose, split.
 
-All randomness flows from the configured seed; sweep cells and repeats
-use recorded sub-seeds spawned from it, so equal configs and inputs give
-byte-identical outputs. Angles in every output file are radians. No
+All randomness flows from the configured seed; the diagnose batches
+(one per lambda multiplier, one for the CD repeats) each use one child of
+``SeedSequence(seed)``, so equal configs and inputs give byte-identical
+outputs. Angles in every output file are radians. No
 plotting: outputs are plot-ready CSV tables plus key-value reports.
 """
 
@@ -194,44 +195,56 @@ def cmd_eval(pred_paths, truth_paths, schema: str, out: Path) -> None:
     )
 
 
+def _finite_median(values) -> float:
+    """Median of the finite entries; NaN when there are none.
+
+    Sorts directly: ``np.median`` imports ``numpy.ma`` on its first call.
+    """
+    v = np.sort(values[np.isfinite(values)])
+    if v.size == 0:
+        return math.nan
+    half = v.size // 2
+    return float(v[half] if v.size % 2 else 0.5 * (v[half - 1] + v[half]))
+
+
 def cmd_diagnose(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
     w, model, cp, latent_aug = _assemble(cfg, dataset)
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.sweep_seeds + cfg.cd_repeats)
+    batches = np.random.SeedSequence(cfg.seed).spawn(len(cfg.lambda_multipliers) + 1)
+    init_conc = w.concentration * np.ones((cfg.sweep_seeds, cp.size))
     sweep_rows = []
-    for mult in cfg.lambda_multipliers:
+    for mult, batch in zip(cfg.lambda_multipliers, batches):
+        # all sweep seeds of one multiplier run as one stack on one factor
+        rng = np.random.default_rng(batch)
         aug = augmentation_at(cp.coupling, mult * latent_aug.lam_max_estimate)
-        cell = []
-        for s in range(cfg.sweep_seeds):
-            chain = run_chain(
-                cp,
-                aug,
-                cfg.sweep_iters,
-                cfg.sweep_burn_in,
-                thin=1,
-                seed=np.random.default_rng(seeds[s]),
-                init_mean=w.mean_direction,
-                init_conc=w.concentration,
-            )
-            cell.append(float(np.nanmedian(chain.ress)))
-        sweep_rows.append([mult, float(np.median(cell))])
+        init = sample_von_mises(w.mean_direction, init_conc, rng)
+        chain = run_chain(cp, aug, cfg.sweep_iters, cfg.sweep_burn_in, thin=1, seed=rng, init=init)
+        per_chain = np.array([_finite_median(r) for r in chain.ress])
+        sweep_rows.append([mult, _finite_median(per_chain)])
     _write_csv(out / "lambda_sweep.csv", ["lambda_multiplier", "median_ress"], sweep_rows)
 
     names = gradient_names(w)
-    grad_rows = []
-    for r in range(cfg.cd_repeats):
-        rng = np.random.default_rng(seeds[cfg.sweep_seeds + r])
-        grad = cd_gradient(dataset.observed_angles, model, cfg.cd_mc_samples, rng)
-        grad_rows.append(list(grad))
-    _write_csv(out / "cd_gradient.csv", list(names), grad_rows)
-    _write_report(
-        out / "report.txt",
-        [
-            ("command", "diagnose"),
-            ("sweep_seeds", cfg.sweep_seeds),
-            ("cd_repeats", cfg.cd_repeats),
-            ("seed", cfg.seed),
-        ],
+    grads = cd_gradient(
+        dataset.observed_angles,
+        model,
+        cfg.cd_mc_samples,
+        np.random.default_rng(batches[-1]),
+        repeats=cfg.cd_repeats,
     )
+    _write_csv(out / "cd_gradient.csv", list(names), grads)
+    items = [
+        ("command", "diagnose"),
+        ("sweep_seeds", cfg.sweep_seeds),
+        ("cd_repeats", cfg.cd_repeats),
+        ("seed", cfg.seed),
+    ]
+    if any(math.isnan(median) for _, median in sweep_rows):
+        kept = cfg.sweep_iters - cfg.sweep_burn_in
+        items.append((
+            "median_ress_nan",
+            f"no finite RESS in a row of lambda_sweep.csv; each chain keeps {kept} sweeps, "
+            "and a RESS needs at least 10 and a trace that is not constant",
+        ))
+    _write_report(out / "report.txt", items)
 
 
 def cmd_split(data_path, schema: str, fraction: float, seed: int, out: Path) -> None:

@@ -84,6 +84,8 @@ class RunConfig:
             raise ConfigError("cd_mc_samples must be >= 1")
         if self.sweep_seeds < 1:
             raise ConfigError("sweep_seeds must be >= 1")
+        if self.cd_repeats < 0:
+            raise ConfigError("cd_repeats must be >= 0")
         if not all(math.isfinite(c) and c >= 1 for c in self.lambda_multipliers):
             raise ConfigError("lambda_multipliers must be finite and >= 1")
         try:

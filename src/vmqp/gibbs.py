@@ -18,10 +18,18 @@ lambda_max = max(e) is exact. ``make_augmentation`` (slack rule) and
 full-space models reuse the eigenpairs of their Gram matrix. Every chain
 of the package advances through ``run_sweeps`` on a factor its caller
 built once.
+
+A state is one chain, phi of shape (m,), or a stack of C independent
+chains on the same factor, shape (C, m). A sweep of the stack costs one
+random-normal draw, two products with A and one von Mises call, as a
+sweep of one chain does, so at small m the C chains cost about as much as
+one. They share one Generator, so the stream of a stack is not that of C
+separate chains; a (1, m) stack draws what the 1D chain draws.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,16 +137,18 @@ def gibbs_sweep(
 ) -> np.ndarray:
     """One full sweep: refresh z given phi, then redraw every phi_i given z.
 
-    Reads only rho and the factor of ``cp``/``aug``. Each pass is one
-    product of A with the (2, m) block of cos/sin rows: z = A cs + eps,
-    then b = rho + A'z.
+    ``phi`` is one state (m,) or a stack (C, m), and the result has its
+    shape. Reads only rho and the factor of ``cp``/``aug``. Each pass is
+    one product of A with the (2C, m) block of cos/sin rows:
+    z = A cs + eps, then b = rho + A'z.
     """
     rng = as_generator(rng)
     A = aug.factor
-    eps = rng.standard_normal((2, aug.size))
-    z = cos_sin(phi) @ A.T
-    z += eps
-    b = z @ A
+    eps = rng.standard_normal((2,) + np.shape(phi))
+    flat = (math.prod(eps.shape[:-1]), aug.size)  # (2C, m), or (2, m) for one chain
+    z = cos_sin(phi).reshape(flat) @ A.T
+    z += eps.reshape(flat)
+    b = (z @ A).reshape(eps.shape)
     b[0] += cp.rho_c
     b[1] += cp.rho_s
     a, gamma = polar_params(b[0], b[1])
@@ -150,22 +160,23 @@ def run_sweeps(phi, aug: Augmentation, cp: ConditionalParams, rng, first: int,
     """Run exact Gibbs sweeps from ``phi`` on one factor; return kept states.
 
     Keeps the states after sweeps first, first + thin, ..., n_kept of them,
-    as the rows of an (n_kept, m) array, and runs no sweep past the last.
+    and runs no sweep past the last. From one state (m,) the result is
+    (n_kept, m); from a stack (C, m) it is (n_kept, C, m).
     """
-    kept = []
+    kept = np.empty((n_kept,) + np.shape(phi))
     for t in range(1, first + (n_kept - 1) * thin + 1):
         phi = gibbs_sweep(phi, aug, cp, rng)
         if t >= first and (t - first) % thin == 0:
-            kept.append(phi)
-    return np.array(kept)
+            kept[(t - first) // thin] = phi
+    return kept
 
 
 @dataclass(frozen=True)
 class ChainOutput:
     """Thinned retained samples plus per-coordinate mixing diagnostics."""
 
-    samples: np.ndarray  # (n_retained, m)
-    ress: np.ndarray  # per-coordinate relative effective sample size
+    samples: np.ndarray  # (n_retained, m), or (n_retained, C, m) for a stack
+    ress: np.ndarray  # relative effective sample size per coordinate: (m,) or (C, m)
     lam: float
 
 
@@ -184,9 +195,12 @@ def run_chain(
 
     Sweeps burn_in, burn_in + thin, ... < n_iter (0-based) are kept;
     deterministic given ``seed``. ``aug`` factors lam*I - cp.coupling and
-    fixes the lambda of the chain. ``init`` fixes the starting state;
-    otherwise coordinates start at independent von Mises draws (uniform
-    when ``init_conc`` is zero).
+    fixes the lambda of the chain. ``init`` fixes the starting state: one
+    chain (m,), or C chains (C, m) run as one stack on one Generator, which
+    gives samples (n_kept, C, m) and ress (C, m). Without ``init`` one
+    chain starts at independent von Mises draws (uniform when ``init_conc``
+    is zero). Every coordinate of every chain gets its RESS from one
+    ``evaluation.circular_column_ress`` call, NaN below 10 kept sweeps.
     """
     if not (n_iter > burn_in >= 0):
         raise ValueError("need n_iter > burn_in >= 0")
@@ -198,17 +212,11 @@ def run_chain(
     rng = as_generator(seed)
     if init is not None:
         phi = np.array(init, dtype=float)
-        if phi.shape != (m,):
-            raise ValueError(f"init must have shape ({m},)")
+        if phi.ndim not in (1, 2) or phi.shape[-1] != m:
+            raise ValueError(f"init must have shape ({m},) or (C, {m})")
     else:
         phi = sample_von_mises(init_mean, init_conc * np.ones(m), rng)
     n_kept = len(range(burn_in, n_iter, thin))
     samples = run_sweeps(phi, aug, cp, rng, burn_in + 1, n_kept, thin)
-    ress = np.full(m, np.nan)
-    if samples.shape[0] >= 10:
-        for j in range(m):
-            try:
-                ress[j] = evaluation.circular_ress(samples[:, j])
-            except ValueError:
-                pass  # constant trace: leave NaN
-    return ChainOutput(samples, ress, aug.lam)
+    ress = evaluation.circular_column_ress(samples.reshape(n_kept, -1))
+    return ChainOutput(samples, ress.reshape(phi.shape), aug.lam)

@@ -569,26 +569,31 @@ def gradient_names(w: ParamVector) -> tuple:
 def energy_gradient(phi, model: ParamModel) -> np.ndarray:
     """Analytic gradient of U(varphi|w) in the parameters.
 
-    Kernel components use dM = -M dK M, contracted against the angle
-    cosine matrix through two matrix-vector products per parameter. It
-    reads the whole precision and the model's cached kernel derivatives.
+    ``phi`` holds one full state (d,) or a stack of them (..., d); the
+    result is (p,) or (..., p), in ``gradient_names`` order. Kernel
+    components use dM = -M dK M: one product of the (2, ..., d) cos/sin
+    block with M, then one with each kernel derivative. It reads the whole
+    precision and the model's cached kernel derivatives.
     """
     phi = np.asarray(phi, dtype=float)
+    if phi.shape[-1:] != (model.size,):
+        raise ValueError(f"expected {model.size} angles per state, got shape {phi.shape}")
     w = model.w
     M = model.precision.matrix
-    c, s = np.cos(phi), np.sin(phi)
-    Mc, Ms = M @ c, M @ s
+    cs = cos_sin(phi)
+    flat = (math.prod(cs.shape[:-1]), model.size)  # (2N, d) for N states
+    P = (cs.reshape(flat) @ M).reshape(cs.shape)  # [M cos; M sin], M symmetric
     derivs = model.derivatives
     grad = []
     for name in gradient_names(w):
         if name in derivs:
-            dK = derivs[name]
-            grad.append(-0.5 * (Mc @ dK @ Mc + Ms @ dK @ Ms))
+            PdK = (P.reshape(flat) @ derivs[name]).reshape(cs.shape)
+            grad.append(-0.5 * np.sum(PdK * P, axis=(0, -1)))
         elif name == "kappa":
-            grad.append(-np.sum(np.cos(phi - w.mean_direction)))
+            grad.append(-np.sum(np.cos(phi - w.mean_direction), axis=-1))
         else:  # nu
-            grad.append(-w.concentration * np.sum(np.sin(phi - w.mean_direction)))
-    return np.array(grad)
+            grad.append(-w.concentration * np.sum(np.sin(phi - w.mean_direction), axis=-1))
+    return np.stack(grad, axis=-1)
 
 
 def cd_gradient(
@@ -598,6 +603,7 @@ def cd_gradient(
     rng,
     sweeps_between: int = 5,
     burn_sweeps: int = 50,
+    repeats: int | None = None,
 ) -> np.ndarray:
     """Contrastive-divergence estimate of the marginal-likelihood gradient.
 
@@ -605,30 +611,40 @@ def cd_gradient(
     distribution and under the latent conditional given the data. Shipped
     as a diagnostic: with few parameters and many latent coordinates the
     estimate is too noisy to drive point estimation.
+
+    With ``repeats`` None it runs one chain pair and returns (p,). With an
+    int R it returns (R, p), one row per independent chain pair: the R
+    full-space chains run as one (R, d) stack and the R latent chains as
+    one (R, m) stack, on one Generator, and ``energy_gradient`` runs once
+    per stack. ``repeats=1`` gives the None estimate as its one row.
     """
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
+    if repeats is not None and repeats < 0:
+        raise ValueError("repeats must be >= 0")
     rng = as_generator(rng)
     theta = np.asarray(theta, dtype=float)
     pm = model.precision
     m = pm.n_latent
+    stack = () if repeats is None else (repeats,)
 
     first = burn_sweeps + sweeps_between
 
-    # Full-space chain over all d angles.
+    # Full-space chains over all d angles.
     cp_full = full_state_params(pm, model.w)
-    state = sample_von_mises(0.0, np.zeros(pm.size), rng)
+    state = sample_von_mises(0.0, np.zeros(stack + (pm.size,)), rng)
     states = run_sweeps(state, model.full_aug, cp_full, rng, first, mc_samples, sweeps_between)
-    g_full = sum(energy_gradient(s, model) for s in states) / mc_samples
+    g_full = energy_gradient(states, model).mean(axis=0)
 
-    # Conditional chain over the latent angles (empty when m == 0), factored
+    # Conditional chains over the latent angles (none when m == 0), factored
     # at the slack of the model.
     if m > 0:
         cp = conditional_params(pm, theta, model.w)
         aug = make_augmentation(cp.coupling, model.slack)
-        lat = sample_von_mises(0.0, np.zeros(m), rng)
+        lat = sample_von_mises(0.0, np.zeros(stack + (m,)), rng)
         lats = run_sweeps(lat, aug, cp, rng, first, mc_samples, sweeps_between)
-        g_cond = sum(energy_gradient(np.concatenate([x, theta]), model) for x in lats) / mc_samples
+        observed = np.broadcast_to(theta, lats.shape[:-1] + theta.shape)
+        g_cond = energy_gradient(np.concatenate([lats, observed], axis=-1), model).mean(axis=0)
     else:
         g_cond = energy_gradient(theta, model)
 

@@ -439,3 +439,27 @@ def test_c10_cd_gradient_diagnostic():
         f"max |z| vs quadrature {z_scores.max():.2f} (<3); lengthscale sign "
         f"agreement {agreement:.2f} (<0.90 demonstrates instability)",
     )
+
+
+def test_c10_stacked_repeats_are_unbiased():
+    # c10's d = 1 unbiasedness check on the 40 rows of one stacked call
+    theta = np.array([0.9])
+    w = ParamVector(KernelSpec("gaussian", 1.0, 1.0), 1.2, 0.4)
+    model = build_param_model(w, np.array([[0.0]]), 0)
+
+    g_obs = energy_gradient(theta, model)
+    weights = np.exp(-np.array([model.energy(np.array([p])) for p in QUAD_GRID]))
+    g_phi = energy_gradient(QUAD_GRID[:, None], model)
+    exact = (weights[:, None] * g_phi).sum(axis=0) / weights.sum() - g_obs
+
+    reps = cd_gradient(theta, model, 200, np.random.default_rng(61), repeats=40)
+    se = reps.std(axis=0, ddof=1) / math.sqrt(len(reps))
+    diff = np.abs(reps.mean(axis=0) - exact)
+    noisy = se > 1e-12
+    z_scores = np.where(noisy, diff / np.where(noisy, se, 1.0), 0.0)
+    ok = reps.shape == (40, 4) and bool(np.all(z_scores < 3.0)) and bool(np.all(diff[~noisy] < 1e-10))
+    report(
+        "criterion 10, stacked repeats",
+        ok,
+        f"max |z| vs quadrature {z_scores.max():.2f} (<3) over {len(reps)} rows of one call",
+    )

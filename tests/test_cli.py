@@ -510,3 +510,82 @@ def test_package_version_matches_pyproject():
 
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     assert tomllib.loads(pyproject.read_text())["project"]["version"] == vmqp.__version__
+
+
+def test_cli_diagnose_runs_one_chain_stack_per_multiplier_and_one_cd_call(tmp_path, monkeypatch):
+    import vmqp.cli as cli
+
+    chains, grads = [], []
+
+    def chaining(cp, aug, *args, **kwargs):
+        chains.append((kwargs["init"].shape, run_chain(cp, aug, *args, **kwargs)))
+        return chains[-1][1]
+
+    def grading(*args, **kwargs):
+        grads.append(cd_gradient(*args, **kwargs))
+        return grads[-1]
+
+    run_chain, cd_gradient = cli.run_chain, cli.cd_gradient
+    monkeypatch.setattr(cli, "run_chain", chaining)
+    monkeypatch.setattr(cli, "cd_gradient", grading)
+    cfg = write(tmp_path / "run.cfg", DIAG_CONFIG.replace(
+        "lambda_multipliers = 1.5", "lambda_multipliers = 1.5, 3.0, 6.0").replace(
+        "sweep_seeds = 2", "sweep_seeds = 4"))
+    data = make_generic(tmp_path / "d.csv", n_obs=5, n_pred=2)
+    out = tmp_path / "o"
+    assert run(["diagnose", "--config", cfg, "--data", data, "--out", str(out)]) == 0
+    assert [shape for shape, _ in chains] == [(4, 2)] * 3
+    assert all(chain.ress.shape == (4, 2) for _, chain in chains)
+    assert len(grads) == 1 and grads[0].shape == (2, 4)
+    _, rows = read_table(out / "lambda_sweep.csv")
+    for row, (_, chain) in zip(rows, chains):
+        per_chain = np.median(chain.ress, axis=1)  # every RESS is finite here
+        assert float(row[1]) == pytest.approx(np.median(per_chain), rel=1e-15)
+    assert "median_ress_nan" not in read_kv(out / "report.txt")
+
+
+SETUP_DIAGNOSE = BASE_CONFIG + """
+lambda_multipliers = 1.5
+sweep_seeds = 1
+cd_repeats = 1
+cd_mc_samples = 1
+sweep_iters = 1
+sweep_burn_in = 0
+"""
+
+
+def run_cli_process(tmp_path, config_text, after=""):
+    """Run ``vmqp.cli.main`` on a generic data set in a fresh interpreter."""
+    cfg = write(tmp_path / "run.cfg", config_text)
+    data = make_generic(tmp_path / "d.csv", n_obs=5, n_pred=2)
+    argv = ["diagnose", "--config", cfg, "--data", data, "--out", str(tmp_path / "o")]
+    code = f"import sys, vmqp.cli\ncode = vmqp.cli.main({argv!r})\n{after}\nsys.exit(code)"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_cli_setup_size_diagnose_is_quiet_and_says_why_ress_is_nan(tmp_path):
+    # one kept sweep per chain leaves no finite RESS: that is reported in
+    # report.txt, not as a warning on stderr
+    done = run_cli_process(tmp_path, SETUP_DIAGNOSE)
+    assert done.returncode == 0 and done.stderr == ""
+    _, rows = read_table(tmp_path / "o" / "lambda_sweep.csv")
+    assert rows == [["1.5", "nan"]]
+    assert "keeps 1 sweeps" in read_kv(tmp_path / "o" / "report.txt")["median_ress_nan"]
+
+
+def test_cli_diagnose_imports_no_numpy_ma(tmp_path):
+    # np.median would import numpy.ma on its first call
+    after = "print([m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')])"
+    done = run_cli_process(tmp_path, DIAG_CONFIG, after)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    _, rows = read_table(tmp_path / "o" / "lambda_sweep.csv")
+    assert np.isfinite(float(rows[0][1]))
+
+
+def test_cli_negative_cd_repeats_is_a_config_error(tmp_path, capsys):
+    cfg = write(tmp_path / "run.cfg", DIAG_CONFIG.replace("cd_repeats = 2", "cd_repeats = -1"))
+    data = make_generic(tmp_path / "d.csv")
+    assert main(["diagnose", "--config", cfg, "--data", data, "--out", str(tmp_path / "o")]) == 2
+    assert "cd_repeats" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import pytest
 
 from vmqp.evaluation import (
     autocorrelations,
+    circular_column_ress,
     circular_crps,
     circular_ress,
     predictive_summary,
@@ -108,3 +109,37 @@ def test_predictive_summary(rng):
     assert means[0] == pytest.approx(0.5)
     assert variances[0] == pytest.approx(0.0, abs=1e-12)
     assert variances[1] == pytest.approx(1.0, abs=0.05)
+
+
+@pytest.mark.parametrize("n", [10, 11, 12, 251])
+def test_circular_column_ress_matches_circular_ress(n):
+    # autocorrelated angle traces, one per column, around the whole circle
+    rng = np.random.default_rng(n)
+    walk = np.cumsum(rng.vonmises(0.0, 2.0, (n, 6)), axis=0) * 0.4
+    angles = np.angle(np.exp(1j * walk))
+    angles[:, 4] = 0.3  # constant: both components are
+    angles[:, 5] = np.where(np.arange(n) % 2, 0.5, -0.5)  # constant cosine only
+    got = circular_column_ress(angles)
+    assert got.shape == (6,)
+    for j in range(4):
+        assert got[j] == pytest.approx(circular_ress(angles[:, j]), rel=1e-12)
+    assert np.isnan(got[4]) and np.isnan(got[5])
+
+
+def test_circular_column_ress_of_short_traces_is_nan():
+    rng = np.random.default_rng(0)
+    for n in (0, 1, 9):
+        got = circular_column_ress(rng.uniform(-np.pi, np.pi, (n, 3)))
+        assert got.shape == (3,) and np.all(np.isnan(got))
+
+
+def test_circular_column_ress_blocks_give_the_unblocked_values(monkeypatch):
+    # many columns are transformed a block at a time; the block size must
+    # not change any value
+    import vmqp.evaluation as evaluation
+
+    rng = np.random.default_rng(1)
+    angles = np.angle(np.exp(1j * np.cumsum(rng.vonmises(0.0, 3.0, (40, 13)), axis=0)))
+    whole = circular_column_ress(angles)
+    monkeypatch.setattr(evaluation, "_FFT_BLOCK", 3 * 2 * 40)  # 3 columns per block
+    assert np.array_equal(circular_column_ress(angles), whole)

@@ -292,3 +292,98 @@ def test_gibbs_sweep_matches_four_matvec_reference(m):
         # circular difference: a draw next to pi may wrap to the other side
         assert np.max(np.abs(np.angle(np.exp(1j * (got - ref))))) < 1e-12
     assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def four_matvec_update(phi, aug, cp, eps, rng):
+    """The reference sweep of one chain, fed its noise rows ``eps`` (2, m)."""
+    A = aug.factor
+    b_c = cp.rho_c + A.T @ (A @ np.cos(phi) + eps[0])
+    b_s = cp.rho_s + A.T @ (A @ np.sin(phi) + eps[1])
+    return sample_von_mises(np.arctan2(b_s, b_c), np.hypot(b_c, b_s), rng)
+
+
+def coupled_target(m, seed):
+    gen = np.random.default_rng(seed)
+    B = gen.standard_normal((m, m))
+    Q = B @ B.T / m + 0.5 * np.eye(m)
+    cp = ConditionalParams(gen.standard_normal(m), gen.standard_normal(m), Q)
+    return cp, make_augmentation(Q), gen
+
+
+def test_one_row_stack_draws_what_one_chain_draws():
+    cp, aug, gen = coupled_target(7, 0)
+    phi = gen.uniform(-np.pi, np.pi, 7)
+    one, stack = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(5):
+        got = gibbs_sweep(phi[None, :], aug, cp, stack)
+        phi = gibbs_sweep(phi, aug, cp, one)
+        assert got.shape == (1, 7)
+        assert np.array_equal(got[0], phi)
+    assert one.bit_generator.state == stack.bit_generator.state
+    kept = run_sweeps(phi[None, :], aug, cp, np.random.default_rng(4), 3, 4, 2)
+    assert kept.shape == (4, 1, 7)
+    assert np.array_equal(kept[:, 0], run_sweeps(phi, aug, cp, np.random.default_rng(4), 3, 4, 2))
+
+
+@pytest.mark.parametrize("C", [2, 5])
+def test_stacked_sweep_matches_per_row_reference(C):
+    # the stack draws all of its noise first, then every von Mises draw in
+    # row order; the reference replays the noise row by row and, from the
+    # same generator state, makes the same von Mises draws one row at a time
+    m = 12
+    cp, aug, gen = coupled_target(m, C)
+    phi = gen.uniform(-np.pi, np.pi, (C, m))
+    got_rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(10):
+        got = gibbs_sweep(phi, aug, cp, got_rng)
+        eps = ref_rng.standard_normal((2, C, m))
+        ref = np.array([four_matvec_update(phi[c], aug, cp, eps[:, c], ref_rng) for c in range(C)])
+        assert got.shape == (C, m)
+        assert np.max(np.abs(np.angle(np.exp(1j * (got - ref))))) < 1e-12
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        phi = ref
+
+
+def test_stacked_chains_pool_to_the_m2_target():
+    # the target of test_sweep_distribution_m2, sampled by 64 chains in one
+    # stack; their draws after burn-in are pooled
+    Q = np.array([[1.5, 0.8], [0.8, 1.5]])
+    rho_c = np.array([1.2, -0.4])
+    rho_s = np.array([0.3, 0.9])
+    cp = ConditionalParams(rho_c, rho_s, Q)
+    rng = np.random.default_rng(5)
+    init = rng.uniform(-np.pi, np.pi, (64, 2))
+    out = run_chain(cp, make_augmentation(Q), 2000, 500, thin=5, seed=rng, init=init)
+    assert out.samples.shape == (300, 64, 2) and out.ress.shape == (64, 2)
+    draws = out.samples[:, :, 0].ravel()
+
+    def dens(p1, p2):
+        c = np.array([np.cos(p1), np.cos(p2)])
+        s = np.array([np.sin(p1), np.sin(p2)])
+        return np.exp(rho_c @ c + rho_s @ s
+                      - 0.5 * c @ Q @ c - 0.5 * s @ Q @ s)
+
+    grid = np.linspace(-np.pi, np.pi, 721)
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    marg = np.array([[dens(a, b) for b in mids] for a in mids]).sum(axis=1)
+    cdf_grid = np.concatenate([[0.0], np.cumsum(marg) / marg.sum()])
+    stat = kstest(draws, lambda x: np.interp(x, grid, cdf_grid)).statistic
+    assert stat < 0.03
+
+
+def test_run_chain_on_a_stack_keeps_every_chain_and_its_ress():
+    from vmqp.evaluation import circular_ress
+
+    cp, aug, gen = coupled_target(4, 1)
+    init = gen.uniform(-np.pi, np.pi, (3, 4))
+    out = run_chain(cp, aug, 60, 20, thin=2, seed=np.random.default_rng(2), init=init)
+    assert out.samples.shape == (20, 3, 4) and out.ress.shape == (3, 4)
+    rng = np.random.default_rng(2)
+    assert np.array_equal(out.samples, run_sweeps(init, aug, cp, rng, 21, 20, 2))
+    for c in range(3):
+        for j in range(4):
+            assert out.ress[c, j] == pytest.approx(circular_ress(out.samples[:, c, j]), rel=1e-12)
+    with pytest.raises(ValueError, match="init"):
+        run_chain(cp, aug, 60, 20, init=np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError, match="init"):
+        run_chain(cp, aug, 60, 20, init=np.zeros((3, 5)))

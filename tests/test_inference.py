@@ -540,3 +540,57 @@ def test_energy_change_of_a_shared_precision_is_the_pull_alone(monkeypatch, rng)
     monkeypatch.setattr(inference, "energy", no_quadratic_form)
     assert energy_change(model, mean_moved, phi) == pytest.approx(full, rel=0, abs=1e-12)
     assert energy_change(mean_moved, model, phi) == pytest.approx(-full, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("family", ["exponential", "gaussian", "anisotropic_gaussian"])
+def test_energy_gradient_of_a_stack_matches_each_row(rng, family):
+    anisotropic = family == "anisotropic_gaussian"
+    kernel = KernelSpec(family, 0.8, 1.2, 0.9 if anisotropic else None)
+    model = build_param_model(ParamVector(kernel, 0.7, 0.4), rng.uniform(0, 3, size=(6, 2)), 2)
+    stack = rng.uniform(-np.pi, np.pi, (3, 4, 6))
+    got = energy_gradient(stack, model)
+    assert got.shape == (3, 4, len(gradient_names(model.w)))
+    for i in range(3):
+        for j in range(4):
+            np.testing.assert_allclose(got[i, j], energy_gradient(stack[i, j], model),
+                                       rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValueError, match="angles per state"):
+        energy_gradient(stack[..., :5], model)
+
+
+def test_cd_gradient_without_repeats_is_its_one_repeat_case():
+    w = ParamVector(KernelSpec("gaussian", 1.0, 1.0), 0.5, 0.3)
+    model = build_param_model(w, np.linspace(0.0, 3.0, 6)[:, None], 2)
+    theta = np.array([0.2, -0.4, 0.9, 0.1])
+    single = cd_gradient(theta, model, 4, np.random.default_rng(8), burn_sweeps=2)
+    one = cd_gradient(theta, model, 4, np.random.default_rng(8), burn_sweeps=2, repeats=1)
+    assert single.shape == (4,) and one.shape == (1, 4)
+    np.testing.assert_array_equal(one[0], single)
+    many = cd_gradient(theta, model, 4, np.random.default_rng(8), burn_sweeps=2, repeats=5)
+    assert many.shape == (5, 4) and len(np.unique(many[:, 0])) == 5
+    assert cd_gradient(theta, model, 4, np.random.default_rng(8), repeats=0).shape == (0, 4)
+    with pytest.raises(ValueError, match="repeats"):
+        cd_gradient(theta, model, 4, np.random.default_rng(8), repeats=-1)
+
+
+def test_cd_gradient_repeats_run_as_two_stacks(monkeypatch, rng):
+    # R repeats cost one full-space and one latent stack of sweeps, and one
+    # energy_gradient call per stack
+    sweeps, gradients = [], []
+    run_sweeps, gradient = inference.run_sweeps, inference.energy_gradient
+
+    def sweeping(phi, *args, **kwargs):
+        sweeps.append(np.shape(phi))
+        return run_sweeps(phi, *args, **kwargs)
+
+    def grading(phi, model):
+        gradients.append(np.shape(phi))
+        return gradient(phi, model)
+
+    monkeypatch.setattr(inference, "run_sweeps", sweeping)
+    monkeypatch.setattr(inference, "energy_gradient", grading)
+    w = ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3)
+    model = build_param_model(w, np.linspace(0.0, 3.0, 5)[:, None], 2)
+    cd_gradient(np.array([0.2, -0.4, 0.9]), model, 3, rng, burn_sweeps=2, repeats=6)
+    assert sweeps == [(6, 5), (6, 2)]
+    assert gradients == [(3, 6, 5), (3, 6, 5)]
