@@ -22,7 +22,7 @@ from .circular import sample_von_mises
 from .config import RunConfig, parse_config
 from .data import Dataset, ingest, load_dataset, split_indices, write_rows
 from .errors import ConfigError, DataError, NumericalError, VmqpError
-from .gibbs import augmentation_at, run_chain
+from .gibbs import run_chain
 from .inference import (
     block_gibbs_fit,
     build_param_model,
@@ -38,11 +38,10 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path, header, rows) -> None:
+    """Header row, then numeric rows in ``_fmt`` notation, CRLF line ends."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([cell if isinstance(cell, str) else _fmt(cell) for cell in row])
+        csv.writer(fh).writerow(header)
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", newline="\r\n")
 
 
 def _write_report(path, items) -> None:
@@ -78,7 +77,7 @@ def _diagnostics_rows(samples: np.ndarray, ress: np.ndarray):
 
 
 def cmd_sample(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
-    w, _, cp, aug = _assemble(cfg, dataset)
+    w, model, cp, aug = _assemble(cfg, dataset)
     chain = run_chain(
         cp,
         aug,
@@ -107,6 +106,7 @@ def cmd_sample(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
             ("command", "sample"),
             ("n_retained", samples.shape[0]),
             ("lambda", _fmt(chain.lam)),
+            ("jitter", _fmt(model.jitter)),
             ("seed", cfg.seed),
         ],
     )
@@ -146,6 +146,8 @@ def cmd_fit(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
         result.phi_samples,
     )
     items = [("command", "fit"), ("n_retained", result.param_trace.shape[0]), ("seed", cfg.seed)]
+    items.append(("jitter_min", _fmt(result.jitter_range[0])))
+    items.append(("jitter_max", _fmt(result.jitter_range[1])))
     for block, rate in result.accept_rates.items():
         items.append((f"accept_rate_{block}", _fmt(rate)))
     for block, counts in result.outcomes.items():
@@ -212,10 +214,12 @@ def cmd_diagnose(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
     batches = np.random.SeedSequence(cfg.seed).spawn(len(cfg.lambda_multipliers) + 1)
     init_conc = w.concentration * np.ones((cfg.sweep_seeds, cp.size))
     sweep_rows = []
+    lam_max = latent_aug.lam_max_estimate
     for mult, batch in zip(cfg.lambda_multipliers, batches):
-        # all sweep seeds of one multiplier run as one stack on one factor
+        # all sweep seeds of one multiplier run as one stack on one factor,
+        # a rescale of the latent factor's eigenpairs
         rng = np.random.default_rng(batch)
-        aug = augmentation_at(cp.coupling, mult * latent_aug.lam_max_estimate)
+        aug = latent_aug.at(mult * lam_max)
         init = sample_von_mises(w.mean_direction, init_conc, rng)
         chain = run_chain(cp, aug, cfg.sweep_iters, cfg.sweep_burn_in, thin=1, seed=rng, init=init)
         per_chain = np.array([_finite_median(r) for r in chain.ress])
@@ -223,18 +227,24 @@ def cmd_diagnose(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
     _write_csv(out / "lambda_sweep.csv", ["lambda_multiplier", "median_ress"], sweep_rows)
 
     names = gradient_names(w)
+    # with noisy observations the latent factor spans all d angles, not the
+    # m of the conditional chain, so cd_gradient factors its own
+    noisy = w.noise_concentration is not None
     grads = cd_gradient(
         dataset.observed_angles,
         model,
         cfg.cd_mc_samples,
         np.random.default_rng(batches[-1]),
         repeats=cfg.cd_repeats,
+        latent_aug=None if noisy else latent_aug,
     )
     _write_csv(out / "cd_gradient.csv", list(names), grads)
     items = [
         ("command", "diagnose"),
         ("sweep_seeds", cfg.sweep_seeds),
         ("cd_repeats", cfg.cd_repeats),
+        ("jitter", _fmt(model.jitter)),
+        ("lambda_max", _fmt(lam_max)),
         ("seed", cfg.seed),
     ]
     if any(math.isnan(median) for _, median in sweep_rows):

@@ -12,16 +12,18 @@ of each coordinate collapses onto its previous value. The default rule is
 lambda = (1 + slack) * lambda_max with slack = 0.01, both tunable.
 
 Every factor comes from eigenpairs: with Q = U diag(e) U', the factor
-A = diag(sqrt(lambda - e)) U' is built by ``spectral_augmentation``, and
-lambda_max = max(e) is exact. ``make_augmentation`` (slack rule) and
-``augmentation_at`` (explicit lambda) run one ``eigh`` of Q; the
-full-space models reuse the eigenpairs of their Gram matrix. Every chain
-of the package advances through ``run_sweeps`` on a factor its caller
-built once.
+A = diag(sqrt(lambda - e)) U' is kept as (e, U) and the scale
+sqrt(lambda - e), never as a matrix, and lambda_max = max(e) is exact.
+``make_augmentation`` (slack rule) and ``augmentation_at`` (explicit
+lambda) run one ``eigh`` of Q; the full-space models reuse the
+eigenpairs of their Gram matrix, and ``Augmentation.at`` moves a factor
+to another lambda by a rescale of its eigenpairs, with no ``eigh``.
+Every chain of the package advances through ``run_sweeps`` on a factor
+its caller built once.
 
 A state is one chain, phi of shape (m,), or a stack of C independent
 chains on the same factor, shape (C, m). A sweep of the stack costs one
-random-normal draw, two products with A and one von Mises call, as a
+random-normal draw, two products with U and one von Mises call, as a
 sweep of one chain does, so at small m the C chains cost about as much as
 one. They share one Generator, so the stream of a stack is not that of C
 separate chains; a (1, m) stack draws what the 1D chain draws.
@@ -52,37 +54,51 @@ class Augmentation:
 
     The sweep sees A only through A'z ~ N(A'A cos(phi), A'A), so every
     such factor gives the same Markov kernel. Every factor of the package
-    is the spectral one, diag(sqrt(lam - e)) U' from the eigenpairs
-    (e, U) of Q, so ``lam_max_estimate`` is the exact top eigenvalue
-    max(e). A chain takes its factor from the caller and never refactors
-    Q itself.
+    is the spectral one, A = diag(sqrt(lam - e)) U' from the eigenpairs
+    (e, U) of Q, kept as ``eigenvalues`` e, ``eigenvectors`` U and
+    ``scale`` sqrt(lam - e): a sweep applies A as one product with U and
+    one scaling, so A is never stored. ``lam_max_estimate`` is the exact
+    top eigenvalue max(e). A chain takes its factor from the caller and
+    never refactors Q itself.
     """
 
     lam: float
-    factor: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    scale: np.ndarray
     lam_max_estimate: float
 
     @property
     def size(self) -> int:
-        return self.factor.shape[0]
+        return self.scale.shape[0]
+
+    @property
+    def factor(self) -> np.ndarray:
+        """The matrix A = diag(scale) U', formed anew on every read."""
+        return self.scale[:, None] * self.eigenvectors.T
+
+    def at(self, lam: float) -> "Augmentation":
+        """The factor of lam*I - Q on the same eigenpairs: a rescale, no ``eigh``."""
+        return spectral_augmentation(self.eigenvalues, self.eigenvectors, lam)
 
 
 def spectral_augmentation(e: np.ndarray, U: np.ndarray, lam: float) -> Augmentation:
     """Factor A = diag(sqrt(lam - e)) U' of lam*I - U diag(e) U'.
 
     ``e`` holds the eigenvalues in any order and ``U`` the eigenvectors as
-    columns. At lam = max(e) the top row is exactly zero. A lam below
-    max(e) by no more than the eigensolver's roundoff, len(e) * eps *
-    |max(e)|, counts as max(e): a lambda_max taken from another
-    decomposition of the same matrix (the Gram eigenpairs of a
-    full-space model) may differ from max(e) by that much.
+    columns; both are kept as given, not copied. At lam = max(e) the top
+    scale is exactly zero. A lam below max(e) by no more than the
+    eigensolver's roundoff, len(e) * eps * |max(e)|, counts as max(e): a
+    lambda_max taken from another decomposition of the same matrix (the
+    Gram eigenpairs of a full-space model) may differ from max(e) by that
+    much.
     """
     if not np.isfinite(lam):
         raise ValueError("lambda must be finite")
     lam_max = float(e.max()) if len(e) else 0.0
     if lam < lam_max - len(e) * np.finfo(float).eps * abs(lam_max):
         raise NumericalError(f"lambda {lam} is below the top eigenvalue {lam_max}")
-    return Augmentation(float(lam), np.sqrt(np.maximum(lam - e, 0.0))[:, None] * U.T, lam_max)
+    return Augmentation(float(lam), e, U, np.sqrt(np.maximum(lam - e, 0.0)), lam_max)
 
 
 def _spectrum(Q) -> tuple:
@@ -116,7 +132,8 @@ def make_augmentation(Q: np.ndarray, slack: float = DEFAULT_SLACK) -> Augmentati
 def augmentation_at(Q: np.ndarray, lam: float) -> Augmentation:
     """Factor lam*I - Q at an explicitly chosen lam >= lambda_max(Q).
 
-    Diagnostics use; one ``eigh`` of Q, as in ``make_augmentation``.
+    One ``eigh`` of Q, as in ``make_augmentation``; a factor already built
+    for Q moves to another lambda with ``Augmentation.at`` and no ``eigh``.
     """
     e, U = _spectrum(Q)
     return spectral_augmentation(e, U, lam)
@@ -138,17 +155,20 @@ def gibbs_sweep(
     """One full sweep: refresh z given phi, then redraw every phi_i given z.
 
     ``phi`` is one state (m,) or a stack (C, m), and the result has its
-    shape. Reads only rho and the factor of ``cp``/``aug``. Each pass is
-    one product of A with the (2C, m) block of cos/sin rows:
-    z = A cs + eps, then b = rho + A'z.
+    shape. Reads only rho of ``cp`` and the eigenvectors U and scale g of
+    ``aug``. Each pass is one product of U with the (2C, m) block of
+    cos/sin rows: z = (cs U) g + eps, then b = rho + (z g) U', which is
+    z = A cs + eps and b = rho + A'z for A = diag(g) U'.
     """
     rng = as_generator(rng)
-    A = aug.factor
+    U, g = aug.eigenvectors, aug.scale
     eps = rng.standard_normal((2,) + np.shape(phi))
     flat = (math.prod(eps.shape[:-1]), aug.size)  # (2C, m), or (2, m) for one chain
-    z = cos_sin(phi).reshape(flat) @ A.T
+    z = cos_sin(phi).reshape(flat) @ U
+    z *= g
     z += eps.reshape(flat)
-    b = (z @ A).reshape(eps.shape)
+    z *= g
+    b = (z @ U.T).reshape(eps.shape)
     b[0] += cp.rho_c
     b[1] += cp.rho_s
     a, gamma = polar_params(b[0], b[1])

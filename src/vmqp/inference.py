@@ -11,12 +11,13 @@ augmentation, so no per-level factorization is needed.
 
 Each kernel value costs one symmetric eigendecomposition of its Gram
 matrix, in ``build_gram``; it sets the jitter and yields the precision,
-its top eigenvalue and the augmentation factor. The exchange move reads
-the precision only through energies, which come straight from the
-eigenpairs, so a proposal forms no d x d precision; an accepted kernel
-move forms only its latent rows, for the latent chain. Moves of the mean
-parameters alone reuse the current decomposition, and their energy
-differences need only the pull.
+its top eigenvalue and the augmentation factor, which share the one
+d x d eigenvector array: a model keeps neither the Gram matrix nor a
+factor matrix. The exchange move reads the precision only through
+energies, which come straight from the eigenpairs, so a proposal forms
+no d x d precision; an accepted kernel move forms only its latent rows,
+for the latent chain. Moves of the mean parameters alone reuse the
+current decomposition, and their energy differences need only the pull.
 
 The learning setting is transductive: prediction locations are fixed at
 fit time because the model is not closed under marginalization.
@@ -34,7 +35,7 @@ from .circular import as_generator, cos_sin, normalize_angle, sample_von_mises
 from .errors import NumericalError
 from .gibbs import Augmentation, make_augmentation, run_sweeps, spectral_augmentation, DEFAULT_SLACK
 from .gibbs import gibbs_sweep  # noqa: F401  perfbench/test_perfbench.py reads this binding
-from .kernels import GramMatrix, KernelSpec, build_gram, kernel_derivatives
+from .kernels import KernelSpec, build_gram, kernel_derivatives
 from .model import (
     ConditionalParams,
     ParamVector,
@@ -137,20 +138,23 @@ MEAN_BLOCK = ("kappa", "nu")
 class ParamModel:
     """Everything the samplers need for one parameter value.
 
-    The full-space augmentation factor A (any A with A'A = lam*I - M, here
-    diag(sqrt(lam - 1/s)) V' from the eigendecomposition K = V diag(s) V')
-    is cached so repeated fictitious-sample chains and bridging ladders
-    reuse it. ``precision`` holds the same eigenpairs and forms products of
-    M only when read. Models that differ only in the mean parameters share
-    gram, precision and full_aug. ``slack`` is the rule
-    lam = (1 + slack) * lam_max of full_aug, and every latent factor built
-    for this model uses it too. ``derivatives`` (dK/dp for
-    ``energy_gradient``) is computed on first read and kept.
+    ``precision`` holds the eigenpairs (s, V) of K = V diag(s) V' and forms
+    products of M = K^-1 only when read. The full-space augmentation
+    factor ``full_aug`` (any A with A'A = lam*I - M, here
+    diag(sqrt(lam - 1/s)) V') holds the same V object and the scale
+    sqrt(lam - 1/s), so V is the only d x d array the model owns; repeated
+    fictitious-sample chains and bridging ladders reuse it. The Gram
+    matrix itself is not kept, only its diagonal ``jitter``. Models that
+    differ only in the mean parameters share precision and full_aug.
+    ``slack`` is the rule lam = (1 + slack) * lam_max of full_aug, and
+    every latent factor built for this model uses it too. ``derivatives``
+    (dK/dp for ``energy_gradient``, d x d each) is computed on first read
+    and kept.
     """
 
     w: ParamVector
     locations: np.ndarray
-    gram: GramMatrix
+    jitter: float
     precision: PrecisionModel
     full_aug: Augmentation
     slack: float
@@ -184,8 +188,8 @@ def build_param_model(
 ) -> ParamModel:
     """Model at ``w`` from the one eigendecomposition that ``build_gram`` ran.
 
-    Besides that ``eigh`` it only scales V' into the factor A; it forms no
-    product of d x d matrices.
+    Besides that ``eigh`` it forms O(d) scales; the precision and the
+    factor share the eigenvectors of K, and K itself is dropped.
     """
     X = np.asarray(locations, dtype=float)
     if X.ndim == 1:
@@ -194,9 +198,9 @@ def build_param_model(
         raise ValueError("slack must be positive")
     gram = build_gram(w.kernel, X)
     pm = build_precision(gram, n_latent, X.shape[0] - n_latent)
-    e = 1.0 / gram.eigenvalues  # eigenvalues of M, descending: e[0] is the top
-    aug = spectral_augmentation(e, gram.eigenvectors, (1.0 + slack) * e[0])
-    return ParamModel(w, X, gram, pm, aug, slack)
+    e = 1.0 / pm.eigenvalues  # eigenvalues of M, descending: e[0] is the top
+    aug = spectral_augmentation(e, pm.eigenvectors, (1.0 + slack) * e[0])
+    return ParamModel(w, X, gram.jitter, pm, aug, slack)
 
 
 def latent_params(model: ParamModel, theta) -> ConditionalParams:
@@ -317,7 +321,9 @@ def bridge_ladder(
     product-von-Mises redraw and the two cached augmentation factors
     (any A with A'A = lam*I - M) serve every level. Each factor is applied
     to the (2, d) block of cos/sin rows in one product per pass, as in
-    ``gibbs_sweep``. The returned estimate is
+    ``gibbs_sweep``: each factor acts as one product with its eigenvectors
+    and a scaling, with sqrt(beta) or sqrt(1 - beta) folded into the
+    scale. The returned estimate is
     sum_k [log f_{k+1}(xi_k) - log f_k(xi_k)], endpoints included, which
     telescopes to (1/(K+1)) * sum_k [U(xi_k|w') - U(xi_k|w)].
     """
@@ -328,7 +334,7 @@ def bridge_ladder(
     if model_wp.size != d:
         raise ValueError("models are defined over different location sets")
     w, wp = model_w.w, model_wp.w
-    A_w, A_wp = model_w.full_aug.factor, model_wp.full_aug.factor
+    aug_w, aug_wp = model_w.full_aug, model_wp.full_aug
     xis = [np.array(xi0, dtype=float)]
     log_ratio = 0.0
     denom = levels + 1
@@ -337,11 +343,12 @@ def bridge_ladder(
     xi = xis[0]
     for k in range(1, levels + 1):
         beta = k / denom
-        rb, rbp = math.sqrt(beta), math.sqrt(1.0 - beta)
+        g_w = math.sqrt(beta) * aug_w.scale
+        g_wp = math.sqrt(1.0 - beta) * aug_wp.scale
         cs = cos_sin(xi)
         eps = rng.standard_normal((4, d))
-        y_w = rb * (cs @ A_w.T) + eps[:2]  # rows y1, y2
-        y_wp = rbp * (cs @ A_wp.T) + eps[2:]  # rows y3, y4
+        y_w = (cs @ aug_w.eigenvectors) * g_w + eps[:2]  # rows y1, y2
+        y_wp = (cs @ aug_wp.eigenvectors) * g_wp + eps[2:]  # rows y3, y4
         alpha_c = (
             beta * w.concentration * math.cos(w.mean_direction)
             + (1.0 - beta) * wp.concentration * math.cos(wp.mean_direction)
@@ -350,7 +357,7 @@ def bridge_ladder(
             beta * w.concentration * math.sin(w.mean_direction)
             + (1.0 - beta) * wp.concentration * math.sin(wp.mean_direction)
         )
-        kap = rb * (y_w @ A_w) + rbp * (y_wp @ A_wp)
+        kap = (y_w * g_w) @ aug_w.eigenvectors.T + (y_wp * g_wp) @ aug_wp.eigenvectors.T
         kap[0] += alpha_c
         kap[1] += alpha_s
         conc = np.hypot(kap[0], kap[1])
@@ -392,8 +399,8 @@ def dmh_step(
     unnormalized density f at the current state and the fictitious-sample
     (or bridging-ladder) ratio; normalizing constants never appear.
     Proposals outside the prior support are rejected without touching the
-    kernel. A proposal that keeps the kernel reuses the current Gram
-    matrix, precision and augmentation factor, and its energy differences
+    kernel. A proposal that keeps the kernel reuses the current
+    precision and augmentation factor, and its energy differences
     are differences of the pull alone; one that moves it is built at the
     slack of ``model``. The inner chain starts from
     ``xi_init`` (persistent across outer iterations), and the accepted
@@ -466,6 +473,7 @@ class FitOutput:
     phi_samples: np.ndarray  # (n_retained, m) latent angles at test locations
     accept_rates: dict
     outcomes: dict  # block -> {reason in DMH_REASONS: count}
+    jitter_range: tuple  # (min, max) Gram jitter over every kernel value the chain held
 
 
 def block_gibbs_fit(
@@ -513,6 +521,7 @@ def block_gibbs_fit(
     names = tuple(_param_dict(init_w).keys())
     rows, accepted_rows, phi_rows = [], [], []
     outcomes = {name: dict.fromkeys(DMH_REASONS, 0) for name, _ in blocks}
+    jitters = [model.jitter]
     for t in range(config.n_iter):
         if n_lat and config.phi_sweeps:
             phi = run_sweeps(phi, cp_aug, cp, rng, config.phi_sweeps)[0]
@@ -534,11 +543,12 @@ def block_gibbs_fit(
                 xi = res.xi
                 if res.accepted:
                     accepted_any = True
-                    kernel_moved = res.model.gram is not model.gram
+                    kernel_moved = res.model.precision is not model.precision
                     model = res.model
                     cp = latent_params(model, theta)
                     if kernel_moved:
                         cp_aug = latent_factor(model, cp)
+                        jitters.append(model.jitter)
         if t >= config.burn_in and (t - config.burn_in) % config.thin == 0:
             values = _param_dict(model.w)
             rows.append([values[nm] for nm in names])
@@ -555,6 +565,7 @@ def block_gibbs_fit(
         np.array(phi_rows),
         rates,
         outcomes,
+        (min(jitters), max(jitters)),
     )
 
 
@@ -604,6 +615,7 @@ def cd_gradient(
     sweeps_between: int = 5,
     burn_sweeps: int = 50,
     repeats: int | None = None,
+    latent_aug: Augmentation | None = None,
 ) -> np.ndarray:
     """Contrastive-divergence estimate of the marginal-likelihood gradient.
 
@@ -617,6 +629,10 @@ def cd_gradient(
     full-space chains run as one (R, d) stack and the R latent chains as
     one (R, m) stack, on one Generator, and ``energy_gradient`` runs once
     per stack. ``repeats=1`` gives the None estimate as its one row.
+
+    ``latent_aug`` is the factor of the conditional chain over the m latent
+    angles, as ``latent_factor`` builds it without observation noise; when
+    None, it is built here at the slack of the model.
     """
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
@@ -636,11 +652,12 @@ def cd_gradient(
     states = run_sweeps(state, model.full_aug, cp_full, rng, first, mc_samples, sweeps_between)
     g_full = energy_gradient(states, model).mean(axis=0)
 
-    # Conditional chains over the latent angles (none when m == 0), factored
-    # at the slack of the model.
+    # Conditional chains over the latent angles (none when m == 0).
     if m > 0:
         cp = conditional_params(pm, theta, model.w)
-        aug = make_augmentation(cp.coupling, model.slack)
+        aug = make_augmentation(cp.coupling, model.slack) if latent_aug is None else latent_aug
+        if aug.size != m:
+            raise ValueError("latent_aug does not match the latent angles")
         lat = sample_von_mises(0.0, np.zeros(stack + (m,)), rng)
         lats = run_sweeps(lat, aug, cp, rng, first, mc_samples, sweeps_between)
         observed = np.broadcast_to(theta, lats.shape[:-1] + theta.shape)

@@ -444,29 +444,43 @@ def test_cli_split(tmp_path):
 
 
 def test_cli_diagnose_factors_once_per_multiplier(tmp_path, monkeypatch):
-    # one augmentation_at per multiplier, shared by every sweep seed, at
-    # multiplier * lambda_max of the latent coupling
+    # one eigh of the latent coupling in all of diagnose: each multiplier's
+    # factor, shared by every sweep seed, is a rescale of its eigenpairs to
+    # multiplier * lambda_max, and the CD chains run on the same eigenpairs
     import vmqp.cli as cli
-    import vmqp.gibbs as gibbs
 
-    factors = []
+    eighs, factors, cd_factors = [], [], []
 
-    def recording(Q, lam):
-        factors.append((Q, augmentation_at(Q, lam)))
-        return factors[-1][1]
+    def recording_eigh(a, *args, **kwargs):
+        eighs.append((np.array(a), eigh(a, *args, **kwargs)))
+        return eighs[-1][1]
 
-    augmentation_at = gibbs.augmentation_at
-    for module in (gibbs, cli):
-        monkeypatch.setattr(module, "augmentation_at", recording, raising=False)
+    def recording_chain(cp, aug, *args, **kwargs):
+        factors.append(aug)
+        return run_chain(cp, aug, *args, **kwargs)
+
+    def recording_cd(*args, **kwargs):
+        cd_factors.append(kwargs["latent_aug"])
+        return cd_gradient(*args, **kwargs)
+
+    eigh, run_chain, cd_gradient = np.linalg.eigh, cli.run_chain, cli.cd_gradient
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    monkeypatch.setattr(cli, "run_chain", recording_chain)
+    monkeypatch.setattr(cli, "cd_gradient", recording_cd)
     cfg = write(tmp_path / "run.cfg", DIAG_CONFIG.replace(
         "lambda_multipliers = 1.5", "lambda_multipliers = 1.5, 3.0"))
     data = make_generic(tmp_path / "d.csv", n_obs=5, n_pred=2)
     assert run(["diagnose", "--config", cfg, "--data", data,
                 "--out", str(tmp_path / "o")]) == 0
+    latent = [(Q, result) for Q, result in eighs if Q.shape == (2, 2)]
+    assert len(latent) == 1 and len(eighs) == 2  # the other one is the Gram matrix's
+    Q, (e, U) = latent[0]
     assert len(factors) == 2
-    for (Q, aug), mult in zip(factors, (1.5, 3.0)):
-        assert Q.shape == (2, 2)
-        assert aug.lam == pytest.approx(mult * np.linalg.eigvalsh(Q)[-1])
+    for aug, mult in zip(factors, (1.5, 3.0)):
+        assert aug.eigenvectors is U
+        assert aug.lam == mult * e[-1]
+        assert aug.lam == pytest.approx(mult * np.linalg.eigvalsh(Q)[-1], rel=1e-12)
+    assert len(cd_factors) == 1 and cd_factors[0].eigenvectors is U
 
 
 def test_cli_noisy_sample_runs_on_the_model_factor(tmp_path, monkeypatch):
@@ -501,6 +515,59 @@ def test_cli_noisy_sample_runs_on_the_model_factor(tmp_path, monkeypatch):
     assert len(models) == 1 and len(factors) == 1
     assert factors[0] is models[0].full_aug
     assert read_samples_csv(out / "phi_samples.csv").shape == (100, 2)
+
+
+def old_write_csv(path, header, rows):
+    """The csv-module writer that ``cli._write_csv`` replaced, as the reference."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{float(cell):.17g}" for cell in row])
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 2, 3], [-4, 0, 2**60]],
+        [[0.0, -0.0, 5e-324], [1e308, np.nan, np.inf], [-np.inf, 0.1, -1e-300]],
+        [[3, 0.5, -0.0]],
+        np.random.default_rng(0).standard_normal((6, 4)) * 10.0 ** np.arange(-8, 16, 6),
+        np.arange(12).reshape(4, 3),
+        [],
+        np.empty((0, 3)),
+    ],
+    ids=["ints", "specials", "mixed", "floats", "int-array", "no-rows", "no-rows-array"],
+)
+def test_write_csv_is_byte_identical_to_the_csv_module_writer(tmp_path, rows):
+    from vmqp.cli import _write_csv
+
+    header = ["a", "b c", 'd"e']
+    _write_csv(tmp_path / "new.csv", header, rows)
+    old_write_csv(tmp_path / "old.csv", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_cli_reports_the_numerics_in_use(tmp_path):
+    # the jitter on the Gram diagonal, and lambda_max of the latent coupling
+    data = make_generic(tmp_path / "d.csv", n_obs=5, n_pred=2)
+    keys = {}
+    for command, config, report in (
+        ("fit", FIT_CONFIG, "summary.txt"),
+        ("sample", BASE_CONFIG, "report.txt"),
+        ("diagnose", DIAG_CONFIG, "report.txt"),
+    ):
+        cfg = write(tmp_path / f"{command}.cfg", config)
+        out = tmp_path / command
+        assert run([command, "--config", cfg, "--data", data, "--out", str(out)]) == 0
+        keys[command] = read_kv(out / report)
+    fit, sample, diag = keys["fit"], keys["sample"], keys["diagnose"]
+    assert 0 < float(fit["jitter_min"]) <= float(fit["jitter_max"]) < 1e-2
+    # sample and diagnose share the config's kernel, so its jitter and lambda_max
+    jitter = float(sample["jitter"])
+    assert jitter == float(diag["jitter"])
+    assert float(fit["jitter_min"]) <= jitter <= float(fit["jitter_max"])
+    assert float(sample["lambda"]) == pytest.approx(1.01 * float(diag["lambda_max"]), rel=1e-12)
 
 
 def test_package_version_matches_pyproject():

@@ -75,6 +75,32 @@ def test_augmentation_at_accepts_a_top_eigenvalue_within_roundoff(rng):
         augmentation_at(Q, top * (1.0 - 1e-9))
 
 
+@pytest.mark.parametrize("mult", [1.0, 1.01, 5.0])
+def test_rescaled_factor_shares_the_eigenpairs(rng, mult):
+    # moving a factor to another lambda runs no eigh: the eigenpairs are
+    # the same objects, and the factor is the one augmentation_at builds
+    B = rng.standard_normal((30, 30))
+    Q = B @ B.T / 30 + np.eye(30)
+    aug = make_augmentation(Q)
+    moved = aug.at(mult * aug.lam_max_estimate)
+    assert moved.eigenvectors is aug.eigenvectors and moved.eigenvalues is aug.eigenvalues
+    assert moved.lam == mult * aug.lam_max_estimate
+    assert moved.lam_max_estimate == aug.lam_max_estimate
+    ref = augmentation_at(Q, moved.lam)
+    assert np.max(np.abs(moved.factor.T @ moved.factor - ref.factor.T @ ref.factor)) < 1e-12 * moved.lam
+    assert np.max(np.abs(moved.factor.T @ moved.factor + Q - moved.lam * np.eye(30))) < 1e-12 * moved.lam
+    with pytest.raises(NumericalError):
+        aug.at(0.5 * aug.lam_max_estimate)
+
+
+def test_factor_is_formed_from_scale_and_eigenvectors():
+    aug = make_augmentation(np.diag([1.0, 3.0]), slack=1.0)  # lam = 6
+    assert np.array_equal(aug.scale, np.sqrt([5.0, 3.0]))
+    assert np.array_equal(aug.factor, aug.scale[:, None] * aug.eigenvectors.T)
+    assert aug.factor is not aug.factor  # a fresh array per read, never kept
+    assert aug.size == 2
+
+
 def test_exact_top_eigenvalue_above_512():
     # Q = I + 2uu' with u = (e1 - e2)/sqrt(2) has top eigenvalue 3; u is
     # orthogonal to the all-ones vector, so a power iteration started

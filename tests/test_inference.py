@@ -28,7 +28,7 @@ from vmqp.inference import (
     propose,
     sample_fictitious,
 )
-from vmqp.kernels import GramMatrix, KernelSpec
+from vmqp.kernels import GramMatrix, KernelSpec, kernel_matrix
 from vmqp.circular import sample_von_mises
 from vmqp.model import ParamVector, PrecisionModel
 
@@ -273,6 +273,40 @@ def test_cd_gradient_factors_its_latent_chain_at_the_model_slack(monkeypatch, rn
     )
 
 
+def test_cd_gradient_runs_on_a_given_latent_factor(monkeypatch, rng):
+    w = ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3)
+    model = build_param_model(w, np.linspace(0.0, 3.0, 5)[:, None], 2, slack=0.5)
+    theta = np.array([0.2, -0.4, 0.9])
+    cp = latent_params(model, theta)
+    aug = inference.latent_factor(model, cp)
+    expected = cd_gradient(theta, model, 3, np.random.default_rng(8), burn_sweeps=2)
+
+    def no_factor(*args, **kwargs):
+        raise AssertionError("cd_gradient factored its latent chain again")
+
+    monkeypatch.setattr(inference, "make_augmentation", no_factor)
+    got = cd_gradient(theta, model, 3, np.random.default_rng(8), burn_sweeps=2, latent_aug=aug)
+    assert np.array_equal(got, expected)
+    with pytest.raises(ValueError, match="latent_aug"):
+        cd_gradient(theta, model, 3, rng, burn_sweeps=2, latent_aug=model.full_aug)
+
+
+def test_fit_reports_the_jitter_range_of_its_kernels(rng):
+    # the first jitter rung, 1e-8 * sigma2, lifts these kernels, so the
+    # range brackets 1e-8 times every retained sigma2
+    w = ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3)
+    theta = np.array([0.2, -0.4, 0.9, 0.1])
+    train = np.arange(4, dtype=float).reshape(-1, 1)
+    cfg = FitConfig(n_iter=40, burn_in=0, phi_sweeps=1, bridge=BridgeConfig(0, inner_sweeps=2))
+    out = block_gibbs_fit(theta, train, np.array([[0.5], [2.5]]), w, cfg, rng)
+    assert out.outcomes["kernel"]["accepted"] > 0
+    lo, hi = out.jitter_range
+    sigma2 = out.param_trace[:, out.param_names.index("sigma2")]
+    assert lo < hi
+    assert lo == pytest.approx(1e-8 * min(1.0, sigma2.min()), rel=1e-12)
+    assert hi == pytest.approx(1e-8 * max(1.0, sigma2.max()), rel=1e-12)
+
+
 @pytest.mark.parametrize("d", [5, 600])
 def test_spectral_param_model_identities(d):
     # one eigendecomposition gives the precision, the exact top eigenvalue
@@ -281,7 +315,7 @@ def test_spectral_param_model_identities(d):
     locations = np.linspace(0.0, 0.5 * d, d)[:, None]
     slack = 0.05
     model = build_param_model(w, locations, 2, slack)
-    K = model.gram.matrix
+    K = kernel_matrix(w.kernel, locations, locations) + model.jitter * np.eye(d)
     M = model.precision.matrix
     aug = model.full_aug
     s_min = np.linalg.eigvalsh(K)[0]
@@ -329,7 +363,7 @@ def test_mean_block_dmh_reuses_the_current_model(monkeypatch, rng):
     for model_wp in proposed:
         assert model_wp.w.kernel is w.kernel
         assert model_wp.w != w
-        assert model_wp.gram is model.gram
+        assert model_wp.precision.eigenvectors is model.precision.eigenvectors
         assert model_wp.precision is model.precision
         assert model_wp.full_aug is model.full_aug
 
@@ -352,6 +386,58 @@ def test_fit_keeps_latent_augmentation_after_mean_moves(monkeypatch, rng):
     out = block_gibbs_fit(theta, train, np.array([[0.5], [2.5]]), w, cfg, rng)
     assert out.outcomes["mean"]["accepted"] > 0
     assert len(calls) == 1 + out.outcomes["kernel"]["accepted"]
+
+
+def reachable_arrays(obj):
+    """Every ndarray reachable from ``obj`` through attributes and containers.
+
+    Cached properties already read count, as they live in the instance dict.
+    """
+    found, seen, stack = {}, set(), [obj]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            found[id(x)] = x
+            if isinstance(x.base, np.ndarray):
+                stack.append(x.base)
+        elif isinstance(x, dict):
+            stack.extend(x.values())
+        elif isinstance(x, (list, tuple)):
+            stack.extend(x)
+        elif hasattr(x, "__dict__"):
+            stack.extend(vars(x).values())
+    return list(found.values())
+
+
+def test_a_model_owns_one_d_by_d_array(monkeypatch):
+    # the eigenvectors V of K, shared by the precision and the full-space
+    # factor; no Gram matrix, factor matrix or whole precision is kept,
+    # before or after an exchange move of either block
+    d, m = 50, 5
+    w = ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3)
+    model = build_param_model(w, np.linspace(0.0, 25.0, d)[:, None], m)
+    proposed = []
+
+    def fictitious(model_wp, sweeps, init, rng):
+        proposed.append(model_wp)
+        return sample_fictitious(model_wp, sweeps, init, rng)
+
+    monkeypatch.setattr(inference, "sample_fictitious", fictitious)
+    rng = np.random.default_rng(4)
+    results = [
+        dmh_step(model, np.zeros(d), PriorSpec(), ProposalSpec(), BridgeConfig(1, inner_sweeps=2),
+                 rng, np.zeros(d), block=block)
+        for block in (inference.KERNEL_BLOCK, MEAN_BLOCK)
+    ]
+    assert len(proposed) == 2 and proposed[0].precision is not model.precision
+    for each in [model, *proposed, *(res.model for res in results)]:
+        square = [a for a in reachable_arrays(each) if a.size == d * d]
+        assert len(square) == 1
+        assert square[0] is each.precision.eigenvectors
+        assert each.full_aug.eigenvectors is each.precision.eigenvectors
 
 
 def test_fit_counts_every_outcome_by_block(rng):
