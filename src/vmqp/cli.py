@@ -68,7 +68,7 @@ def _assemble(cfg: RunConfig, dataset: Dataset):
     locations = np.vstack([dataset.test_locations, dataset.observed_locations])
     model = build_param_model(w, locations, dataset.n_test, cfg.slack)
     cp = latent_params(model, dataset.observed_angles)
-    return w, model, cp, latent_factor(model, cp)
+    return w, model, cp, latent_factor(model)
 
 
 def _diagnostics_rows(samples: np.ndarray, ress: np.ndarray):
@@ -78,16 +78,9 @@ def _diagnostics_rows(samples: np.ndarray, ress: np.ndarray):
 
 def cmd_sample(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
     w, model, cp, aug = _assemble(cfg, dataset)
-    chain = run_chain(
-        cp,
-        aug,
-        cfg.n_iter,
-        cfg.burn_in,
-        cfg.thin,
-        seed=cfg.seed,
-        init_mean=w.mean_direction,
-        init_conc=w.concentration,
-    )
+    rng = np.random.default_rng(cfg.seed)
+    init = sample_von_mises(w.mean_direction, w.concentration * np.ones(cp.size), rng)
+    chain = run_chain(cp, aug, cfg.n_iter, cfg.burn_in, cfg.thin, seed=rng, init=init)
     m = dataset.n_test
     samples = chain.samples[:, :m]
     _write_csv(
@@ -124,21 +117,12 @@ def cmd_fit(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
         np.random.default_rng(cfg.seed),
     )
     names = list(result.param_names)
-    header = ["iter", "sigma2", "l"]
-    cols = {"sigma2": names.index("sigma2"), "lengthscale2": names.index("lengthscale2")}
-    if "gradient2" in names:
-        header.append("g")
-        cols["gradient2"] = names.index("gradient2")
-    header += ["kappa", "nu", "accepted"]
-    cols["kappa"] = names.index("kappa")
-    cols["nu"] = names.index("nu")
-    rows = []
-    for i, values in enumerate(result.param_trace):
-        row = [i, values[cols["sigma2"]], math.sqrt(values[cols["lengthscale2"]])]
-        if "gradient2" in cols:
-            row.append(math.sqrt(values[cols["gradient2"]]))
-        row += [values[cols["kappa"]], values[cols["nu"]], result.accepted_trace[i]]
-        rows.append(row)
+    # the trace keeps squared scales; w_trace.csv writes the scales l (and g)
+    squared = [n for n in ("lengthscale2", "gradient2") if n in names]
+    trace = result.param_trace[:, [names.index(n) for n in ("sigma2", *squared, "kappa", "nu")]]
+    trace[:, 1 : 1 + len(squared)] = np.sqrt(trace[:, 1 : 1 + len(squared)])
+    header = ["iter", "sigma2", *("l", "g")[: len(squared)], "kappa", "nu", "accepted"]
+    rows = np.column_stack([np.arange(len(trace)), trace, result.accepted_trace])
     _write_csv(out / "w_trace.csv", header, rows)
     _write_csv(
         out / "phi_samples.csv",

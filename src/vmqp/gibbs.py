@@ -19,7 +19,9 @@ lambda) run one ``eigh`` of Q; the full-space models reuse the
 eigenpairs of their Gram matrix, and ``Augmentation.at`` moves a factor
 to another lambda by a rescale of its eigenpairs, with no ``eigh``.
 Every chain of the package advances through ``run_sweeps`` on a factor
-its caller built once.
+its caller built once. Every transition is ``augmented_sweep`` on a
+sequence of factors: one for a Gibbs sweep, two (scaled) for a bridge
+level of ``inference.bridge_ladder``.
 
 A state is one chain, phi of shape (m,), or a stack of C independent
 chains on the same factor, shape (C, m). A sweep of the stack costs one
@@ -146,6 +148,35 @@ def polar_params(b_c: np.ndarray, b_s: np.ndarray):
     return a, gamma
 
 
+def augmented_sweep(phi: np.ndarray, factors, rho_c, rho_s, rng) -> np.ndarray:
+    """One Gibbs transition on the factors (U_k, g_k), A_k = diag(g_k) U_k'.
+
+    The target's coupling is lam*I - sum_k A_k'A_k, for any lam (cos^2 +
+    sin^2 = 1 makes a multiple of I a constant), and its linear terms are
+    ``rho_c``, ``rho_s`` (arrays, or one scalar for every coordinate);
+    ``rng`` is a Generator. The normals are
+    drawn as one (K, 2, ...) block in factor order; with cs the (2C, m)
+    block of cos/sin rows, z_k = (cs U_k) g_k + eps_k and each coordinate
+    is redrawn from a von Mises with coefficients sum_k (z_k g_k) U_k' + rho.
+    """
+    eps = rng.standard_normal((len(factors), 2) + np.shape(phi))
+    flat = (math.prod(eps.shape[1:-1]), eps.shape[-1])  # (2C, m), or (2, m) for one chain
+    cs = cos_sin(phi).reshape(flat)
+    b = None
+    for (U, g), e in zip(factors, eps):
+        z = cs @ U
+        z *= g
+        z += e.reshape(flat)
+        z *= g
+        pull = z @ U.T
+        b = pull if b is None else b + pull
+    b = b.reshape(eps.shape[1:])
+    b[0] += rho_c
+    b[1] += rho_s
+    a, gamma = polar_params(b[0], b[1])
+    return sample_von_mises(gamma, a, rng)
+
+
 def gibbs_sweep(
     phi: np.ndarray,
     aug: Augmentation,
@@ -155,24 +186,12 @@ def gibbs_sweep(
     """One full sweep: refresh z given phi, then redraw every phi_i given z.
 
     ``phi`` is one state (m,) or a stack (C, m), and the result has its
-    shape. Reads only rho of ``cp`` and the eigenvectors U and scale g of
-    ``aug``. Each pass is one product of U with the (2C, m) block of
-    cos/sin rows: z = (cs U) g + eps, then b = rho + (z g) U', which is
-    z = A cs + eps and b = rho + A'z for A = diag(g) U'.
+    shape. ``augmented_sweep`` on the one factor (U, g) of ``aug`` with the
+    rho of ``cp``: z = A cs + eps and b = rho + A'z for A = diag(g) U'.
     """
-    rng = as_generator(rng)
-    U, g = aug.eigenvectors, aug.scale
-    eps = rng.standard_normal((2,) + np.shape(phi))
-    flat = (math.prod(eps.shape[:-1]), aug.size)  # (2C, m), or (2, m) for one chain
-    z = cos_sin(phi).reshape(flat) @ U
-    z *= g
-    z += eps.reshape(flat)
-    z *= g
-    b = (z @ U.T).reshape(eps.shape)
-    b[0] += cp.rho_c
-    b[1] += cp.rho_s
-    a, gamma = polar_params(b[0], b[1])
-    return sample_von_mises(gamma, a, rng)
+    return augmented_sweep(
+        phi, ((aug.eigenvectors, aug.scale),), cp.rho_c, cp.rho_s, as_generator(rng)
+    )
 
 
 def run_sweeps(phi, aug: Augmentation, cp: ConditionalParams, rng, first: int,
@@ -208,18 +227,17 @@ def run_chain(
     thin: int = 1,
     seed=0,
     init=None,
-    init_mean: float = 0.0,
-    init_conc: float = 0.0,
 ) -> ChainOutput:
     """Run the augmented Gibbs chain on ``aug`` and keep every ``thin``-th sweep.
 
     Sweeps burn_in, burn_in + thin, ... < n_iter (0-based) are kept;
-    deterministic given ``seed``. ``aug`` factors lam*I - cp.coupling and
-    fixes the lambda of the chain. ``init`` fixes the starting state: one
-    chain (m,), or C chains (C, m) run as one stack on one Generator, which
-    gives samples (n_kept, C, m) and ress (C, m). Without ``init`` one
-    chain starts at independent von Mises draws (uniform when ``init_conc``
-    is zero). Every coordinate of every chain gets its RESS from one
+    deterministic given ``seed``. The coupling of the chain lives only in
+    ``aug`` (lam*I minus the coupling, factored), which also fixes its
+    lambda; ``cp`` gives the linear terms. ``init`` fixes the starting
+    state: one chain (m,), or C chains (C, m) run as one stack on one
+    Generator, which gives samples (n_kept, C, m) and ress (C, m). Without
+    ``init`` one chain starts at independent uniform angles. Every
+    coordinate of every chain gets its RESS from one
     ``evaluation.circular_column_ress`` call, NaN below 10 kept sweeps.
     """
     if not (n_iter > burn_in >= 0):
@@ -235,7 +253,7 @@ def run_chain(
         if phi.ndim not in (1, 2) or phi.shape[-1] != m:
             raise ValueError(f"init must have shape ({m},) or (C, {m})")
     else:
-        phi = sample_von_mises(init_mean, init_conc * np.ones(m), rng)
+        phi = sample_von_mises(0.0, np.zeros(m), rng)
     n_kept = len(range(burn_in, n_iter, thin))
     samples = run_sweeps(phi, aug, cp, rng, burn_in + 1, n_kept, thin)
     ress = evaluation.circular_column_ress(samples.reshape(n_kept, -1))

@@ -5,9 +5,10 @@ unknown normalizer. Each Metropolis step therefore draws a fictitious
 full-space angle vector under the proposed parameters (an inner augmented
 Gibbs chain) so that the normalizers cancel from the acceptance ratio.
 Optionally, K annealed bridging levels refine the one-sample importance
-estimate of the normalizer ratio; the bridging transitions reuse the two
-existing full-space augmentation factors via a double Gaussian
-augmentation, so no per-level factorization is needed.
+estimate of the normalizer ratio. A bridging transition is the Gibbs sweep
+of ``gibbs.augmented_sweep`` on the two existing full-space factors, each
+scaled, so no per-level factorization is needed; plain double-MH is the
+ladder with no level.
 
 Each kernel value costs one symmetric eigendecomposition of its Gram
 matrix, in ``build_gram``; it sets the jitter and yields the precision,
@@ -33,7 +34,8 @@ import numpy as np
 
 from .circular import as_generator, cos_sin, normalize_angle, sample_von_mises
 from .errors import NumericalError
-from .gibbs import Augmentation, make_augmentation, run_sweeps, spectral_augmentation, DEFAULT_SLACK
+from .gibbs import Augmentation, augmented_sweep, make_augmentation, run_sweeps
+from .gibbs import spectral_augmentation, DEFAULT_SLACK
 from .gibbs import gibbs_sweep  # noqa: F401  perfbench/test_perfbench.py reads this binding
 from .kernels import KernelSpec, build_gram, kernel_derivatives
 from .model import (
@@ -215,16 +217,17 @@ def latent_params(model: ParamModel, theta) -> ConditionalParams:
     return conditional_params(model.precision, theta, model.w)
 
 
-def latent_factor(model: ParamModel, cp: ConditionalParams) -> Augmentation:
-    """Factor of the latent chain for ``cp = latent_params(model, theta)``.
+def latent_factor(model: ParamModel) -> Augmentation:
+    """Factor of the latent chain whose target ``latent_params`` gives.
 
-    It depends on the coupling block only, so on the kernel but not on
-    (kappa, nu). Under noisy observations the coupling is the full
-    precision, whose spectral factor the model already holds.
+    It factors the coupling, the precision's latent block, at the slack of
+    the model; so it depends on the kernel but not on (kappa, nu). Under
+    noisy observations the coupling is the full precision, whose spectral
+    factor the model already holds.
     """
     if model.w.noise_concentration is not None:
         return model.full_aug
-    return make_augmentation(cp.coupling, model.slack)
+    return make_augmentation(model.precision.latent_block, model.slack)
 
 
 def _param_dict(w: ParamVector) -> dict:
@@ -314,55 +317,39 @@ def bridge_ladder(
 ):
     """Run the K annealed transitions and return the log-ratio estimate.
 
-    At level k the interpolating density couples angles through
-    beta_k * M_w + (1 - beta_k) * M_w'. Four Gaussian vectors with means
-    sqrt(beta_k) * A_w * cos/sin and sqrt(1 - beta_k) * A_w' * cos/sin
-    linearize both coupling terms at once, so each transition is a single
-    product-von-Mises redraw and the two cached augmentation factors
-    (any A with A'A = lam*I - M) serve every level. Each factor is applied
-    to the (2, d) block of cos/sin rows in one product per pass, as in
-    ``gibbs_sweep``: each factor acts as one product with its eigenvectors
-    and a scaling, with sqrt(beta) or sqrt(1 - beta) folded into the
-    scale. The returned estimate is
+    Level k targets the coupling beta_k * M_w + (1 - beta_k) * M_w' and the
+    interpolated pull. Its transition is ``augmented_sweep`` on the two
+    cached factors (A'A = lam*I - M) scaled by sqrt(beta_k) and
+    sqrt(1 - beta_k), so no level needs a factorization. The estimate is
     sum_k [log f_{k+1}(xi_k) - log f_k(xi_k)], endpoints included, which
-    telescopes to (1/(K+1)) * sum_k [U(xi_k|w') - U(xi_k|w)].
+    telescopes to (1/(K+1)) * sum_k [U(xi_k|w') - U(xi_k|w)]. With K = 0
+    it is plain double-MH: states [xi0], ratio U(xi0|w') - U(xi0|w), and
+    no draw from ``rng``.
     """
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
+    if levels < 0:
+        raise ValueError("levels must be >= 0")
     rng = as_generator(rng)
-    d = model_w.size
-    if model_wp.size != d:
+    if model_wp.size != model_w.size:
         raise ValueError("models are defined over different location sets")
     w, wp = model_w.w, model_wp.w
     aug_w, aug_wp = model_w.full_aug, model_wp.full_aug
-    xis = [np.array(xi0, dtype=float)]
-    log_ratio = 0.0
     denom = levels + 1
+    xi = np.array(xi0, dtype=float)
+    xis = [xi]
     # k = 0 endpoint term (xi0 was drawn under w')
-    log_ratio += energy_change(model_w, model_wp, xis[0]) / denom
-    xi = xis[0]
+    log_ratio = energy_change(model_w, model_wp, xi) / denom
     for k in range(1, levels + 1):
         beta = k / denom
-        g_w = math.sqrt(beta) * aug_w.scale
-        g_wp = math.sqrt(1.0 - beta) * aug_wp.scale
-        cs = cos_sin(xi)
-        eps = rng.standard_normal((4, d))
-        y_w = (cs @ aug_w.eigenvectors) * g_w + eps[:2]  # rows y1, y2
-        y_wp = (cs @ aug_wp.eigenvectors) * g_wp + eps[2:]  # rows y3, y4
-        alpha_c = (
-            beta * w.concentration * math.cos(w.mean_direction)
-            + (1.0 - beta) * wp.concentration * math.cos(wp.mean_direction)
+        factors = (
+            (aug_w.eigenvectors, math.sqrt(beta) * aug_w.scale),
+            (aug_wp.eigenvectors, math.sqrt(1.0 - beta) * aug_wp.scale),
         )
-        alpha_s = (
-            beta * w.concentration * math.sin(w.mean_direction)
-            + (1.0 - beta) * wp.concentration * math.sin(wp.mean_direction)
+        alpha_c, alpha_s = (
+            beta * w.concentration * f(w.mean_direction)
+            + (1.0 - beta) * wp.concentration * f(wp.mean_direction)
+            for f in (math.cos, math.sin)
         )
-        kap = (y_w * g_w) @ aug_w.eigenvectors.T + (y_wp * g_wp) @ aug_wp.eigenvectors.T
-        kap[0] += alpha_c
-        kap[1] += alpha_s
-        conc = np.hypot(kap[0], kap[1])
-        gamma = np.arctan2(kap[1], kap[0])
-        xi = sample_von_mises(gamma, conc, rng)
+        xi = augmented_sweep(xi, factors, alpha_c, alpha_s, rng)
         xis.append(xi)
         log_ratio += energy_change(model_w, model_wp, xi) / denom
     return xis, float(log_ratio)
@@ -396,8 +383,9 @@ def dmh_step(
     """One exchange move on the parameters given the current full state.
 
     The acceptance ratio uses only priors, proposal symmetry, the
-    unnormalized density f at the current state and the fictitious-sample
-    (or bridging-ladder) ratio; normalizing constants never appear.
+    unnormalized density f at the current state and the ``bridge_ladder``
+    ratio from the fictitious sample (plain double-MH at
+    ``bridge.levels`` = 0); normalizing constants never appear.
     Proposals outside the prior support are rejected without touching the
     kernel. A proposal that keeps the kernel reuses the current
     precision and augmentation factor, and its energy differences
@@ -427,20 +415,15 @@ def dmh_step(
         except NumericalError:
             return DmhResult(model, False, xi_init, -math.inf, "numerical")
     xi0 = sample_fictitious(model_wp, bridge.inner_sweeps, xi_init, rng)
-    if bridge.levels > 0:
-        xis, log_ratio = bridge_ladder(xi0, model, model_wp, bridge.levels, rng)
-        xi_last = xis[-1]
-    else:
-        log_ratio = energy_change(model, model_wp, xi0)
-        xi_last = xi0
+    xis, log_ratio = bridge_ladder(xi0, model, model_wp, bridge.levels, rng)
     log_acc = (
         (lp_wp - lp_w)
         - energy_change(model, model_wp, phi_full)
         + log_ratio
     )
     if math.log(rng.uniform()) < log_acc:
-        return DmhResult(model_wp, True, xi_last, log_acc, "accepted")
-    return DmhResult(model, False, xi_last, log_acc, "mh")
+        return DmhResult(model_wp, True, xis[-1], log_acc, "accepted")
+    return DmhResult(model, False, xis[-1], log_acc, "mh")
 
 
 @dataclass(frozen=True)
@@ -497,9 +480,9 @@ def block_gibbs_fit(
     train = np.atleast_2d(np.asarray(train_locations, dtype=float))
     test = np.asarray(test_locations, dtype=float)
     if test.ndim == 1:
-        test = test.reshape(-1, train.shape[1]) if test.size else test.reshape(0, train.shape[1])
+        test = test.reshape(-1, train.shape[1])
     m = test.shape[0]
-    locations = np.vstack([test, train]) if m else train
+    locations = np.vstack([test, train])
     model = build_param_model(init_w, locations, m, config.slack)
     d = model.size
     noisy = init_w.noise_concentration is not None
@@ -509,7 +492,7 @@ def block_gibbs_fit(
         blocks.append(("mean", MEAN_BLOCK))
 
     cp = latent_params(model, theta)
-    cp_aug = latent_factor(model, cp)
+    latent_aug = latent_factor(model)
     n_lat = d if noisy else m
     phi = sample_von_mises(
         init_w.mean_direction,
@@ -524,7 +507,7 @@ def block_gibbs_fit(
     jitters = [model.jitter]
     for t in range(config.n_iter):
         if n_lat and config.phi_sweeps:
-            phi = run_sweeps(phi, cp_aug, cp, rng, config.phi_sweeps)[0]
+            phi = run_sweeps(phi, latent_aug, cp, rng, config.phi_sweeps)[0]
         phi_full = phi if noisy else np.concatenate([phi, theta])
         accepted_any = False
         for _ in range(config.dmh_steps):
@@ -547,7 +530,7 @@ def block_gibbs_fit(
                     model = res.model
                     cp = latent_params(model, theta)
                     if kernel_moved:
-                        cp_aug = latent_factor(model, cp)
+                        latent_aug = latent_factor(model)
                         jitters.append(model.jitter)
         if t >= config.burn_in and (t - config.burn_in) % config.thin == 0:
             values = _param_dict(model.w)
@@ -655,7 +638,7 @@ def cd_gradient(
     # Conditional chains over the latent angles (none when m == 0).
     if m > 0:
         cp = conditional_params(pm, theta, model.w)
-        aug = make_augmentation(cp.coupling, model.slack) if latent_aug is None else latent_aug
+        aug = make_augmentation(pm.latent_block, model.slack) if latent_aug is None else latent_aug
         if aug.size != m:
             raise ValueError("latent_aug does not match the latent angles")
         lat = sample_von_mises(0.0, np.zeros(stack + (m,)), rng)

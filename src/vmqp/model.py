@@ -4,7 +4,8 @@ The joint angle vector is ordered [latent, observed]: unobserved angles
 occupy indices 0..m-1 and observed angles occupy m..d-1. The unnormalized
 log-density of the full state is -energy(); conditioning on the observed
 angles yields an exponential family in (cos, sin) of the latent angles,
-whose natural parameters are assembled by conditional_params().
+whose linear natural parameters are assembled by conditional_params();
+its coupling is the precision's ``latent_block``.
 """
 
 from __future__ import annotations
@@ -96,20 +97,13 @@ class ConditionalParams:
     The density is proportional to
     exp(rho_c . cos(phi) + rho_s . sin(phi)
         - cos(phi)' Q cos(phi) / 2 - sin(phi)' Q sin(phi) / 2).
-    Q is given either as a matrix or as the ``PrecisionModel`` whose whole
-    matrix it is; the latter is formed only when ``coupling`` is read,
-    which a Gibbs sweep never does.
+    Only the linear terms are kept here. The coupling Q lives in the
+    augmentation factor of lam*I - Q that a chain runs on: the latent
+    block or the whole precision of a ``PrecisionModel``.
     """
 
     rho_c: np.ndarray
     rho_s: np.ndarray
-    _coupling: np.ndarray | PrecisionModel
-
-    @property
-    def coupling(self) -> np.ndarray:
-        """Q, symmetric positive definite."""
-        Q = self._coupling
-        return Q.matrix if isinstance(Q, PrecisionModel) else Q
 
     @property
     def size(self) -> int:
@@ -143,7 +137,7 @@ def conditional_params(
     kappa, nu = w.concentration, w.mean_direction
     rho_c = -pm.cross_block @ np.cos(theta) + kappa * np.cos(nu) * np.ones(m)
     rho_s = -pm.cross_block @ np.sin(theta) + kappa * np.sin(nu) * np.ones(m)
-    return ConditionalParams(rho_c, rho_s, pm.latent_block)
+    return ConditionalParams(rho_c, rho_s)
 
 
 def full_state_params(
@@ -171,7 +165,7 @@ def full_state_params(
             raise ValueError("noisy conditional requires noise_concentration")
         rho_c[pm.n_latent :] += chi * np.cos(theta)
         rho_s[pm.n_latent :] += chi * np.sin(theta)
-    return ConditionalParams(rho_c, rho_s, pm)
+    return ConditionalParams(rho_c, rho_s)
 
 
 def energy(phi, w: ParamVector, pm: PrecisionModel) -> float:

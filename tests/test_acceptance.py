@@ -70,8 +70,8 @@ def test_c01_von_mises_sampler_fidelity():
 def test_c02_gibbs_chain_matches_grid_density():
     # one coordinate: Kolmogorov-Smirnov against the grid-normalized CDF
     rho_c, q = 2.0, 1.0
-    cp1 = ConditionalParams(np.array([rho_c]), np.array([0.0]), np.array([[q]]))
-    out1 = run_chain(cp1, make_augmentation(cp1.coupling), 202000, 2000, seed=3)
+    cp1 = ConditionalParams(np.array([rho_c]), np.array([0.0]))
+    out1 = run_chain(cp1, make_augmentation(np.array([[q]])), 202000, 2000, seed=3)
     grid = np.linspace(-np.pi, np.pi, 5761)
     dens = np.exp(
         rho_c * np.cos(grid)
@@ -89,7 +89,7 @@ def test_c02_gibbs_chain_matches_grid_density():
     rho_c2 = np.array([1.0, -0.5])
     rho_s2 = np.array([0.5, 0.8])
     Q2 = np.array([[1.5, -0.7], [-0.7, 1.2]])
-    cp2 = ConditionalParams(rho_c2, rho_s2, Q2)
+    cp2 = ConditionalParams(rho_c2, rho_s2)
     out2 = run_chain(cp2, make_augmentation(Q2), 210000, 10000, seed=4)
     nb = 720
     edges = np.linspace(-np.pi, np.pi, nb + 1)
@@ -161,10 +161,11 @@ def test_c04_lambda_slack_heuristic():
     locations, model, _, observed, _ = synthetic_prior_draw(42)
     cp = conditional_params(model.precision, observed, model.w)
     multipliers = (1.01, 2.0, 5.0, 10.0)
-    lam_max = make_augmentation(cp.coupling).lam_max_estimate
+    Q = model.precision.latent_block
+    lam_max = make_augmentation(Q).lam_max_estimate
     medians = []
     for mult in multipliers:
-        aug = augmentation_at(cp.coupling, mult * lam_max)
+        aug = augmentation_at(Q, mult * lam_max)
         cell = []
         for s in range(20):
             out = run_chain(cp, aug, 2500, 500, seed=1000 + s)

@@ -483,6 +483,44 @@ def test_cli_diagnose_factors_once_per_multiplier(tmp_path, monkeypatch):
     assert len(cd_factors) == 1 and cd_factors[0].eigenvectors is U
 
 
+def test_cli_anisotropic_fit_writes_the_scales_of_its_trace(tmp_path, monkeypatch):
+    # w_trace.csv writes l and g, the square roots of the squared scales
+    # that the fit keeps, in the order of the header
+    import vmqp.cli as cli
+
+    fits = []
+
+    def recording(*args, **kwargs):
+        fits.append(block_gibbs_fit(*args, **kwargs))
+        return fits[-1]
+
+    block_gibbs_fit = cli.block_gibbs_fit
+    monkeypatch.setattr(cli, "block_gibbs_fit", recording)
+    text = FIT_CONFIG.replace("exponential", "anisotropic_gaussian")
+    cfg = write(tmp_path / "run.cfg", text + "kernel_gradient_lengthscale = 0.7\n")
+    rng = np.random.default_rng(3)
+    lines = ["x1,x2,angle_rad"]
+    lines += [f"{a},{b},{c}" for a, b, c in zip(rng.uniform(0, 3, 6), rng.uniform(0, 2, 6),
+                                                rng.uniform(-np.pi, np.pi, 6))]
+    lines += [f"{a},{b}," for a, b in zip(rng.uniform(0, 3, 2), rng.uniform(0, 2, 2))]
+    data = write(tmp_path / "d.csv", "\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    assert run(["fit", "--config", cfg, "--data", data, "--out", str(out)]) == 0
+    header, rows = read_table(out / "w_trace.csv")
+    assert header == ["iter", "sigma2", "l", "g", "kappa", "nu", "accepted"]
+    (fit,) = fits
+    table = np.array(rows, dtype=float)
+    trace = fit.param_trace
+    names = list(fit.param_names)
+    assert np.array_equal(table[:, 0], np.arange(8))
+    assert np.array_equal(table[:, 2], np.sqrt(trace[:, names.index("lengthscale2")]))
+    assert np.array_equal(table[:, 3], np.sqrt(trace[:, names.index("gradient2")]))
+    for col, name in ((1, "sigma2"), (4, "kappa"), (5, "nu")):
+        assert np.array_equal(table[:, col], trace[:, names.index(name)])
+    assert np.array_equal(table[:, 6], fit.accepted_trace)
+    assert len(set(table[:, 3])) > 1  # the gradient lengthscale moved
+
+
 def test_cli_noisy_sample_runs_on_the_model_factor(tmp_path, monkeypatch):
     # under noisy observations the latent chain spans all d angles and its
     # factor is the spectral one the model already holds

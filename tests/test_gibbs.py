@@ -163,7 +163,7 @@ def test_quadratic_cancellation(rng):
     # cross terms: log p(phi, z) - log p(phi') is reproduced by the
     # factorized von Mises coefficients
     Q = np.array([[2.0, 0.5], [0.5, 1.5]])
-    cp = ConditionalParams(np.array([0.3, -0.7]), np.array([1.1, 0.2]), Q)
+    cp = ConditionalParams(np.array([0.3, -0.7]), np.array([1.1, 0.2]))
     aug = make_augmentation(Q)
     A = aug.factor
     z1 = rng.standard_normal(2)
@@ -189,9 +189,8 @@ def test_quadratic_cancellation(rng):
 
 
 def test_run_chain_deterministic():
-    cp = ConditionalParams(np.array([1.0, 0.5]), np.array([0.0, -0.5]),
-                           np.array([[1.5, 0.3], [0.3, 1.2]]))
-    aug = make_augmentation(cp.coupling)
+    cp = ConditionalParams(np.array([1.0, 0.5]), np.array([0.0, -0.5]))
+    aug = make_augmentation(np.array([[1.5, 0.3], [0.3, 1.2]]))
     out1 = run_chain(cp, aug, 200, 50, thin=2, seed=7)
     out2 = run_chain(cp, aug, 200, 50, thin=2, seed=7)
     assert np.array_equal(out1.samples, out2.samples)
@@ -200,8 +199,8 @@ def test_run_chain_deterministic():
 
 
 def test_run_chain_shapes_and_validation():
-    cp = ConditionalParams(np.array([1.0]), np.array([0.0]), np.array([[1.0]]))
-    aug = make_augmentation(cp.coupling)
+    cp = ConditionalParams(np.array([1.0]), np.array([0.0]))
+    aug = make_augmentation(np.array([[1.0]]))
     out = run_chain(cp, aug, 100, 20, thin=3, seed=0)
     assert out.samples.shape == (27, 1)
     assert np.all(out.samples > -np.pi) and np.all(out.samples <= np.pi)
@@ -216,16 +215,16 @@ def test_run_chain_shapes_and_validation():
 
 
 def test_run_chain_single_retained():
-    cp = ConditionalParams(np.array([1.0]), np.array([0.0]), np.array([[1.0]]))
-    out = run_chain(cp, make_augmentation(cp.coupling), 3, 2, seed=0)
+    cp = ConditionalParams(np.array([1.0]), np.array([0.0]))
+    out = run_chain(cp, make_augmentation(np.array([[1.0]])), 3, 2, seed=0)
     assert out.samples.shape == (1, 1)
     assert np.isnan(out.ress[0])
 
 
 def test_run_chain_lam_multiplier():
     # lambda = 5 * lambda_max through a factor the caller builds
-    cp = ConditionalParams(np.array([1.0]), np.array([0.0]), np.array([[2.0]]))
-    out = run_chain(cp, augmentation_at(cp.coupling, 5.0 * 2.0), 50, 10, seed=0)
+    cp = ConditionalParams(np.array([1.0]), np.array([0.0]))
+    out = run_chain(cp, augmentation_at(np.array([[2.0]]), 5.0 * 2.0), 50, 10, seed=0)
     assert out.lam == pytest.approx(10.0)
 
 
@@ -242,16 +241,16 @@ def test_run_chain_stops_at_its_last_kept_sweep(monkeypatch):
 
     sweep = gibbs.gibbs_sweep
     monkeypatch.setattr(gibbs, "gibbs_sweep", recording)
-    cp = ConditionalParams(np.array([1.0, 0.5]), np.array([0.0, -0.5]),
-                           np.array([[1.5, 0.3], [0.3, 1.2]]))
-    out = run_chain(cp, make_augmentation(cp.coupling), 100, 20, thin=3, seed=0)
+    cp = ConditionalParams(np.array([1.0, 0.5]), np.array([0.0, -0.5]))
+    Q = np.array([[1.5, 0.3], [0.3, 1.2]])
+    out = run_chain(cp, make_augmentation(Q), 100, 20, thin=3, seed=0)
     assert len(states) == 99  # sweeps 0..98; sweep 99 is never kept
     assert np.array_equal(out.samples, np.array(states[20::3]))
 
 
 def test_run_sweeps_keeps_the_requested_states(rng):
-    cp = ConditionalParams(np.array([1.0]), np.array([0.0]), np.array([[1.0]]))
-    aug = make_augmentation(cp.coupling)
+    cp = ConditionalParams(np.array([1.0]), np.array([0.0]))
+    aug = make_augmentation(np.array([[1.0]]))
     seed = 4
     every = run_sweeps(np.zeros(1), aug, cp, np.random.default_rng(seed), 1, 13)
     kept = run_sweeps(np.zeros(1), aug, cp, np.random.default_rng(seed), 5, 3, 4)
@@ -268,7 +267,7 @@ def test_sweep_distribution_m2(rng):
     Q = np.array([[1.5, 0.8], [0.8, 1.5]])
     rho_c = np.array([1.2, -0.4])
     rho_s = np.array([0.3, 0.9])
-    cp = ConditionalParams(rho_c, rho_s, Q)
+    cp = ConditionalParams(rho_c, rho_s)
     out = run_chain(cp, make_augmentation(Q), 52000, 2000, thin=10, seed=3)
     draws = out.samples[:, 0]
 
@@ -307,7 +306,7 @@ def test_gibbs_sweep_matches_four_matvec_reference(m):
     gen = np.random.default_rng(m)
     B = gen.standard_normal((m, m))
     Q = B @ B.T / m + 0.5 * np.eye(m)
-    cp = ConditionalParams(gen.standard_normal(m), gen.standard_normal(m), Q)
+    cp = ConditionalParams(gen.standard_normal(m), gen.standard_normal(m))
     aug = make_augmentation(Q)
     phi = gen.uniform(-np.pi, np.pi, m)
     got_rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
@@ -332,7 +331,7 @@ def coupled_target(m, seed):
     gen = np.random.default_rng(seed)
     B = gen.standard_normal((m, m))
     Q = B @ B.T / m + 0.5 * np.eye(m)
-    cp = ConditionalParams(gen.standard_normal(m), gen.standard_normal(m), Q)
+    cp = ConditionalParams(gen.standard_normal(m), gen.standard_normal(m))
     return cp, make_augmentation(Q), gen
 
 
@@ -376,7 +375,7 @@ def test_stacked_chains_pool_to_the_m2_target():
     Q = np.array([[1.5, 0.8], [0.8, 1.5]])
     rho_c = np.array([1.2, -0.4])
     rho_s = np.array([0.3, 0.9])
-    cp = ConditionalParams(rho_c, rho_s, Q)
+    cp = ConditionalParams(rho_c, rho_s)
     rng = np.random.default_rng(5)
     init = rng.uniform(-np.pi, np.pi, (64, 2))
     out = run_chain(cp, make_augmentation(Q), 2000, 500, thin=5, seed=rng, init=init)

@@ -144,6 +144,86 @@ def test_bridge_ratio_matches_quadrature(rng):
     assert np.mean(ests) == pytest.approx(target, rel=0.05)
 
 
+def ladder_pair():
+    locations = np.linspace(0.0, 4.0, 8)[:, None]
+    model_w = build_param_model(
+        ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3), locations, 2)
+    model_wp = build_param_model(
+        ParamVector(KernelSpec("exponential", 1.4, 0.7), 0.9, -1.0), locations, 2)
+    return model_w, model_wp
+
+
+def test_bridge_ladder_with_no_level_is_the_one_sample_ratio():
+    model_w, model_wp = ladder_pair()
+    mean_only = replace(model_w, w=replace(model_w.w, concentration=1.2))
+    xi0 = np.random.default_rng(1).uniform(-np.pi, np.pi, 8)
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    for other in (model_wp, mean_only):
+        xis, log_ratio = bridge_ladder(xi0, model_w, other, 0, rng)
+        assert len(xis) == 1 and np.array_equal(xis[0], xi0)
+        assert log_ratio == energy_change(model_w, other, xi0)
+    assert rng.bit_generator.state == before
+    with pytest.raises(ValueError, match="levels"):
+        bridge_ladder(xi0, model_w, model_wp, -1, rng)
+
+
+def plain_double_mh(model, phi_full, priors, proposals, inner_sweeps, rng, xi_init, block):
+    """Reference exchange move without a ladder: one fictitious draw under w'.
+
+    Returns (accepted, log_acceptance, xi, reason) of the step.
+    """
+    wp = propose(model.w, proposals, block, rng)
+    if wp is None or not np.isfinite(priors.log_density(wp)):
+        return False, -math.inf, xi_init, "support"
+    if wp.kernel is model.w.kernel:
+        model_wp = replace(model, w=wp)
+    else:
+        model_wp = build_param_model(wp, model.locations, model.precision.n_latent, model.slack)
+    xi0 = sample_fictitious(model_wp, inner_sweeps, xi_init, rng)
+    log_acc = (
+        (priors.log_density(wp) - priors.log_density(model.w))
+        - energy_change(model, model_wp, phi_full)
+        + energy_change(model, model_wp, xi0)
+    )
+    accepted = math.log(rng.uniform()) < log_acc
+    return accepted, log_acc, xi0, "accepted" if accepted else "mh"
+
+
+def test_dmh_step_without_levels_is_plain_double_mh_through_the_ladder(monkeypatch):
+    ladders = []
+    ladder = inference.bridge_ladder
+
+    def recording(xi0, model_w, model_wp, levels, rng):
+        ladders.append(levels)
+        return ladder(xi0, model_w, model_wp, levels, rng)
+
+    monkeypatch.setattr(inference, "bridge_ladder", recording)
+    model, _ = ladder_pair()
+    model = replace(model, w=replace(model.w, concentration=0.05))
+    gen = np.random.default_rng(2)
+    phi_full = gen.uniform(-np.pi, np.pi, 8)
+    xi = gen.uniform(-np.pi, np.pi, 8)
+    priors = PriorSpec()
+    proposals = ProposalSpec(sigma2_step=0.3, lengthscale2_step=0.5, kappa_step=0.5)
+    got_rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+    reasons = []
+    for step in range(30):
+        block = inference.KERNEL_BLOCK if step % 2 else MEAN_BLOCK
+        res = dmh_step(model, phi_full, priors, proposals, BridgeConfig(0, 4), got_rng, xi, block)
+        accepted, log_acc, ref_xi, reason = plain_double_mh(
+            model, phi_full, priors, proposals, 4, ref_rng, xi, block)
+        assert (res.accepted, res.reason) == (accepted, reason)
+        assert res.log_acceptance == log_acc
+        assert np.array_equal(res.xi, ref_xi)
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        reasons.append(reason)
+        model, xi = res.model, res.xi
+    assert {"accepted", "mh", "support"} <= set(reasons)
+    # every step that reached the exchange ratio ran the ladder with no level
+    assert ladders == [0] * (30 - reasons.count("support"))
+
+
 def test_dmh_rejects_out_of_support(rng):
     # with kappa pinned near zero and a huge step, out-of-support
     # proposals must auto-reject without error
@@ -196,11 +276,13 @@ def test_fit_learns_and_reports_rates(rng):
         n_iter=40, burn_in=10, phi_sweeps=2,
         bridge=BridgeConfig(0, inner_sweeps=5),
     )
-    out = block_gibbs_fit(theta, train, np.empty((0, 1)), w, cfg, rng)
-    assert set(out.accept_rates) == {"kernel", "mean"}
-    assert all(0.0 <= r <= 1.0 for r in out.accept_rates.values())
-    assert out.param_trace.shape == (30, 4)
-    assert out.param_names == ("sigma2", "lengthscale2", "kappa", "nu")
+    # no test locations, as an (0, 1) array or an empty 1-D one
+    for test_locations in (np.empty((0, 1)), np.empty(0)):
+        out = block_gibbs_fit(theta, train, test_locations, w, cfg, rng)
+        assert set(out.accept_rates) == {"kernel", "mean"}
+        assert all(0.0 <= r <= 1.0 for r in out.accept_rates.values())
+        assert out.param_trace.shape == (30, 4)
+        assert out.param_names == ("sigma2", "lengthscale2", "kappa", "nu")
 
 
 def test_gradient_names():
@@ -277,8 +359,7 @@ def test_cd_gradient_runs_on_a_given_latent_factor(monkeypatch, rng):
     w = ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3)
     model = build_param_model(w, np.linspace(0.0, 3.0, 5)[:, None], 2, slack=0.5)
     theta = np.array([0.2, -0.4, 0.9])
-    cp = latent_params(model, theta)
-    aug = inference.latent_factor(model, cp)
+    aug = inference.latent_factor(model)
     expected = cd_gradient(theta, model, 3, np.random.default_rng(8), burn_sweeps=2)
 
     def no_factor(*args, **kwargs):

@@ -86,7 +86,7 @@ def test_conditional_hand_example():
     cp = conditional_params(pm, np.array([0.0]), pv(kappa=0.0))
     assert cp.rho_c[0] == pytest.approx(1.0)
     assert cp.rho_s[0] == pytest.approx(0.0)
-    assert cp.coupling[0, 0] == pytest.approx(2.0)
+    assert pm.latent_block[0, 0] == pytest.approx(2.0)
 
 
 def test_conditional_length_mismatch():
@@ -148,7 +148,7 @@ def test_conditional_matches_energy_up_to_constant(rng):
         phi = rng.uniform(-np.pi, np.pi, 2)
         c, s = np.cos(phi), np.sin(phi)
         expo = (cp.rho_c @ c + cp.rho_s @ s
-                - 0.5 * c @ cp.coupling @ c - 0.5 * s @ cp.coupling @ s)
+                - 0.5 * c @ pm.latent_block @ c - 0.5 * s @ pm.latent_block @ s)
         diffs.append(expo + energy(np.concatenate([phi, theta]), w, pm))
     assert np.ptp(diffs) < 1e-8
 
@@ -157,8 +157,8 @@ def test_conditional_coupling_positive_definite(rng):
     spec = KernelSpec("gaussian", 1.0, 0.5)
     gram = build_gram(spec, rng.uniform(size=(6, 2)))
     pm = build_precision(gram, 3, 3)
-    cp = conditional_params(pm, rng.uniform(-np.pi, np.pi, 3), pv())
-    np.linalg.cholesky(cp.coupling)  # raises if not PD
+    conditional_params(pm, rng.uniform(-np.pi, np.pi, 3), pv())
+    np.linalg.cholesky(pm.latent_block)  # raises if not PD
 
 
 def test_full_state_params_prior_mode():
@@ -166,7 +166,6 @@ def test_full_state_params_prior_mode():
     cp = full_state_params(pm, pv(kappa=2.0, nu=np.pi / 2))
     assert np.allclose(cp.rho_c, 0.0, atol=1e-12)
     assert np.allclose(cp.rho_s, 2.0)
-    assert cp.coupling.shape == (3, 3)
 
 
 def test_full_state_params_noisy_tail():
@@ -199,12 +198,12 @@ def test_precision_forms_only_what_is_read(rng):
     cp = full_state_params(pm, pv(kappa=0.5))
     assert cp.size == 7
     assert "matrix" not in vars(pm) and "latent_rows" not in vars(pm)
-    cp_lat = conditional_params(pm, np.zeros(4), pv())
+    conditional_params(pm, np.zeros(4), pv())
     assert "matrix" not in vars(pm)
     assert pm.latent_rows.shape == (3, 7)
     # the latent rows agree with the whole matrix once that is read
-    M = cp.coupling
+    M = pm.matrix
     assert M is pm.matrix
-    assert np.allclose(cp_lat.coupling, M[:3, :3], rtol=0, atol=1e-12 * np.abs(M).max())
-    assert np.array_equal(cp_lat.coupling, cp_lat.coupling.T)
+    assert np.allclose(pm.latent_block, M[:3, :3], rtol=0, atol=1e-12 * np.abs(M).max())
+    assert np.array_equal(pm.latent_block, pm.latent_block.T)
     assert np.allclose(pm.cross_block, M[:3, 3:], rtol=0, atol=1e-12 * np.abs(M).max())
