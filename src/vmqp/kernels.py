@@ -70,34 +70,54 @@ class GramMatrix:
 
 
 def _sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    d2 = np.zeros((X.shape[0], Y.shape[0]))
-    for k in range(X.shape[1]):
-        d2 += np.subtract.outer(X[:, k], Y[:, k]) ** 2
+    """Squared Euclidean distances, summed over coordinates in order.
+
+    Every step runs in place in the returned array; from the second
+    coordinate on, one more array of its shape holds the difference.
+    """
+    d2 = np.subtract.outer(X[:, 0], Y[:, 0])
+    np.square(d2, out=d2)
+    if X.shape[1] > 1:
+        diff = np.empty_like(d2)
+        for k in range(1, X.shape[1]):
+            np.subtract.outer(X[:, k], Y[:, k], out=diff)
+            d2 += np.square(diff, out=diff)
     return d2
 
 
 def kernel_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Cross-covariance matrix k(x_i, y_j) without jitter."""
+    """Cross-covariance matrix k(x_i, y_j) without jitter.
+
+    Built in place in the array ``_sq_dists`` returns, so at most one more
+    array of its shape is alive at a time. Division by a negated constant
+    rounds exactly as negation followed by division.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != Y.shape[1]:
         raise ValueError("dimension mismatch between location sets")
+    if X.shape[1] == 0:
+        raise ValueError("locations need at least one coordinate")
     if spec.family == "gaussian":
-        d2 = _sq_dists(X, Y)
-        return spec.variance * np.exp(-d2 / (2.0 * spec.lengthscale**2))
-    if spec.family == "exponential":
-        d = np.sqrt(_sq_dists(X, Y))
-        return spec.variance * np.exp(-d / spec.lengthscale)
-    # anisotropic_gaussian: squared-exponential on joint angles plus a
-    # separate squared-exponential factor on the surface gradient.
-    if X.shape[1] < 2:
-        raise ValueError("anisotropic_gaussian needs >= 2 coordinates")
-    da2 = _sq_dists(X[:, :-1], Y[:, :-1])
-    ds2 = _sq_dists(X[:, -1:], Y[:, -1:])
-    return spec.variance * np.exp(
-        -da2 / (2.0 * spec.lengthscale**2)
-        - ds2 / (2.0 * spec.gradient_lengthscale**2)
-    )
+        K = _sq_dists(X, Y)
+        K /= -(2.0 * spec.lengthscale**2)
+    elif spec.family == "exponential":
+        K = _sq_dists(X, Y)
+        np.sqrt(K, out=K)
+        K /= -spec.lengthscale
+    else:
+        # anisotropic_gaussian: squared-exponential on joint angles plus a
+        # separate squared-exponential factor on the surface gradient.
+        if X.shape[1] < 2:
+            raise ValueError("anisotropic_gaussian needs >= 2 coordinates")
+        K = _sq_dists(X[:, :-1], Y[:, :-1])
+        K /= -(2.0 * spec.lengthscale**2)
+        ds2 = _sq_dists(X[:, -1:], Y[:, -1:])
+        ds2 /= 2.0 * spec.gradient_lengthscale**2
+        K -= ds2
+    np.exp(K, out=K)
+    K *= spec.variance
+    return K
 
 
 def kernel_derivatives(spec: KernelSpec, X: np.ndarray) -> dict:
@@ -105,19 +125,28 @@ def kernel_derivatives(spec: KernelSpec, X: np.ndarray) -> dict:
 
     Keys are the parameter names of ``inference.gradient_names``: sigma2,
     lengthscale and, for the anisotropic family, gradient_lengthscale.
+    Each derivative is K times a distance array, formed in that array.
     """
     K = kernel_matrix(spec, X, X)
-    out = {"sigma2": K / spec.variance}
-    if spec.family == "gaussian":
-        out["lengthscale"] = K * _sq_dists(X, X) / spec.lengthscale**3
-    elif spec.family == "exponential":
-        out["lengthscale"] = K * np.sqrt(_sq_dists(X, X)) / spec.lengthscale**2
+    if spec.family == "anisotropic_gaussian":
+        terms = [
+            ("lengthscale", X[:, :-1], spec.lengthscale**3),
+            ("gradient_lengthscale", X[:, -1:], spec.gradient_lengthscale**3),
+        ]
+    elif spec.family == "gaussian":
+        terms = [("lengthscale", X, spec.lengthscale**3)]
     else:
-        da2 = _sq_dists(X[:, :-1], X[:, :-1])
-        ds2 = _sq_dists(X[:, -1:], X[:, -1:])
-        out["lengthscale"] = K * da2 / spec.lengthscale**3
-        out["gradient_lengthscale"] = K * ds2 / spec.gradient_lengthscale**3
-    return out
+        terms = [("lengthscale", X, spec.lengthscale**2)]
+    out = {}
+    for name, coords, denominator in terms:
+        dK = _sq_dists(coords, coords)
+        if spec.family == "exponential":
+            np.sqrt(dK, out=dK)
+        dK *= K
+        dK /= denominator
+        out[name] = dK
+    K /= spec.variance
+    return {"sigma2": K, **out}
 
 
 def build_gram(spec: KernelSpec, locations) -> GramMatrix:

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from vmqp.errors import NumericalError
-from vmqp.kernels import KernelSpec, build_gram, kernel_matrix
+from vmqp.kernels import KernelSpec, build_gram, kernel_derivatives, kernel_matrix
 from vmqp import kernels as kernels_mod
 
 
@@ -43,6 +45,8 @@ def test_eval_dimension_mismatch():
     spec = KernelSpec("gaussian", 1.0, 1.0)
     with pytest.raises(ValueError, match="dimension mismatch"):
         kernel_matrix(spec, [[0.0]], [[0.0, 1.0]])
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        kernel_matrix(spec, np.empty((3, 0)), np.empty((2, 0)))
 
 
 def test_gram_single_location():
@@ -160,3 +164,87 @@ def test_sq_dists_matches_einsum(rng, p):
         assert np.array_equal(got, ref)
     else:
         assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+FAMILY_SPECS = {
+    "gaussian": KernelSpec("gaussian", 1.3, 0.7),
+    "exponential": KernelSpec("exponential", 1.3, 0.7),
+    "anisotropic_gaussian": KernelSpec("anisotropic_gaussian", 1.3, 0.7, 0.4),
+}
+
+
+def reference_sq_dists(X, Y):
+    d2 = np.zeros((X.shape[0], Y.shape[0]))
+    for k in range(X.shape[1]):
+        d2 += np.subtract.outer(X[:, k], Y[:, k]) ** 2
+    return d2
+
+
+def reference_kernel_matrix(spec, X, Y):
+    """Each family's kernel as one expression over fresh arrays."""
+    if spec.family == "gaussian":
+        d2 = reference_sq_dists(X, Y)
+        return spec.variance * np.exp(-d2 / (2.0 * spec.lengthscale**2))
+    if spec.family == "exponential":
+        d = np.sqrt(reference_sq_dists(X, Y))
+        return spec.variance * np.exp(-d / spec.lengthscale)
+    da2 = reference_sq_dists(X[:, :-1], Y[:, :-1])
+    ds2 = reference_sq_dists(X[:, -1:], Y[:, -1:])
+    return spec.variance * np.exp(
+        -da2 / (2.0 * spec.lengthscale**2) - ds2 / (2.0 * spec.gradient_lengthscale**2)
+    )
+
+
+def reference_kernel_derivatives(spec, X):
+    K = reference_kernel_matrix(spec, X, X)
+    out = {"sigma2": K / spec.variance}
+    if spec.family == "gaussian":
+        out["lengthscale"] = K * reference_sq_dists(X, X) / spec.lengthscale**3
+    elif spec.family == "exponential":
+        d = np.sqrt(reference_sq_dists(X, X))
+        out["lengthscale"] = K * d / spec.lengthscale**2
+    else:
+        da2 = reference_sq_dists(X[:, :-1], X[:, :-1])
+        ds2 = reference_sq_dists(X[:, -1:], X[:, -1:])
+        out["lengthscale"] = K * da2 / spec.lengthscale**3
+        out["gradient_lengthscale"] = K * ds2 / spec.gradient_lengthscale**3
+    return out
+
+
+@pytest.mark.parametrize("cross", [False, True])
+@pytest.mark.parametrize("family", list(FAMILY_SPECS))
+def test_kernel_matrix_keeps_the_expression_bits(family, cross, rng):
+    # the in-place build must round exactly as the one-expression form
+    spec = FAMILY_SPECS[family]
+    X = rng.uniform(-3.0, 3.0, size=(50, 3))
+    Y = rng.uniform(-3.0, 3.0, size=(37, 3)) if cross else X
+    assert np.array_equal(kernel_matrix(spec, X, Y), reference_kernel_matrix(spec, X, Y))
+
+
+@pytest.mark.parametrize("family", list(FAMILY_SPECS))
+def test_kernel_derivatives_keep_the_expression_bits(family, rng):
+    spec = FAMILY_SPECS[family]
+    X = rng.uniform(-3.0, 3.0, size=(50, 3))
+    got = kernel_derivatives(spec, X)
+    ref = reference_kernel_derivatives(spec, X)
+    assert list(got) == list(ref)
+    for name in ref:
+        assert np.array_equal(got[name], ref[name]), name
+    arrays = list(got.values())
+    assert not any(
+        np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :]
+    )
+
+
+@pytest.mark.parametrize("family", list(FAMILY_SPECS))
+def test_kernel_matrix_allocates_little_beyond_its_result(family, rng):
+    # one n x n result plus at most one n x n scratch array at a time
+    n = 400
+    X = rng.uniform(-3.0, 3.0, size=(n, 3))
+    tracemalloc.start()
+    try:
+        kernel_matrix(FAMILY_SPECS[family], X, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * n * n * 8
