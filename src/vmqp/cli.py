@@ -210,19 +210,15 @@ def cmd_diagnose(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
         sweep_rows.append([mult, _finite_median(per_chain)])
     _write_csv(out / "lambda_sweep.csv", ["lambda_multiplier", "median_ress"], sweep_rows)
 
-    names = gradient_names(w)
-    # with noisy observations the latent factor spans all d angles, not the
-    # m of the conditional chain, so cd_gradient factors its own
-    noisy = w.noise_concentration is not None
     grads = cd_gradient(
         dataset.observed_angles,
         model,
         cfg.cd_mc_samples,
         np.random.default_rng(batches[-1]),
         repeats=cfg.cd_repeats,
-        latent_aug=None if noisy else latent_aug,
+        latent_aug=latent_aug,
     )
-    _write_csv(out / "cd_gradient.csv", list(names), grads)
+    _write_csv(out / "cd_gradient.csv", list(gradient_names(w)), grads)
     items = [
         ("command", "diagnose"),
         ("sweep_seeds", cfg.sweep_seeds),
@@ -274,22 +270,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="run configuration file")
+    def common(p):
+        p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--schema", choices=("wind", "gait", "generic"), default="generic")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
+        p.add_argument("--data", required=True)
+        p.add_argument("--test-data", default=None)
 
-    p = sub.add_parser("sample", help="fixed-parameter posterior sampling")
-    common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--test-data", default=None)
-
-    p = sub.add_parser("fit", help="fully Bayesian transductive fit")
-    common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--test-data", default=None)
+    common(sub.add_parser("sample", help="fixed-parameter posterior sampling"))
+    common(sub.add_parser("fit", help="fully Bayesian transductive fit"))
 
     p = sub.add_parser("eval", help="score predictions with circular CRPS")
     p.add_argument("--pred", action="append", required=True, help="phi_samples.csv (repeatable)")
@@ -297,10 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", choices=("wind", "gait", "generic"), default="generic")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("diagnose", help="lambda sweep and CD-gradient tables")
-    common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--test-data", default=None)
+    common(sub.add_parser("diagnose", help="lambda sweep and CD-gradient tables"))
 
     p = sub.add_parser("split", help="seeded train/test split")
     p.add_argument("--data", required=True)
@@ -317,6 +304,8 @@ def run(argv=None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.command == "split":
+        if args.seed < 0:
+            raise ConfigError("seed must be >= 0")
         cmd_split(args.data, args.schema, args.fraction, args.seed, out)
         return 0
     if args.command == "eval":

@@ -76,6 +76,8 @@ class RunConfig:
         The library objects check their own fields; the keys that only the
         CLI reads are checked here.
         """
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not (math.isfinite(self.slack) and self.slack > 0):
             raise ConfigError("slack must be positive and finite")
         if not self.sweep_iters > self.sweep_burn_in >= 0:

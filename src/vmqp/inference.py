@@ -20,6 +20,9 @@ no d x d precision; an accepted kernel move forms only its latent rows,
 for the latent chain. Moves of the mean parameters alone reuse the
 current decomposition, and their energy differences need only the pull.
 
+The fit, ``sample`` and the CD diagnostic share one latent chain given the
+data: ``latent_params`` and ``latent_factor``, with ``full_states``.
+
 The learning setting is transductive: prediction locations are fixed at
 fit time because the model is not closed under marginalization.
 """
@@ -228,6 +231,17 @@ def latent_factor(model: ParamModel) -> Augmentation:
     if model.w.noise_concentration is not None:
         return model.full_aug
     return make_augmentation(model.precision.latent_block, model.slack)
+
+
+def full_states(model: ParamModel, latent, theta) -> np.ndarray:
+    """Full states (..., d) of latent-chain states (..., n): [latent; theta].
+
+    Under noisy observations the latent states already span all d angles.
+    """
+    if model.w.noise_concentration is not None:
+        return latent
+    observed = np.broadcast_to(theta, latent.shape[:-1] + theta.shape)
+    return np.concatenate([latent, observed], axis=-1)
 
 
 def _param_dict(w: ParamVector) -> dict:
@@ -477,15 +491,14 @@ def block_gibbs_fit(
     """
     rng = as_generator(rng)
     theta = np.asarray(theta, dtype=float)
-    train = np.atleast_2d(np.asarray(train_locations, dtype=float))
+    train = np.asarray(train_locations, dtype=float)
+    if train.ndim == 1:  # one coordinate per location, as in build_param_model
+        train = train[:, None]
     test = np.asarray(test_locations, dtype=float)
     if test.ndim == 1:
         test = test.reshape(-1, train.shape[1])
     m = test.shape[0]
-    locations = np.vstack([test, train])
-    model = build_param_model(init_w, locations, m, config.slack)
-    d = model.size
-    noisy = init_w.noise_concentration is not None
+    model = build_param_model(init_w, np.vstack([test, train]), m, config.slack)
 
     blocks = [("kernel", KERNEL_BLOCK)]
     if config.learn_mean:
@@ -493,22 +506,17 @@ def block_gibbs_fit(
 
     cp = latent_params(model, theta)
     latent_aug = latent_factor(model)
-    n_lat = d if noisy else m
-    phi = sample_von_mises(
-        init_w.mean_direction,
-        init_w.concentration * np.ones(n_lat),
-        rng,
-    )
-    xi = sample_von_mises(0.0, np.zeros(d), rng)
+    phi = sample_von_mises(init_w.mean_direction, init_w.concentration * np.ones(cp.size), rng)
+    xi = sample_von_mises(0.0, np.zeros(model.size), rng)
 
     names = tuple(_param_dict(init_w).keys())
     rows, accepted_rows, phi_rows = [], [], []
     outcomes = {name: dict.fromkeys(DMH_REASONS, 0) for name, _ in blocks}
     jitters = [model.jitter]
     for t in range(config.n_iter):
-        if n_lat and config.phi_sweeps:
+        if cp.size and config.phi_sweeps:
             phi = run_sweeps(phi, latent_aug, cp, rng, config.phi_sweeps)[0]
-        phi_full = phi if noisy else np.concatenate([phi, theta])
+        phi_full = full_states(model, phi, theta)
         accepted_any = False
         for _ in range(config.dmh_steps):
             for name, block in blocks:
@@ -610,12 +618,13 @@ def cd_gradient(
     With ``repeats`` None it runs one chain pair and returns (p,). With an
     int R it returns (R, p), one row per independent chain pair: the R
     full-space chains run as one (R, d) stack and the R latent chains as
-    one (R, m) stack, on one Generator, and ``energy_gradient`` runs once
+    one (R, n) stack, on one Generator, and ``energy_gradient`` runs once
     per stack. ``repeats=1`` gives the None estimate as its one row.
 
-    ``latent_aug`` is the factor of the conditional chain over the m latent
-    angles, as ``latent_factor`` builds it without observation noise; when
-    None, it is built here at the slack of the model.
+    The latent chains are those of ``block_gibbs_fit`` and ``sample``:
+    target ``latent_params``, factor ``latent_aug`` or, when None,
+    ``latent_factor(model)``. Without observation noise they run over the
+    n = m latent angles; under noise over all n = d, with theta as pulls.
     """
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
@@ -624,7 +633,6 @@ def cd_gradient(
     rng = as_generator(rng)
     theta = np.asarray(theta, dtype=float)
     pm = model.precision
-    m = pm.n_latent
     stack = () if repeats is None else (repeats,)
 
     first = burn_sweeps + sweeps_between
@@ -635,16 +643,15 @@ def cd_gradient(
     states = run_sweeps(state, model.full_aug, cp_full, rng, first, mc_samples, sweeps_between)
     g_full = energy_gradient(states, model).mean(axis=0)
 
-    # Conditional chains over the latent angles (none when m == 0).
-    if m > 0:
-        cp = conditional_params(pm, theta, model.w)
-        aug = make_augmentation(pm.latent_block, model.slack) if latent_aug is None else latent_aug
-        if aug.size != m:
+    # Conditional chains given the data (none without latent angles).
+    cp = latent_params(model, theta)
+    if cp.size > 0:
+        aug = latent_factor(model) if latent_aug is None else latent_aug
+        if aug.size != cp.size:
             raise ValueError("latent_aug does not match the latent angles")
-        lat = sample_von_mises(0.0, np.zeros(stack + (m,)), rng)
+        lat = sample_von_mises(0.0, np.zeros(stack + (cp.size,)), rng)
         lats = run_sweeps(lat, aug, cp, rng, first, mc_samples, sweeps_between)
-        observed = np.broadcast_to(theta, lats.shape[:-1] + theta.shape)
-        g_cond = energy_gradient(np.concatenate([lats, observed], axis=-1), model).mean(axis=0)
+        g_cond = energy_gradient(full_states(model, lats, theta), model).mean(axis=0)
     else:
         g_cond = energy_gradient(theta, model)
 

@@ -464,3 +464,55 @@ def test_c10_stacked_repeats_are_unbiased():
         ok,
         f"max |z| vs quadrature {z_scores.max():.2f} (<3) over {len(reps)} rows of one call",
     )
+
+
+def grid_states(k: int) -> np.ndarray:
+    """Every point of the periodic 256^k grid on [-pi, pi)^k, as (256^k, k)."""
+    g = np.linspace(-np.pi, np.pi, 256, endpoint=False)
+    return np.stack(np.meshgrid(*[g] * k, indexing="ij"), axis=-1).reshape(-1, k)
+
+
+def grid_expectation(model, states, log_extra=0.0) -> np.ndarray:
+    """E[grad U] under exp(-U + log_extra) on grid ``states``, U from the dense M."""
+    M, w = model.precision.matrix, model.w
+    c, s = np.cos(states), np.sin(states)
+    u = 0.5 * (np.einsum("ni,ij,nj->n", c, M, c) + np.einsum("ni,ij,nj->n", s, M, s))
+    log_f = log_extra - u + w.concentration * np.cos(states - w.mean_direction).sum(axis=-1)
+    weights = np.exp(log_f - log_f.max())
+    return weights @ energy_gradient(states, model) / weights.sum()
+
+
+def test_c10_cd_gradient_matches_quadrature_at_d2():
+    # E_prior[grad U] - E_posterior[grad U] by quadrature over all d <= 2
+    # angles: the posterior clamps the observed angles to theta without
+    # noise, and weighs them by exp(chi * sum cos(theta - phi)) under chi
+    cases = (
+        ("d=2, m=1", [[0.0], [0.8]], 1, None, [0.9]),
+        ("d=2, m=0, chi=2", [[0.0], [0.8]], 0, 2.0, [0.9, -0.5]),
+        ("d=2, m=1, chi=2", [[0.0], [0.8]], 1, 2.0, [0.9]),
+        ("d=1, m=0, chi=2", [[0.0]], 0, 2.0, [0.9]),
+    )
+    ok, details = True, []
+    for label, locs, m, chi, theta in cases:
+        w = ParamVector(KernelSpec("gaussian", 1.0, 1.0), 1.2, 0.4, chi)
+        model = build_param_model(w, np.array(locs), m)
+        theta = np.array(theta)
+        d = model.size
+        if chi is None:
+            latent = grid_states(m)
+            observed = np.broadcast_to(theta, (len(latent), d - m))
+            posterior = grid_expectation(model, np.hstack([latent, observed]))
+        else:
+            states = grid_states(d)
+            posterior = grid_expectation(model, states, chi * np.cos(theta - states[:, m:]).sum(axis=-1))
+        exact = grid_expectation(model, grid_states(d)) - posterior
+
+        reps = cd_gradient(theta, model, 200, np.random.default_rng(61), repeats=40)
+        se = reps.std(axis=0, ddof=1) / math.sqrt(len(reps))
+        diff = np.abs(reps.mean(axis=0) - exact)
+        # at d = 1 the kernel components are constant in phi (roundoff spread)
+        noisy = se > 1e-12
+        z_scores = np.where(noisy, diff / np.where(noisy, se, 1.0), 0.0)
+        ok &= bool(np.all(z_scores < 3.0)) and bool(np.all(diff[~noisy] < 1e-10))
+        details.append(f"{label}: max |z| {z_scores.max():.2f}")
+    report("criterion 10, quadrature at d <= 2", ok, "; ".join(details) + " (<3)")

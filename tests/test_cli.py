@@ -310,6 +310,7 @@ CONFIG_ERRORS = [
     ("diagnose", "sweep_seeds = 0\n"),
     ("diagnose", "lambda_multipliers = 2.0, 0.5\n"),
     ("diagnose", "lambda_multipliers = 1.01, nan\n"),
+    ("sample", "seed = -1\n"),
 ]
 
 
@@ -523,7 +524,8 @@ def test_cli_anisotropic_fit_writes_the_scales_of_its_trace(tmp_path, monkeypatc
 
 def test_cli_noisy_sample_runs_on_the_model_factor(tmp_path, monkeypatch):
     # under noisy observations the latent chain spans all d angles and its
-    # factor is the spectral one the model already holds
+    # factor is the spectral one the model already holds: sample's chain,
+    # and in diagnose the lambda sweep (a rescale of it) and the CD chains
     import vmqp.cli as cli
     import vmqp.gibbs as gibbs
     import vmqp.inference as inference
@@ -531,7 +533,7 @@ def test_cli_noisy_sample_runs_on_the_model_factor(tmp_path, monkeypatch):
     def no_factor(*args, **kwargs):
         raise AssertionError("make_augmentation called")
 
-    models, factors = [], []
+    models, factors, sweeps = [], [], []
 
     def building(*args, **kwargs):
         models.append(build_param_model(*args, **kwargs))
@@ -541,18 +543,33 @@ def test_cli_noisy_sample_runs_on_the_model_factor(tmp_path, monkeypatch):
         factors.append(aug)
         return run_chain(cp, aug, *args, **kwargs)
 
-    build_param_model, run_chain = cli.build_param_model, cli.run_chain
+    def sweeping(phi, aug, *args, **kwargs):
+        sweeps.append(aug)
+        return run_sweeps(phi, aug, *args, **kwargs)
+
+    build_param_model, run_chain, run_sweeps = cli.build_param_model, cli.run_chain, gibbs.run_sweeps
     monkeypatch.setattr(inference, "make_augmentation", no_factor)
     monkeypatch.setattr(gibbs, "make_augmentation", no_factor)
     monkeypatch.setattr(cli, "build_param_model", building)
     monkeypatch.setattr(cli, "run_chain", recording)
-    cfg = write(tmp_path / "run.cfg", BASE_CONFIG + "chi = 4.0\n")
+    monkeypatch.setattr(inference, "run_sweeps", sweeping)
     data = make_generic(tmp_path / "d.csv", n_obs=6, n_pred=2)
-    out = tmp_path / "o"
-    assert run(["sample", "--config", cfg, "--data", data, "--out", str(out)]) == 0
-    assert len(models) == 1 and len(factors) == 1
-    assert factors[0] is models[0].full_aug
-    assert read_samples_csv(out / "phi_samples.csv").shape == (100, 2)
+    for command, config in (("sample", BASE_CONFIG), ("diagnose", DIAG_CONFIG)):
+        del models[:], factors[:], sweeps[:]
+        cfg = write(tmp_path / f"{command}.cfg", config + "chi = 4.0\n")
+        out = tmp_path / command
+        assert run([command, "--config", cfg, "--data", data, "--out", str(out)]) == 0
+        assert len(models) == 1 and len(factors) == 1
+        full_aug = models[0].full_aug
+        if command == "sample":
+            assert factors[0] is full_aug and not sweeps
+            assert read_samples_csv(out / "phi_samples.csv").shape == (100, 2)
+        else:
+            assert factors[0].eigenvectors is full_aug.eigenvectors
+            assert factors[0].lam == 1.5 * full_aug.lam_max_estimate
+            # the full-space CD chains, then the latent ones, on the one factor
+            assert len(sweeps) == 2 and all(aug is full_aug for aug in sweeps)
+            assert read_table(out / "cd_gradient.csv")[0] == ["sigma2", "lengthscale", "kappa", "nu"]
 
 
 def old_write_csv(path, header, rows):
@@ -694,3 +711,13 @@ def test_cli_negative_cd_repeats_is_a_config_error(tmp_path, capsys):
     data = make_generic(tmp_path / "d.csv")
     assert main(["diagnose", "--config", cfg, "--data", data, "--out", str(tmp_path / "o")]) == 2
     assert "cd_repeats" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sample", "split"])
+def test_cli_negative_seed_option_is_a_config_error(tmp_path, capsys, command):
+    data = make_generic(tmp_path / "d.csv", n_obs=20)
+    argv = [command, "--data", data, "--seed", "-1", "--out", str(tmp_path / "o")]
+    if command == "sample":
+        argv += ["--config", write(tmp_path / "run.cfg", BASE_CONFIG)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "configuration error: seed must be >= 0\n"

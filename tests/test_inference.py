@@ -285,6 +285,19 @@ def test_fit_learns_and_reports_rates(rng):
         assert out.param_names == ("sigma2", "lengthscale2", "kappa", "nu")
 
 
+def test_fit_reads_1d_locations_as_one_coordinate_each():
+    # as build_param_model does: (n,) locations are the (n, 1) ones
+    w = ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3)
+    theta = np.array([0.2, -0.4, 0.9, 0.1])
+    cfg = FitConfig(n_iter=20, burn_in=5, phi_sweeps=2, bridge=BridgeConfig(1, inner_sweeps=3))
+    train, test = np.arange(4.0), np.array([0.5, 1.5])
+    flat = block_gibbs_fit(theta, train, test, w, cfg, np.random.default_rng(3))
+    column = block_gibbs_fit(theta, train[:, None], test[:, None], w, cfg, np.random.default_rng(3))
+    assert flat.phi_samples.shape == (15, 2)
+    for name, value in vars(column).items():
+        assert np.array_equal(getattr(flat, name), value), name
+
+
 def test_gradient_names():
     w = ParamVector(KernelSpec("anisotropic_gaussian", 1.0, 1.0, 0.5), 0.5, 0.0)
     assert gradient_names(w) == (
