@@ -51,13 +51,23 @@ def _write_report(path, items) -> None:
 
 
 def read_samples_csv(path) -> np.ndarray:
-    """Read a phi_samples.csv back into an (S, m) array."""
+    """Read a phi_samples.csv back into an (S, m) array of S >= 2 draws."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(c) for c in row] for row in reader if row]
-    data = np.array(rows, dtype=float)
-    return data.reshape(-1, len(header))
+        header = next(reader, [])
+        rows = []
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"{path}: row {line} has {len(row)} of {len(header)} cells")
+            try:
+                rows.append([float(c) for c in row])
+            except ValueError:
+                raise DataError(f"{path}: row {line}: unparseable value") from None
+    if len(rows) < 2:
+        raise DataError(f"{path}: need at least 2 draws, got {len(rows)}")
+    return np.array(rows, dtype=float)
 
 
 def _assemble(cfg: RunConfig, dataset: Dataset):
@@ -116,12 +126,10 @@ def cmd_fit(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
         cfg.fit_config(),
         np.random.default_rng(cfg.seed),
     )
-    names = list(result.param_names)
-    # the trace keeps squared scales; w_trace.csv writes the scales l (and g)
-    squared = [n for n in ("lengthscale2", "gradient2") if n in names]
-    trace = result.param_trace[:, [names.index(n) for n in ("sigma2", *squared, "kappa", "nu")]]
-    trace[:, 1 : 1 + len(squared)] = np.sqrt(trace[:, 1 : 1 + len(squared)])
-    header = ["iter", "sigma2", *("l", "g")[: len(squared)], "kappa", "nu", "accepted"]
+    # the trace holds sigma2, l^2, [g^2], kappa, nu; w_trace.csv writes l (and g)
+    trace = result.param_trace.copy()
+    trace[:, 1:-2] = np.sqrt(trace[:, 1:-2])
+    header = ["iter", "sigma2", *("l", "g")[: trace.shape[1] - 3], "kappa", "nu", "accepted"]
     rows = np.column_stack([np.arange(len(trace)), trace, result.accepted_trace])
     _write_csv(out / "w_trace.csv", header, rows)
     _write_csv(

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
-from .inference import BridgeConfig, FitConfig, PriorSpec, ProposalSpec
+from .inference import KERNEL_BLOCK, MEAN_BLOCK, BridgeConfig, FitConfig, PriorSpec, ProposalSpec
 from .kernels import KernelSpec
 from .model import ParamVector
 
@@ -31,7 +31,14 @@ def _parse_float_list(text: str) -> tuple:
 
 @dataclass
 class RunConfig:
-    """All run settings; angle-valued keys are radians, explicit in names."""
+    """All run settings; angle-valued keys are radians, explicit in names.
+
+    The annotation of a field picks the parser of its key. The fit keys
+    take their defaults from the library: ``prior_<p>_scale`` is
+    ``PriorSpec.<p>_scale`` and ``step_<p>`` is ``ProposalSpec.<p>_step``,
+    for each entry p of the parameter table (``inference.KERNEL_BLOCK +
+    MEAN_BLOCK``).
+    """
 
     # model
     kernel_family: str = "gaussian"
@@ -45,23 +52,23 @@ class RunConfig:
     n_iter: int = 20000
     burn_in: int = 2000
     thin: int = 10
-    slack: float = 0.01
+    slack: float = FitConfig.slack
     seed: int = 0
-    # fit
-    phi_sweeps: int = 5
-    dmh_steps: int = 1
-    inner_sweeps: int = 50
-    bridge_levels: int = 0
-    learn_mean: bool = True
-    prior_sigma2_scale: float = 1.0
-    prior_lengthscale2_scale: float = 1.0
-    prior_gradient2_scale: float = 1.0
-    prior_kappa_scale: float = 1.0
-    step_sigma2: float = 0.1
-    step_lengthscale2: float = 0.1
-    step_gradient2: float = 0.1
-    step_kappa: float = 0.1
-    step_nu: float = 0.3
+    # fit: the defaults are the library's
+    phi_sweeps: int = FitConfig.phi_sweeps
+    dmh_steps: int = FitConfig.dmh_steps
+    inner_sweeps: int = BridgeConfig.inner_sweeps
+    bridge_levels: int = BridgeConfig.levels
+    learn_mean: bool = FitConfig.learn_mean
+    prior_sigma2_scale: float = PriorSpec.sigma2_scale
+    prior_lengthscale2_scale: float = PriorSpec.lengthscale2_scale
+    prior_gradient2_scale: float = PriorSpec.gradient2_scale
+    prior_kappa_scale: float = PriorSpec.kappa_scale
+    step_sigma2: float = ProposalSpec.sigma2_step
+    step_lengthscale2: float = ProposalSpec.lengthscale2_step
+    step_gradient2: float = ProposalSpec.gradient2_step
+    step_kappa: float = ProposalSpec.kappa_step
+    step_nu: float = ProposalSpec.nu_step
     # diagnostics
     lambda_multipliers: tuple = (1.01, 2.0, 5.0, 10.0)
     sweep_seeds: int = 20
@@ -114,17 +121,10 @@ class RunConfig:
             phi_sweeps=self.phi_sweeps,
             dmh_steps=self.dmh_steps,
             priors=PriorSpec(
-                self.prior_sigma2_scale,
-                self.prior_lengthscale2_scale,
-                self.prior_gradient2_scale,
-                self.prior_kappa_scale,
+                **{f.name: getattr(self, f"prior_{f.name}") for f in fields(PriorSpec)}
             ),
             proposals=ProposalSpec(
-                self.step_sigma2,
-                self.step_lengthscale2,
-                self.step_gradient2,
-                self.step_kappa,
-                self.step_nu,
+                **{f"{p}_step": getattr(self, f"step_{p}") for p in KERNEL_BLOCK + MEAN_BLOCK}
             ),
             bridge=BridgeConfig(self.bridge_levels, self.inner_sweeps),
             learn_mean=self.learn_mean,
@@ -132,38 +132,20 @@ class RunConfig:
         )
 
 
+# parser of each key, by the annotation of its RunConfig field
 _PARSERS = {
-    str: lambda s: s,
-    float: float,
-    int: int,
-    bool: _parse_bool,
-    tuple: _parse_float_list,
+    "str": str,
+    "float": float,
+    "float | None": float,
+    "int": int,
+    "bool": _parse_bool,
+    "tuple": _parse_float_list,
 }
-
-_OPTIONAL_FLOAT_KEYS = {"kernel_gradient_lengthscale", "chi"}
-
-
-def _field_types() -> dict:
-    types = {}
-    for f in fields(RunConfig):
-        if f.name in _OPTIONAL_FLOAT_KEYS:
-            types[f.name] = float
-        elif isinstance(f.default, bool):
-            types[f.name] = bool
-        elif isinstance(f.default, int):
-            types[f.name] = int
-        elif isinstance(f.default, float):
-            types[f.name] = float
-        elif isinstance(f.default, tuple):
-            types[f.name] = tuple
-        else:
-            types[f.name] = str
-    return types
+_KEY_PARSERS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
 
 
 def parse_config(path) -> RunConfig:
     """Read a config file, rejecting unknown keys with line numbers."""
-    types = _field_types()
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -174,12 +156,12 @@ def parse_config(path) -> RunConfig:
                 raise ConfigError(f"line {lineno}: expected 'key = value'")
             key, _, text = line.partition("=")
             key, text = key.strip(), text.strip()
-            if key not in types:
+            if key not in _KEY_PARSERS:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
             if key in values:
                 raise ConfigError(f"line {lineno}: duplicate key {key!r}")
             try:
-                values[key] = _PARSERS[types[key]](text)
+                values[key] = _KEY_PARSERS[key](text)
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: {exc}") from None
     try:

@@ -154,6 +154,9 @@ def load_dataset(data_path, schema: str, test_path=None) -> Dataset:
     if test_path is None:
         return ds
     extra = ingest(test_path, schema)
+    p, q = ds.observed_locations.shape[1], extra.observed_locations.shape[1]
+    if q != p:
+        raise DataError(f"test data has {q} location coordinates, data has {p}")
     # rows of the test file with an angle are truth-labelled test rows
     test_loc = np.vstack([ds.test_locations, extra.observed_locations, extra.test_locations])
     test_ang = np.concatenate(

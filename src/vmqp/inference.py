@@ -30,12 +30,12 @@ fit time because the model is not closed under marginalization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
 
-from .circular import as_generator, cos_sin, normalize_angle, sample_von_mises
+from .circular import as_generator, cos_sin, sample_von_mises
 from .errors import NumericalError
 from .gibbs import Augmentation, augmented_sweep, make_augmentation, run_sweeps
 from .gibbs import spectral_augmentation, DEFAULT_SLACK
@@ -54,6 +54,25 @@ from .model import (
 
 _LOG_HALF_NORMAL = 0.5 * math.log(2.0 / math.pi)
 
+# The parameter table: the exchange move walks (sigma2, lengthscale^2,
+# [gradient_lengthscale^2], kappa, nu), in this order, as two blocks.
+KERNEL_BLOCK = ("sigma2", "lengthscale2", "gradient2")
+MEAN_BLOCK = ("kappa", "nu")
+
+
+def _param_dict(w: ParamVector) -> dict:
+    """The table entries of ``w``, in KERNEL_BLOCK + MEAN_BLOCK order.
+
+    gradient2 is present only when the kernel has a gradient lengthscale.
+    """
+    k = w.kernel
+    out = {"sigma2": k.variance, "lengthscale2": k.lengthscale**2}
+    if k.gradient_lengthscale is not None:
+        out["gradient2"] = k.gradient_lengthscale**2
+    out["kappa"] = w.concentration
+    out["nu"] = w.mean_direction
+    return out
+
 
 def _half_normal_logpdf(x: float, scale: float) -> float:
     if x < 0:
@@ -61,9 +80,19 @@ def _half_normal_logpdf(x: float, scale: float) -> float:
     return _LOG_HALF_NORMAL - math.log(scale) - 0.5 * (x / scale) ** 2
 
 
+def _check_scales(spec, label: str) -> None:
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{label}{f.name} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class PriorSpec:
-    """Half-normal priors on the squared scales and kappa; nu is uniform."""
+    """Half-normal prior scales, ``<p>_scale`` for every table entry p but nu.
+
+    nu is uniform on the circle.
+    """
 
     sigma2_scale: float = 1.0
     lengthscale2_scale: float = 1.0
@@ -71,35 +100,22 @@ class PriorSpec:
     kappa_scale: float = 1.0
 
     def __post_init__(self):
-        for name in ("sigma2_scale", "lengthscale2_scale", "gradient2_scale", "kappa_scale"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"prior {name} must be positive and finite")
+        _check_scales(self, "prior ")
 
     def log_density(self, w: ParamVector) -> float:
-        k = w.kernel
-        if k.variance <= 0 or k.lengthscale <= 0 or w.concentration < 0:
-            return -math.inf
-        lp = _half_normal_logpdf(k.variance, self.sigma2_scale)
-        lp += _half_normal_logpdf(k.lengthscale**2, self.lengthscale2_scale)
-        if k.gradient_lengthscale is not None:
-            if k.gradient_lengthscale <= 0:
-                return -math.inf
-            lp += _half_normal_logpdf(
-                k.gradient_lengthscale**2, self.gradient2_scale
-            )
-        lp += _half_normal_logpdf(w.concentration, self.kappa_scale)
-        lp -= math.log(2.0 * math.pi)  # uniform mean direction
-        return lp
+        """Log prior of ``w``; the constructors of ``w`` hold the support."""
+        lp = 0.0
+        for name, value in _param_dict(w).items():
+            if name != "nu":
+                lp += _half_normal_logpdf(value, getattr(self, f"{name}_scale"))
+        return lp - math.log(2.0 * math.pi)  # uniform mean direction
 
 
 @dataclass(frozen=True)
 class ProposalSpec:
-    """Random-walk step standard deviations, one per parameter.
+    """Random-walk step standard deviations, ``<p>_step`` for every table entry p.
 
-    The walk acts on (sigma2, lengthscale^2, gradient_lengthscale^2,
-    kappa, nu); nu proposals are wrapped so the kernel is symmetric on
-    the circle.
+    nu proposals are wrapped so the kernel is symmetric on the circle.
     """
 
     sigma2_step: float = 0.1
@@ -109,16 +125,7 @@ class ProposalSpec:
     nu_step: float = 0.3
 
     def __post_init__(self):
-        for name in (
-            "sigma2_step",
-            "lengthscale2_step",
-            "gradient2_step",
-            "kappa_step",
-            "nu_step",
-        ):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite")
+        _check_scales(self, "")
 
 
 @dataclass(frozen=True)
@@ -133,10 +140,6 @@ class BridgeConfig:
             raise ValueError("levels must be >= 0")
         if self.inner_sweeps < 1:
             raise ValueError("inner_sweeps must be >= 1")
-
-
-KERNEL_BLOCK = ("sigma2", "lengthscale2", "gradient2")
-MEAN_BLOCK = ("kappa", "nu")
 
 
 @dataclass(frozen=True)
@@ -244,68 +247,35 @@ def full_states(model: ParamModel, latent, theta) -> np.ndarray:
     return np.concatenate([latent, observed], axis=-1)
 
 
-def _param_dict(w: ParamVector) -> dict:
-    k = w.kernel
-    out = {
-        "sigma2": k.variance,
-        "lengthscale2": k.lengthscale**2,
-        "kappa": w.concentration,
-        "nu": w.mean_direction,
-    }
-    if k.gradient_lengthscale is not None:
-        out["gradient2"] = k.gradient_lengthscale**2
-    return out
-
-
-def _from_param_dict(
-    values: dict, template: ParamVector, kernel: KernelSpec | None = None
-) -> ParamVector | None:
-    """Rebuild a ParamVector; None when outside the prior support.
-
-    A given ``kernel`` is used as is instead of one rebuilt from ``values``.
-    """
-    if values["sigma2"] <= 0 or values["lengthscale2"] <= 0 or values["kappa"] < 0:
-        return None
-    g2 = values.get("gradient2")
-    if template.kernel.gradient_lengthscale is not None and (g2 is None or g2 <= 0):
-        return None
-    if kernel is None:
-        kernel = KernelSpec(
-            template.kernel.family,
-            values["sigma2"],
-            math.sqrt(values["lengthscale2"]),
-            math.sqrt(g2) if g2 is not None else None,
-        )
-    return ParamVector(
-        kernel,
-        values["kappa"],
-        normalize_angle(values["nu"]),
-        template.noise_concentration,
-    )
-
-
 def propose(
     w: ParamVector, proposals: ProposalSpec, block, rng
 ) -> ParamVector | None:
     """Random-walk proposal on the named block; None if out of support.
 
-    A block that moves no kernel parameter keeps the ``KernelSpec`` object
-    of ``w``, which tells the exchange step that the Gram matrix is unchanged.
+    Each table entry p of ``block`` present in ``w`` moves by
+    ``<p>_step`` times a standard normal, in block order. The support is
+    that of the ``KernelSpec`` and ``ParamVector`` constructors. A block
+    that moves no kernel parameter keeps the ``KernelSpec`` object of
+    ``w``, which tells the exchange step that the Gram matrix is unchanged.
     """
     rng = as_generator(rng)
     values = _param_dict(w)
-    steps = {
-        "sigma2": proposals.sigma2_step,
-        "lengthscale2": proposals.lengthscale2_step,
-        "gradient2": proposals.gradient2_step,
-        "kappa": proposals.kappa_step,
-        "nu": proposals.nu_step,
-    }
     moved = [name for name in block if name in values]
     for name in moved:
-        values[name] = values[name] + steps[name] * rng.standard_normal()
-    kept = None if set(moved) & set(KERNEL_BLOCK) else w.kernel
-    return _from_param_dict(values, w, kept)
+        values[name] += getattr(proposals, f"{name}_step") * rng.standard_normal()
+    kernel = w.kernel
+    try:
+        if not set(moved).isdisjoint(KERNEL_BLOCK):
+            g2 = values.get("gradient2")
+            kernel = KernelSpec(
+                kernel.family,
+                values["sigma2"],
+                math.sqrt(values["lengthscale2"]),
+                None if g2 is None else math.sqrt(g2),
+            )
+        return ParamVector(kernel, values["kappa"], values["nu"], w.noise_concentration)
+    except ValueError:  # a constructor or sqrt refused a value
+        return None
 
 
 def sample_fictitious(
@@ -417,8 +387,6 @@ def dmh_step(
         return DmhResult(model, False, xi_init, -math.inf, "support")
     lp_w = priors.log_density(w)
     lp_wp = priors.log_density(wp)
-    if not np.isfinite(lp_wp):
-        return DmhResult(model, False, xi_init, -math.inf, "support")
     if wp.kernel is w.kernel:
         model_wp = replace(model, w=wp)
     else:
@@ -464,7 +432,7 @@ class FitConfig:
 
 @dataclass
 class FitOutput:
-    param_names: tuple
+    param_names: tuple  # table entries, KERNEL_BLOCK + MEAN_BLOCK order
     param_trace: np.ndarray  # (n_retained, len(param_names))
     accepted_trace: np.ndarray  # (n_retained,) 0/1: any block accepted
     phi_samples: np.ndarray  # (n_retained, m) latent angles at test locations
@@ -541,8 +509,7 @@ def block_gibbs_fit(
                         latent_aug = latent_factor(model)
                         jitters.append(model.jitter)
         if t >= config.burn_in and (t - config.burn_in) % config.thin == 0:
-            values = _param_dict(model.w)
-            rows.append([values[nm] for nm in names])
+            rows.append(list(_param_dict(model.w).values()))
             accepted_rows.append(int(accepted_any))
             phi_rows.append(phi[:m].copy())
     rates = {

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from vmqp.cli import main, read_samples_csv, run
-from vmqp.config import parse_config
+from vmqp.config import RunConfig, parse_config
 from vmqp.data import angle_to_schema_units, ingest, load_dataset, split_indices
 from vmqp.errors import ConfigError, DataError
+from vmqp.inference import FitConfig
 
 
 def write(path, text):
@@ -99,6 +100,19 @@ def test_parse_config_validation(tmp_path):
         parse_config(path)
 
 
+def test_run_config_fit_defaults_are_the_library_defaults():
+    cfg = RunConfig()
+    assert cfg.fit_config() == FitConfig(cfg.n_iter, cfg.burn_in, cfg.thin)
+
+
+def test_readme_config_example_parses(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(write(tmp_path / "run.cfg", example))
+    assert cfg.kernel_family == "exponential"
+    assert cfg.step_nu == 0.3
+
+
 # ------------------------------------------------------------------ data
 
 
@@ -167,6 +181,16 @@ def test_load_dataset_merges_test_file(tmp_path):
     assert ds.n_test == 2
     assert ds.test_angles[0] == pytest.approx(0.3)
     assert np.isnan(ds.test_angles[1])
+
+
+def test_cli_test_data_with_other_coordinates_is_a_data_error(tmp_path, capsys):
+    cfg = write(tmp_path / "run.cfg", BASE_CONFIG)
+    data = make_generic(tmp_path / "d.csv")
+    test = write(tmp_path / "t.csv", "x1,x2,angle_rad\n0.5,1.0,\n")
+    code = main(["sample", "--config", cfg, "--data", data, "--test-data", test,
+                 "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "test data has 2 location coordinates, data has 1" in capsys.readouterr().err
 
 
 def test_angle_roundtrip():
@@ -393,14 +417,22 @@ def test_cli_eval_perfect_and_single_split(tmp_path):
 
 
 def test_cli_eval_mismatch(tmp_path, capsys):
-    pred = tmp_path / "p.csv"
-    with open(pred, "w", newline="") as fh:
-        fh.write("phi_1\n0.1\n0.2\n")
     truth = write(tmp_path / "t.csv", "x1,angle_rad\n0.1,0.5\n0.2,0.6\n")
-    code = main(["eval", "--pred", str(pred), "--truth", truth,
-                 "--out", str(tmp_path / "o")])
-    assert code == 3
-    assert "truth rows" in capsys.readouterr().err
+    cases = [
+        ("phi_1\n0.1\n0.2\n", "truth rows"),
+        ("phi_1,phi_2\n0.1,0.2\n0.3,soon\n", "row 3: unparseable"),
+        ("phi_1,phi_2\n0.1,0.2\n0.3\n", "row 3 has 1 of 2 cells"),
+        ("phi_1,phi_2\n0.1,0.2\n", "at least 2 draws, got 1"),
+        ("phi_1,phi_2\n", "at least 2 draws, got 0"),
+    ]
+    for i, (text, message) in enumerate(cases):
+        pred = tmp_path / f"p{i}.csv"
+        with open(pred, "w", newline="") as fh:
+            fh.write(text)
+        code = main(["eval", "--pred", str(pred), "--truth", truth,
+                     "--out", str(tmp_path / "o")])
+        assert code == 3, text
+        assert message in capsys.readouterr().err, text
 
 
 DIAG_CONFIG = BASE_CONFIG + """

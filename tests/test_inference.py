@@ -1,6 +1,6 @@
 import inspect
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -76,6 +76,34 @@ def test_propose_stays_in_support(rng):
     rejected = [r for r in results if r is None]
     assert rejected  # the step size guarantees some negative draws
     assert all(r.concentration >= 0 for r in results if r is not None)
+    # the same for each squared scale of the anisotropic kernel, with the
+    # boundary value 0 itself: a step that lands on it is refused too
+    w = ParamVector(KernelSpec("anisotropic_gaussian", 1.0, 1.0, 1.0), 0.5, 0.0)
+    for name in inference.KERNEL_BLOCK:
+        proposals = ProposalSpec(**{f"{name}_step": 5.0})
+        results = [propose(w, proposals, (name,), rng) for _ in range(200)]
+        assert any(r is None for r in results), name
+        kept = [r.kernel for r in results if r is not None]
+        assert all(min(k.variance, k.lengthscale, k.gradient_lengthscale) > 0 for k in kept)
+        onto_zero = ProposalSpec(**{f"{name}_step": 1.0})
+        assert propose(w, onto_zero, (name,), _ConstantNormal(-1.0)) is None, name
+
+
+class _ConstantNormal(np.random.Generator):
+    """A Generator whose standard normal draw is always ``value``."""
+
+    def __init__(self, value):
+        super().__init__(np.random.PCG64(0))
+        self.value = value
+
+    def standard_normal(self, *args, **kwargs):
+        return self.value
+
+
+def test_parameter_table_names_every_setting():
+    table = inference.KERNEL_BLOCK + MEAN_BLOCK
+    assert [f.name for f in fields(ProposalSpec)] == [f"{p}_step" for p in table]
+    assert [f.name for f in fields(PriorSpec)] == [f"{p}_scale" for p in table if p != "nu"]
 
 
 def test_propose_block_isolation(rng):
@@ -283,6 +311,12 @@ def test_fit_learns_and_reports_rates(rng):
         assert all(0.0 <= r <= 1.0 for r in out.accept_rates.values())
         assert out.param_trace.shape == (30, 4)
         assert out.param_names == ("sigma2", "lengthscale2", "kappa", "nu")
+    # the anisotropic kernel adds gradient2, in table order
+    w = ParamVector(KernelSpec("anisotropic_gaussian", 1.0, 1.0, 1.0), 0.5, 0.3)
+    train = np.column_stack([np.arange(4.0), np.arange(4.0) % 2])
+    out = block_gibbs_fit(theta, train, np.empty((0, 2)), w, cfg, rng)
+    assert out.param_names == inference.KERNEL_BLOCK + MEAN_BLOCK
+    assert out.param_trace.shape == (30, 5)
 
 
 def test_fit_reads_1d_locations_as_one_coordinate_each():
