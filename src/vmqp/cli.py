@@ -31,6 +31,7 @@ from .inference import (
     latent_factor,
     latent_params,
 )
+from .kernels import FAMILY_TERMS
 
 
 def _fmt(x) -> str:
@@ -324,6 +325,10 @@ def run(argv=None) -> int:
         cfg.seed = args.seed
         cfg.validate()
     dataset = load_dataset(args.data, args.schema, args.test_data)
+    need = len(FAMILY_TERMS[cfg.kernel_family])  # a coordinate or more per kernel term
+    if dataset.observed_locations.shape[1] < need:
+        raise DataError(f"{cfg.kernel_family} kernel needs >= {need} location coordinates, "
+                        f"data has {dataset.observed_locations.shape[1]}")
     if args.command == "sample":
         cmd_sample(cfg, dataset, out)
     elif args.command == "fit":

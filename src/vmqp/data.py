@@ -100,6 +100,9 @@ def ingest(path, schema: str) -> Dataset:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DataError("empty file: missing header row") from None
+        repeated = sorted({c for c in header if c and header.count(c) > 1})
+        if repeated:
+            raise DataError(f"repeated column(s): {', '.join(repeated)}")
         loc_cols = _location_columns(schema, header)
         missing = [c for c in loc_cols + [angle_col] if c not in header]
         if missing:

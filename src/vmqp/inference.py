@@ -528,11 +528,7 @@ def block_gibbs_fit(
 
 
 def gradient_names(w: ParamVector) -> tuple:
-    names = ["sigma2", "lengthscale"]
-    if w.kernel.family == "anisotropic_gaussian":
-        names.append("gradient_lengthscale")
-    names += ["kappa", "nu"]
-    return tuple(names)
+    return ("sigma2", *w.kernel.lengthscales, "kappa", "nu")
 
 
 def energy_gradient(phi, model: ParamModel) -> np.ndarray:
@@ -552,16 +548,12 @@ def energy_gradient(phi, model: ParamModel) -> np.ndarray:
     cs = cos_sin(phi)
     flat = (math.prod(cs.shape[:-1]), model.size)  # (2N, d) for N states
     P = (cs.reshape(flat) @ M).reshape(cs.shape)  # [M cos; M sin], M symmetric
-    derivs = model.derivatives
-    grad = []
-    for name in gradient_names(w):
-        if name in derivs:
-            PdK = (P.reshape(flat) @ derivs[name]).reshape(cs.shape)
-            grad.append(-0.5 * np.sum(PdK * P, axis=(0, -1)))
-        elif name == "kappa":
-            grad.append(-np.sum(np.cos(phi - w.mean_direction), axis=-1))
-        else:  # nu
-            grad.append(-w.concentration * np.sum(np.sin(phi - w.mean_direction), axis=-1))
+    grad = [
+        -0.5 * np.sum((P.reshape(flat) @ dK).reshape(cs.shape) * P, axis=(0, -1))
+        for dK in model.derivatives.values()
+    ]
+    grad.append(-np.sum(np.cos(phi - w.mean_direction), axis=-1))
+    grad.append(-w.concentration * np.sum(np.sin(phi - w.mean_direction), axis=-1))
     return np.stack(grad, axis=-1)
 
 

@@ -12,7 +12,20 @@ import numpy as np
 
 from .errors import NumericalError
 
-FAMILIES = ("gaussian", "exponential", "anisotropic_gaussian")
+# The kernel table: each family's terms, (coordinate slice, KernelSpec
+# lengthscale field, power q). k(x, y) = variance * exp(-sum of r**q /
+# (q * l**q)) over the terms, r the Euclidean distance over the term's
+# coordinates; each term takes at least one coordinate. The anisotropic
+# family treats the last coordinate as a surface gradient with its own
+# lengthscale and the others as joint angles.
+FAMILY_TERMS = {
+    "gaussian": ((slice(None), "lengthscale", 2),),
+    "exponential": ((slice(None), "lengthscale", 1),),
+    "anisotropic_gaussian": (
+        (slice(None, -1), "lengthscale", 2),
+        (slice(-1, None), "gradient_lengthscale", 2),
+    ),
+}
 
 # Jitter policy: the first rung of 1e-8*variance * 10**k, capped at
 # 1e-2*variance, that lifts the smallest eigenvalue of the raw kernel matrix
@@ -26,9 +39,8 @@ JITTER_CAP = 1e-2
 class KernelSpec:
     """Kernel family plus its positive parameters.
 
-    The anisotropic family treats the last coordinate of each input
-    location as a surface gradient with its own lengthscale and the
-    remaining coordinates as joint angles sharing ``lengthscale``.
+    The family's lengthscale fields are those of its terms in
+    ``FAMILY_TERMS``; a field the family lacks must be None.
     """
 
     family: str
@@ -37,18 +49,22 @@ class KernelSpec:
     gradient_lengthscale: float | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in FAMILY_TERMS:
             raise ValueError(f"unknown kernel family {self.family!r}")
         if not (np.isfinite(self.variance) and self.variance > 0):
             raise ValueError("variance must be positive and finite")
-        if not (np.isfinite(self.lengthscale) and self.lengthscale > 0):
-            raise ValueError("lengthscale must be positive and finite")
-        if self.family == "anisotropic_gaussian":
-            g = self.gradient_lengthscale
-            if g is None or not (np.isfinite(g) and g > 0):
-                raise ValueError(
-                    "anisotropic_gaussian requires a positive gradient_lengthscale"
-                )
+        for name in ("lengthscale", "gradient_lengthscale"):
+            value = getattr(self, name)
+            if name not in self.lengthscales:
+                if value is not None:
+                    raise ValueError(f"{self.family} takes no {name}")
+            elif value is None or not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
+
+    @property
+    def lengthscales(self) -> tuple:
+        """The family's lengthscale fields, in table order."""
+        return tuple(name for _, name, _ in FAMILY_TERMS[self.family])
 
 
 @dataclass(frozen=True)
@@ -85,12 +101,21 @@ def _sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return d2
 
 
+def _distance_power(X: np.ndarray, Y: np.ndarray, q: int) -> np.ndarray:
+    """r**q for the Euclidean distances r, q in (1, 2), in ``_sq_dists``'s array."""
+    r = _sq_dists(X, Y)
+    if q == 1:
+        np.sqrt(r, out=r)
+    return r
+
+
 def kernel_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Cross-covariance matrix k(x_i, y_j) without jitter.
 
-    Built in place in the array ``_sq_dists`` returns, so at most one more
-    array of its shape is alive at a time. Division by a negated constant
-    rounds exactly as negation followed by division.
+    Built in place in the array ``_sq_dists`` returns for the first term,
+    so at most one more array of its shape is alive at a time. Division by
+    a negated constant rounds exactly as negation followed by division, and
+    adding a negated term as subtracting it.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -98,23 +123,16 @@ def kernel_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         raise ValueError("dimension mismatch between location sets")
     if X.shape[1] == 0:
         raise ValueError("locations need at least one coordinate")
-    if spec.family == "gaussian":
-        K = _sq_dists(X, Y)
-        K /= -(2.0 * spec.lengthscale**2)
-    elif spec.family == "exponential":
-        K = _sq_dists(X, Y)
-        np.sqrt(K, out=K)
-        K /= -spec.lengthscale
-    else:
-        # anisotropic_gaussian: squared-exponential on joint angles plus a
-        # separate squared-exponential factor on the surface gradient.
-        if X.shape[1] < 2:
-            raise ValueError("anisotropic_gaussian needs >= 2 coordinates")
-        K = _sq_dists(X[:, :-1], Y[:, :-1])
-        K /= -(2.0 * spec.lengthscale**2)
-        ds2 = _sq_dists(X[:, -1:], Y[:, -1:])
-        ds2 /= 2.0 * spec.gradient_lengthscale**2
-        K -= ds2
+    terms = FAMILY_TERMS[spec.family]
+    if X.shape[1] < len(terms):
+        raise ValueError(f"{spec.family} needs >= {len(terms)} coordinates")
+    (coords, name, q), *rest = terms
+    K = _distance_power(X[:, coords], Y[:, coords], q)
+    K /= -(q * getattr(spec, name) ** q)
+    for coords, name, q in rest:
+        t = _distance_power(X[:, coords], Y[:, coords], q)
+        t /= -(q * getattr(spec, name) ** q)
+        K += t
     np.exp(K, out=K)
     K *= spec.variance
     return K
@@ -123,27 +141,17 @@ def kernel_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def kernel_derivatives(spec: KernelSpec, X: np.ndarray) -> dict:
     """dK/dp over the locations ``X`` for each kernel parameter, jitter excluded.
 
-    Keys are the parameter names of ``inference.gradient_names``: sigma2,
-    lengthscale and, for the anisotropic family, gradient_lengthscale.
-    Each derivative is K times a distance array, formed in that array.
+    Keys are sigma2, then ``spec.lengthscales`` in table order; the
+    gradient of ``inference.energy_gradient`` follows them. A term with
+    lengthscale l and power q gives dK/dl = K * r**q / l**(q + 1), formed
+    in the array of r**q.
     """
     K = kernel_matrix(spec, X, X)
-    if spec.family == "anisotropic_gaussian":
-        terms = [
-            ("lengthscale", X[:, :-1], spec.lengthscale**3),
-            ("gradient_lengthscale", X[:, -1:], spec.gradient_lengthscale**3),
-        ]
-    elif spec.family == "gaussian":
-        terms = [("lengthscale", X, spec.lengthscale**3)]
-    else:
-        terms = [("lengthscale", X, spec.lengthscale**2)]
     out = {}
-    for name, coords, denominator in terms:
-        dK = _sq_dists(coords, coords)
-        if spec.family == "exponential":
-            np.sqrt(dK, out=dK)
+    for coords, name, q in FAMILY_TERMS[spec.family]:
+        dK = _distance_power(X[:, coords], X[:, coords], q)
         dK *= K
-        dK /= denominator
+        dK /= getattr(spec, name) ** (q + 1)
         out[name] = dK
     K /= spec.variance
     return {"sigma2": K, **out}

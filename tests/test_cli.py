@@ -48,6 +48,13 @@ seed = 11
 """
 
 
+def with_keys(base, text):
+    """The config ``base`` with each key that ``text`` sets taken from ``text``."""
+    keys = {line.partition("=")[0].strip() for line in text.splitlines()}
+    kept = [line for line in base.splitlines() if line.partition("=")[0].strip() not in keys]
+    return "\n".join(kept) + "\n" + text
+
+
 def make_generic(path, n_obs=8, n_pred=2, seed=0):
     rng = np.random.default_rng(seed)
     lines = ["x1,angle_rad"]
@@ -171,6 +178,14 @@ def test_ingest_errors(tmp_path):
         ingest(write(tmp_path / "c.csv", ""), "generic")
     with pytest.raises(DataError, match="unknown schema"):
         ingest(write(tmp_path / "d.csv", "x1,angle_rad\n"), "windy")
+    # a repeated name would read its first column twice and drop the second
+    with pytest.raises(DataError, match=r"repeated column\(s\): x1$"):
+        ingest(write(tmp_path / "e.csv", "x1,x1,angle_rad\n0,5,0.1\n1,6,0.2\n"), "generic")
+    with pytest.raises(DataError, match=r"repeated column\(s\): lat$"):
+        ingest(write(tmp_path / "f.csv", "lon,lat,lat,direction_deg\n1,2,3,90\n"), "wind")
+    # unnamed columns, as trailing commas make, are no repeat
+    ds = ingest(write(tmp_path / "g.csv", "lon,lat,direction_deg,,\n1,2,90,,\n"), "wind")
+    assert ds.observed_locations.tolist() == [[1.0, 2.0]]
 
 
 def test_load_dataset_merges_test_file(tmp_path):
@@ -191,6 +206,21 @@ def test_cli_test_data_with_other_coordinates_is_a_data_error(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == 3
     assert "test data has 2 location coordinates, data has 1" in capsys.readouterr().err
+
+
+def test_cli_kernel_with_more_terms_than_coordinates_is_a_data_error(tmp_path, capsys):
+    # the anisotropic kernel needs joint angles and a gradient coordinate
+    text = with_keys(BASE_CONFIG, "kernel_family = anisotropic_gaussian\n"
+                                  "kernel_gradient_lengthscale = 0.7\n")
+    cfg = write(tmp_path / "run.cfg", text)
+    data = make_generic(tmp_path / "d.csv")
+    for command in ("sample", "fit", "diagnose"):
+        code = main([command, "--config", cfg, "--data", data,
+                     "--out", str(tmp_path / command)])
+        err = capsys.readouterr().err
+        assert code == 3, (command, err)
+        assert err == ("data error: anisotropic_gaussian kernel needs >= 2 location "
+                       "coordinates, data has 1\n"), command
 
 
 def test_angle_roundtrip():
@@ -335,13 +365,15 @@ CONFIG_ERRORS = [
     ("diagnose", "lambda_multipliers = 2.0, 0.5\n"),
     ("diagnose", "lambda_multipliers = 1.01, nan\n"),
     ("sample", "seed = -1\n"),
+    ("fit", "kernel_family = gaussian\nkernel_gradient_lengthscale = 0.7\n"),
+    ("fit", "kernel_family = exponential\nkernel_gradient_lengthscale = 0.7\n"),
 ]
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
     data = make_generic(tmp_path / "d.csv")
     for i, (command, text) in enumerate(CONFIG_ERRORS):
-        cfg = write(tmp_path / f"run{i}.cfg", BASE_CONFIG + text)
+        cfg = write(tmp_path / f"run{i}.cfg", with_keys(BASE_CONFIG, text))
         code = main([command, "--config", cfg, "--data", data,
                      "--out", str(tmp_path / f"o{i}")])
         err = capsys.readouterr().err

@@ -28,9 +28,11 @@ from vmqp.inference import (
     propose,
     sample_fictitious,
 )
-from vmqp.kernels import GramMatrix, KernelSpec, kernel_matrix
+from vmqp.kernels import GramMatrix, KernelSpec, kernel_derivatives, kernel_matrix
 from vmqp.circular import sample_von_mises
 from vmqp.model import ParamVector, PrecisionModel
+
+from test_kernels import FAMILY_SPECS
 
 
 def simple_model(kappa=1.0, nu=0.0, n_latent=0):
@@ -332,11 +334,16 @@ def test_fit_reads_1d_locations_as_one_coordinate_each():
         assert np.array_equal(getattr(flat, name), value), name
 
 
-def test_gradient_names():
+def test_gradient_names(rng):
     w = ParamVector(KernelSpec("anisotropic_gaussian", 1.0, 1.0, 0.5), 0.5, 0.0)
     assert gradient_names(w) == (
         "sigma2", "lengthscale", "gradient_lengthscale", "kappa", "nu",
     )
+    # the cd_gradient.csv header and the derivative keys read one kernel table
+    X = rng.uniform(-3.0, 3.0, size=(5, 3))
+    for spec in FAMILY_SPECS.values():
+        names = gradient_names(ParamVector(spec, 0.5, 0.0))
+        assert names[:-2] == tuple(kernel_derivatives(spec, X)) == ("sigma2", *spec.lengthscales)
 
 
 @pytest.mark.parametrize("family", ["exponential", "gaussian", "anisotropic_gaussian"])

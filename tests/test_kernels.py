@@ -17,6 +17,9 @@ def test_spec_validation():
         KernelSpec("gaussian", 1.0, 0.0)
     with pytest.raises(ValueError):
         KernelSpec("anisotropic_gaussian", 1.0, 1.0)  # missing g
+    for family in ("gaussian", "exponential"):  # the family has no gradient term
+        with pytest.raises(ValueError, match=f"{family} takes no gradient_lengthscale"):
+            KernelSpec(family, 1.0, 1.0, 0.7)
 
 
 def test_eval_zero_distance_is_variance():
@@ -238,13 +241,17 @@ def test_kernel_derivatives_keep_the_expression_bits(family, rng):
 
 @pytest.mark.parametrize("family", list(FAMILY_SPECS))
 def test_kernel_matrix_allocates_little_beyond_its_result(family, rng):
-    # one n x n result plus at most one n x n scratch array at a time
+    # kernel_matrix: one n x n result plus at most one n x n scratch array
+    # at a time; kernel_derivatives: K, one derivative per lengthscale and
+    # at most one scratch array, never more than three n x n arrays at once
     n = 400
     X = rng.uniform(-3.0, 3.0, size=(n, 3))
-    tracemalloc.start()
-    try:
-        kernel_matrix(FAMILY_SPECS[family], X, X)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.25 * n * n * 8
+    spec = FAMILY_SPECS[family]
+    for build, args, bound in ((kernel_matrix, (X, X), 2.25), (kernel_derivatives, (X,), 3.25)):
+        tracemalloc.start()
+        try:
+            build(spec, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * n * n * 8, build.__name__
