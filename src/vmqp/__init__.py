@@ -76,4 +76,4 @@ __all__ = [
     "sample_von_mises",
 ]
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

@@ -52,7 +52,7 @@ def _write_report(path, items) -> None:
 
 
 def read_samples_csv(path) -> np.ndarray:
-    """Read a phi_samples.csv back into an (S, m) array of S >= 2 draws."""
+    """Read a phi_samples.csv back into an (S, m) array of S >= 2 finite draws."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -66,20 +66,22 @@ def read_samples_csv(path) -> np.ndarray:
                 rows.append([float(c) for c in row])
             except ValueError:
                 raise DataError(f"{path}: row {line}: unparseable value") from None
+            if not all(map(math.isfinite, rows[-1])):
+                raise DataError(f"{path}: row {line}: non-finite value")
     if len(rows) < 2:
         raise DataError(f"{path}: need at least 2 draws, got {len(rows)}")
     return np.array(rows, dtype=float)
 
 
 def _assemble(cfg: RunConfig, dataset: Dataset):
-    """Model, latent target and latent factor shared by sample and diagnose."""
+    """The model that fit, sample and diagnose start from, over [prediction; training].
+
+    It builds no latent factor: the fit would throw it away.
+    """
     if dataset.n_test == 0:
         raise DataError("no prediction locations")
-    w = cfg.param_vector()
     locations = np.vstack([dataset.test_locations, dataset.observed_locations])
-    model = build_param_model(w, locations, dataset.n_test, cfg.slack)
-    cp = latent_params(model, dataset.observed_angles)
-    return w, model, cp, latent_factor(model)
+    return build_param_model(cfg.param_vector(), locations, dataset.n_test, cfg.slack)
 
 
 def _diagnostics_rows(samples: np.ndarray, ress: np.ndarray):
@@ -88,9 +90,10 @@ def _diagnostics_rows(samples: np.ndarray, ress: np.ndarray):
 
 
 def cmd_sample(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
-    w, model, cp, aug = _assemble(cfg, dataset)
+    model = _assemble(cfg, dataset)
+    cp, aug = latent_params(model, dataset.observed_angles), latent_factor(model)
     rng = np.random.default_rng(cfg.seed)
-    init = sample_von_mises(w.mean_direction, w.concentration * np.ones(cp.size), rng)
+    init = sample_von_mises(model.w.mean_direction, model.w.concentration * np.ones(cp.size), rng)
     chain = run_chain(cp, aug, cfg.n_iter, cfg.burn_in, cfg.thin, seed=rng, init=init)
     m = dataset.n_test
     samples = chain.samples[:, :m]
@@ -117,13 +120,9 @@ def cmd_sample(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
 
 
 def cmd_fit(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
-    if dataset.n_test == 0:
-        raise DataError("no prediction locations")
     result = block_gibbs_fit(
         dataset.observed_angles,
-        dataset.observed_locations,
-        dataset.test_locations,
-        cfg.param_vector(),
+        _assemble(cfg, dataset),
         cfg.fit_config(),
         np.random.default_rng(cfg.seed),
     )
@@ -141,7 +140,8 @@ def cmd_fit(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
     items = [("command", "fit"), ("n_retained", result.param_trace.shape[0]), ("seed", cfg.seed)]
     items.append(("jitter_min", _fmt(result.jitter_range[0])))
     items.append(("jitter_max", _fmt(result.jitter_range[1])))
-    for block, rate in result.accept_rates.items():
+    for block, counts in result.outcomes.items():
+        rate = counts["accepted"] / max(sum(counts.values()), 1)
         items.append((f"accept_rate_{block}", _fmt(rate)))
     for block, counts in result.outcomes.items():
         for reason, count in counts.items():
@@ -203,7 +203,9 @@ def _finite_median(values) -> float:
 
 
 def cmd_diagnose(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
-    w, model, cp, latent_aug = _assemble(cfg, dataset)
+    model = _assemble(cfg, dataset)
+    cp, latent_aug = latent_params(model, dataset.observed_angles), latent_factor(model)
+    w = model.w
     batches = np.random.SeedSequence(cfg.seed).spawn(len(cfg.lambda_multipliers) + 1)
     init_conc = w.concentration * np.ones((cfg.sweep_seeds, cp.size))
     sweep_rows = []

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
+from .gibbs import DEFAULT_SLACK
 from .inference import KERNEL_BLOCK, MEAN_BLOCK, BridgeConfig, FitConfig, PriorSpec, ProposalSpec
 from .kernels import KernelSpec
 from .model import ParamVector
@@ -52,7 +53,7 @@ class RunConfig:
     n_iter: int = 20000
     burn_in: int = 2000
     thin: int = 10
-    slack: float = FitConfig.slack
+    slack: float = DEFAULT_SLACK
     seed: int = 0
     # fit: the defaults are the library's
     phi_sweeps: int = FitConfig.phi_sweeps
@@ -128,7 +129,6 @@ class RunConfig:
             ),
             bridge=BridgeConfig(self.bridge_levels, self.inner_sweeps),
             learn_mean=self.learn_mean,
-            slack=self.slack,
         )
 
 

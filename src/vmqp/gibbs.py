@@ -9,7 +9,7 @@ conditionals gives the sweep implemented here.
 
 Small lambda mixes best: in the large-lambda limit the conditional mean
 of each coordinate collapses onto its previous value. The default rule is
-lambda = (1 + slack) * lambda_max with slack = 0.01, both tunable.
+lambda = (1 + slack) * lambda_max, in ``slack_augmentation``, with slack = 0.01.
 
 Every factor comes from eigenpairs: with Q = U diag(e) U', the factor
 A = diag(sqrt(lambda - e)) U' is kept as (e, U) and the scale
@@ -116,19 +116,22 @@ def _spectrum(Q) -> tuple:
         raise NumericalError("eigendecomposition of Q failed") from None
 
 
-def make_augmentation(Q: np.ndarray, slack: float = DEFAULT_SLACK) -> Augmentation:
-    """Factor lam*I - Q with lam = (1 + slack) * lambda_max(Q).
+def slack_augmentation(e: np.ndarray, U: np.ndarray, slack: float) -> Augmentation:
+    """Factor of the eigenpairs (e, U) at the slack rule lam = (1 + slack) * max(e).
 
-    One ``eigh`` of Q gives the exact lambda_max and the factor; an empty
-    Q gives an empty factor. Q needs a positive top eigenvalue.
+    An empty ``e`` gives an empty factor; otherwise max(e) must be positive.
     """
     if not (np.isfinite(slack) and slack > 0):
         raise ValueError("slack must be positive")
-    e, U = _spectrum(Q)
-    lam_max = e[-1] if len(e) else 0.0
+    lam_max = e.max() if len(e) else 0.0
     if len(e) and not lam_max > 0:
         raise NumericalError("Q has no positive eigenvalue")
     return spectral_augmentation(e, U, (1.0 + slack) * lam_max)
+
+
+def make_augmentation(Q: np.ndarray, slack: float = DEFAULT_SLACK) -> Augmentation:
+    """Factor lam*I - Q at lam = (1 + slack) * lambda_max(Q), from one ``eigh`` of Q."""
+    return slack_augmentation(*_spectrum(Q), slack)
 
 
 def augmentation_at(Q: np.ndarray, lam: float) -> Augmentation:

@@ -24,7 +24,8 @@ The fit, ``sample`` and the CD diagnostic share one latent chain given the
 data: ``latent_params`` and ``latent_factor``, with ``full_states``.
 
 The learning setting is transductive: prediction locations are fixed at
-fit time because the model is not closed under marginalization.
+fit time because the model is not closed under marginalization; every
+sampler, the fit too, runs on a ``ParamModel`` its caller builds over them.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 from .circular import as_generator, cos_sin, sample_von_mises
 from .errors import NumericalError
 from .gibbs import Augmentation, augmented_sweep, make_augmentation, run_sweeps
-from .gibbs import spectral_augmentation, DEFAULT_SLACK
+from .gibbs import slack_augmentation, DEFAULT_SLACK
 from .gibbs import gibbs_sweep  # noqa: F401  perfbench/test_perfbench.py reads this binding
 from .kernels import KernelSpec, build_gram, kernel_derivatives
 from .model import (
@@ -202,12 +203,9 @@ def build_param_model(
     X = np.asarray(locations, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
-    if not (np.isfinite(slack) and slack > 0):
-        raise ValueError("slack must be positive")
     gram = build_gram(w.kernel, X)
     pm = build_precision(gram, n_latent, X.shape[0] - n_latent)
-    e = 1.0 / pm.eigenvalues  # eigenvalues of M, descending: e[0] is the top
-    aug = spectral_augmentation(e, pm.eigenvectors, (1.0 + slack) * e[0])
+    aug = slack_augmentation(1.0 / pm.eigenvalues, pm.eigenvectors, slack)  # eigenpairs of M
     return ParamModel(w, X, gram.jitter, pm, aug, slack)
 
 
@@ -421,7 +419,6 @@ class FitConfig:
     proposals: ProposalSpec = field(default_factory=ProposalSpec)
     bridge: BridgeConfig = field(default_factory=BridgeConfig)
     learn_mean: bool = True
-    slack: float = DEFAULT_SLACK
 
     def __post_init__(self):
         if not (self.n_iter > self.burn_in >= 0):
@@ -436,37 +433,22 @@ class FitOutput:
     param_trace: np.ndarray  # (n_retained, len(param_names))
     accepted_trace: np.ndarray  # (n_retained,) 0/1: any block accepted
     phi_samples: np.ndarray  # (n_retained, m) latent angles at test locations
-    accept_rates: dict
     outcomes: dict  # block -> {reason in DMH_REASONS: count}
     jitter_range: tuple  # (min, max) Gram jitter over every kernel value the chain held
 
 
-def block_gibbs_fit(
-    theta,
-    train_locations,
-    test_locations,
-    init_w: ParamVector,
-    config: FitConfig,
-    rng,
-) -> FitOutput:
+def block_gibbs_fit(theta, model: ParamModel, config: FitConfig, rng) -> FitOutput:
     """Alternate latent-angle sweeps with exchange moves on the parameters.
 
-    Transductive by construction: the Gram matrix is built over the test
-    locations (first) and training locations (last) together, and the
-    parameter moves see the full state [phi, theta]. With noisy
-    observations (chi present) the latent state spans all locations and
-    the data enter through per-coordinate observation pulls.
+    Transductive: the fit starts at ``model``, built over the prediction
+    locations (first) and training locations (last) together, and builds
+    every proposal at its slack. The parameter moves see the full state
+    [phi, theta]. With noisy observations (chi present) the latent state
+    spans all locations and the data enter through observation pulls.
     """
     rng = as_generator(rng)
     theta = np.asarray(theta, dtype=float)
-    train = np.asarray(train_locations, dtype=float)
-    if train.ndim == 1:  # one coordinate per location, as in build_param_model
-        train = train[:, None]
-    test = np.asarray(test_locations, dtype=float)
-    if test.ndim == 1:
-        test = test.reshape(-1, train.shape[1])
-    m = test.shape[0]
-    model = build_param_model(init_w, np.vstack([test, train]), m, config.slack)
+    m = model.precision.n_latent
 
     blocks = [("kernel", KERNEL_BLOCK)]
     if config.learn_mean:
@@ -474,10 +456,10 @@ def block_gibbs_fit(
 
     cp = latent_params(model, theta)
     latent_aug = latent_factor(model)
-    phi = sample_von_mises(init_w.mean_direction, init_w.concentration * np.ones(cp.size), rng)
+    phi = sample_von_mises(model.w.mean_direction, model.w.concentration * np.ones(cp.size), rng)
     xi = sample_von_mises(0.0, np.zeros(model.size), rng)
 
-    names = tuple(_param_dict(init_w).keys())
+    names = tuple(_param_dict(model.w).keys())
     rows, accepted_rows, phi_rows = [], [], []
     outcomes = {name: dict.fromkeys(DMH_REASONS, 0) for name, _ in blocks}
     jitters = [model.jitter]
@@ -512,16 +494,11 @@ def block_gibbs_fit(
             rows.append(list(_param_dict(model.w).values()))
             accepted_rows.append(int(accepted_any))
             phi_rows.append(phi[:m].copy())
-    rates = {
-        name: counts["accepted"] / max(sum(counts.values()), 1)
-        for name, counts in outcomes.items()
-    }
     return FitOutput(
         names,
         np.array(rows),
         np.array(accepted_rows),
         np.array(phi_rows),
-        rates,
         outcomes,
         (min(jitters), max(jitters)),
     )

@@ -332,7 +332,7 @@ def test_c08_end_to_end_transductive_fit():
     scores = []
     for seed in range(20):
         locs, _, truth_test, theta, rng = synthetic_prior_draw(seed)
-        fit = block_gibbs_fit(theta, locs[10:], locs[:10], init, cfg, rng)
+        fit = block_gibbs_fit(theta, build_param_model(init, locs, 10), cfg, rng)
         scores.append(
             float(
                 np.mean(

@@ -427,6 +427,42 @@ def test_cli_fit_schema(tmp_path, levels):
     assert samples.shape == (8, 2)
 
 
+def test_cli_fit_runs_at_the_configured_slack(tmp_path, monkeypatch):
+    # the slack key reaches the model the fit starts from, every model
+    # built for a proposal and every latent factor of the fit
+    import vmqp.cli as cli
+    import vmqp.inference as inference
+
+    given, calls = [], []
+    fit, build, factor = cli.block_gibbs_fit, inference.build_param_model, inference.make_augmentation
+
+    def recording_fit(theta, model, config, rng):
+        given.append(model)
+        return fit(theta, model, config, rng)
+
+    def recording_build(*args):
+        calls.append(("build_param_model", args[3]))  # a call without slack fails here
+        return build(*args)
+
+    def recording_factor(Q, slack):
+        calls.append(("make_augmentation", slack))
+        return factor(Q, slack)
+
+    monkeypatch.setattr(cli, "block_gibbs_fit", recording_fit)
+    monkeypatch.setattr(cli, "build_param_model", recording_build)
+    monkeypatch.setattr(inference, "build_param_model", recording_build)
+    monkeypatch.setattr(inference, "make_augmentation", recording_factor)
+    cfg = write(tmp_path / "run.cfg", FIT_CONFIG + "slack = 0.5\n")
+    data = make_generic(tmp_path / "d.csv", n_obs=6, n_pred=2)
+    assert run(["fit", "--config", cfg, "--data", data, "--out", str(tmp_path / "o")]) == 0
+    (model,) = given
+    assert model.slack == 0.5
+    assert model.full_aug.lam == 1.5 * model.full_aug.lam_max_estimate
+    names = [name for name, _ in calls]
+    assert names.count("build_param_model") > 1 and "make_augmentation" in names
+    assert all(slack == 0.5 for _, slack in calls), calls
+
+
 def test_cli_eval_perfect_and_single_split(tmp_path):
     # constant predictive at the exact truth scores zero
     pred = tmp_path / "phi_samples.csv"
@@ -456,6 +492,8 @@ def test_cli_eval_mismatch(tmp_path, capsys):
         ("phi_1,phi_2\n0.1,0.2\n0.3\n", "row 3 has 1 of 2 cells"),
         ("phi_1,phi_2\n0.1,0.2\n", "at least 2 draws, got 1"),
         ("phi_1,phi_2\n", "at least 2 draws, got 0"),
+        ("phi_1,phi_2\n0.1,nan\n0.3,0.4\n", "row 2: non-finite value"),
+        ("phi_1,phi_2\n0.1,0.2\n0.3,inf\n", "row 3: non-finite value"),
     ]
     for i, (text, message) in enumerate(cases):
         pred = tmp_path / f"p{i}.csv"

@@ -292,7 +292,7 @@ def test_fit_fixed_params_reduces_to_sampling(rng):
     train = np.array([[0.5], [1.5], [2.5]])
     test = np.array([[1.0]])
     cfg = FitConfig(n_iter=30, burn_in=10, dmh_steps=0)
-    out = block_gibbs_fit(theta, train, test, w, cfg, rng)
+    out = block_gibbs_fit(theta, build_param_model(w, np.vstack([test, train]), 1), cfg, rng)
     assert out.phi_samples.shape == (20, 1)
     assert np.all(out.param_trace == out.param_trace[0])
     assert np.all(out.accepted_trace == 0)
@@ -306,29 +306,30 @@ def test_fit_learns_and_reports_rates(rng):
         n_iter=40, burn_in=10, phi_sweeps=2,
         bridge=BridgeConfig(0, inner_sweeps=5),
     )
-    # no test locations, as an (0, 1) array or an empty 1-D one
-    for test_locations in (np.empty((0, 1)), np.empty(0)):
-        out = block_gibbs_fit(theta, train, test_locations, w, cfg, rng)
-        assert set(out.accept_rates) == {"kernel", "mean"}
-        assert all(0.0 <= r <= 1.0 for r in out.accept_rates.values())
+    # no test locations, on column and on flat training locations
+    for locations in (train, train[:, 0]):
+        out = block_gibbs_fit(theta, build_param_model(w, locations, 0), cfg, rng)
+        assert set(out.outcomes) == {"kernel", "mean"}
         assert out.param_trace.shape == (30, 4)
         assert out.param_names == ("sigma2", "lengthscale2", "kappa", "nu")
     # the anisotropic kernel adds gradient2, in table order
     w = ParamVector(KernelSpec("anisotropic_gaussian", 1.0, 1.0, 1.0), 0.5, 0.3)
     train = np.column_stack([np.arange(4.0), np.arange(4.0) % 2])
-    out = block_gibbs_fit(theta, train, np.empty((0, 2)), w, cfg, rng)
+    out = block_gibbs_fit(theta, build_param_model(w, train, 0), cfg, rng)
     assert out.param_names == inference.KERNEL_BLOCK + MEAN_BLOCK
     assert out.param_trace.shape == (30, 5)
 
 
 def test_fit_reads_1d_locations_as_one_coordinate_each():
-    # as build_param_model does: (n,) locations are the (n, 1) ones
+    # build_param_model reads (n,) locations as the (n, 1) ones, so both fits agree
     w = ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3)
     theta = np.array([0.2, -0.4, 0.9, 0.1])
     cfg = FitConfig(n_iter=20, burn_in=5, phi_sweeps=2, bridge=BridgeConfig(1, inner_sweeps=3))
-    train, test = np.arange(4.0), np.array([0.5, 1.5])
-    flat = block_gibbs_fit(theta, train, test, w, cfg, np.random.default_rng(3))
-    column = block_gibbs_fit(theta, train[:, None], test[:, None], w, cfg, np.random.default_rng(3))
+    locations = np.array([0.5, 1.5, 0.0, 1.0, 2.0, 3.0])  # [test; train]
+    flat = block_gibbs_fit(theta, build_param_model(w, locations, 2), cfg, np.random.default_rng(3))
+    column = block_gibbs_fit(
+        theta, build_param_model(w, locations[:, None], 2), cfg, np.random.default_rng(3)
+    )
     assert flat.phi_samples.shape == (15, 2)
     for name, value in vars(column).items():
         assert np.array_equal(getattr(flat, name), value), name
@@ -433,7 +434,8 @@ def test_fit_reports_the_jitter_range_of_its_kernels(rng):
     theta = np.array([0.2, -0.4, 0.9, 0.1])
     train = np.arange(4, dtype=float).reshape(-1, 1)
     cfg = FitConfig(n_iter=40, burn_in=0, phi_sweeps=1, bridge=BridgeConfig(0, inner_sweeps=2))
-    out = block_gibbs_fit(theta, train, np.array([[0.5], [2.5]]), w, cfg, rng)
+    model = build_param_model(w, np.vstack([[[0.5], [2.5]], train]), 2)
+    out = block_gibbs_fit(theta, model, cfg, rng)
     assert out.outcomes["kernel"]["accepted"] > 0
     lo, hi = out.jitter_range
     sigma2 = out.param_trace[:, out.param_names.index("sigma2")]
@@ -518,7 +520,8 @@ def test_fit_keeps_latent_augmentation_after_mean_moves(monkeypatch, rng):
     theta = np.array([0.2, -0.4, 0.9, 0.1])
     train = np.arange(4, dtype=float).reshape(-1, 1)
     cfg = FitConfig(n_iter=40, burn_in=10, phi_sweeps=1, bridge=BridgeConfig(0, inner_sweeps=2))
-    out = block_gibbs_fit(theta, train, np.array([[0.5], [2.5]]), w, cfg, rng)
+    model = build_param_model(w, np.vstack([[[0.5], [2.5]], train]), 2)
+    out = block_gibbs_fit(theta, model, cfg, rng)
     assert out.outcomes["mean"]["accepted"] > 0
     assert len(calls) == 1 + out.outcomes["kernel"]["accepted"]
 
@@ -584,11 +587,10 @@ def test_fit_counts_every_outcome_by_block(rng):
         proposals=ProposalSpec(kappa_step=0.5),
         bridge=BridgeConfig(0, inner_sweeps=2),
     )
-    out = block_gibbs_fit(theta, train, np.array([[0.5]]), w, cfg, rng)
+    out = block_gibbs_fit(theta, build_param_model(w, np.vstack([[[0.5]], train]), 1), cfg, rng)
     for name, counts in out.outcomes.items():
         assert tuple(counts) == inference.DMH_REASONS
         assert sum(counts.values()) == 120
-        assert out.accept_rates[name] == counts["accepted"] / 120
     # kappa starts near zero with a wide step, so some moves leave the support
     assert out.outcomes["mean"]["support"] > 0
     assert out.outcomes["kernel"]["numerical"] == 0
@@ -717,7 +719,8 @@ def test_kernel_proposal_runs_one_eigh_and_forms_no_whole_precision(monkeypatch,
     cfg = FitConfig(n_iter=30, burn_in=10, phi_sweeps=1,
                     proposals=ProposalSpec(lengthscale2_step=0.5),
                     bridge=BridgeConfig(1, inner_sweeps=2))
-    out = block_gibbs_fit(theta, train, np.array([[0.5], [2.5], [4.5]]), w, cfg, rng)
+    model = build_param_model(w, np.vstack([[[0.5], [2.5], [4.5]], train]), m)
+    out = block_gibbs_fit(theta, model, cfg, rng)
     kernel = out.outcomes["kernel"]
     assert kernel["accepted"] > 0 and kernel["mh"] > 0
     assert sizes["eigh"].count(d) == 1 + sum(kernel.values()) - kernel["support"]
