@@ -20,7 +20,7 @@ import numpy as np
 from . import evaluation
 from .circular import sample_von_mises
 from .config import RunConfig, parse_config
-from .data import Dataset, ingest, load_dataset, split_indices, write_rows
+from .data import SCHEMAS, Dataset, ingest, load_dataset, split_indices, write_rows
 from .errors import ConfigError, DataError, NumericalError, VmqpError
 from .gibbs import run_chain
 from .inference import (
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="run configuration file")
-        p.add_argument("--schema", choices=("wind", "gait", "generic"), default="generic")
+        p.add_argument("--schema", choices=SCHEMAS, default="generic")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--data", required=True)
@@ -295,14 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score predictions with circular CRPS")
     p.add_argument("--pred", action="append", required=True, help="phi_samples.csv (repeatable)")
     p.add_argument("--truth", action="append", required=True, help="truth CSV (repeatable)")
-    p.add_argument("--schema", choices=("wind", "gait", "generic"), default="generic")
+    p.add_argument("--schema", choices=SCHEMAS, default="generic")
     p.add_argument("--out", required=True)
 
     common(sub.add_parser("diagnose", help="lambda sweep and CD-gradient tables"))
 
     p = sub.add_parser("split", help="seeded train/test split")
     p.add_argument("--data", required=True)
-    p.add_argument("--schema", choices=("wind", "gait", "generic"), default="generic")
+    p.add_argument("--schema", choices=SCHEMAS, default="generic")
     p.add_argument("--fraction", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -317,6 +317,8 @@ def run(argv=None) -> int:
     if args.command == "split":
         if args.seed < 0:
             raise ConfigError("seed must be >= 0")
+        if not 0.0 < args.fraction < 1.0:
+            raise ConfigError(f"split fraction {args.fraction} must be in (0, 1)")
         cmd_split(args.data, args.schema, args.fraction, args.seed, out)
         return 0
     if args.command == "eval":

@@ -16,9 +16,10 @@ its top eigenvalue and the augmentation factor, which share the one
 d x d eigenvector array: a model keeps neither the Gram matrix nor a
 factor matrix. The exchange move reads the precision only through
 energies, which come straight from the eigenpairs, so a proposal forms
-no d x d precision; an accepted kernel move forms only its latent rows,
-for the latent chain. Moves of the mean parameters alone reuse the
-current decomposition, and their energy differences need only the pull.
+no d x d precision; an accepted kernel move forms the m x m latent
+block, O(m^2 d), for the latent chain. Moves of the mean parameters
+alone reuse the current decomposition, and their energy differences need
+only the pull.
 
 The fit, ``sample`` and the CD diagnostic share one latent chain given the
 data: ``latent_params`` and ``latent_factor``, with ``full_states``.
@@ -147,8 +148,8 @@ class BridgeConfig:
 class ParamModel:
     """Everything the samplers need for one parameter value.
 
-    ``precision`` holds the eigenpairs (s, V) of K = V diag(s) V' and forms
-    products of M = K^-1 only when read. The full-space augmentation
+    ``precision`` holds the eigenpairs (s, V) of K = V diag(s) V', the one
+    form in which the samplers apply M = K^-1. The full-space augmentation
     factor ``full_aug`` (any A with A'A = lam*I - M, here
     diag(sqrt(lam - 1/s)) V') holds the same V object and the scale
     sqrt(lam - 1/s), so V is the only d x d array the model owns; repeated
@@ -513,18 +514,17 @@ def energy_gradient(phi, model: ParamModel) -> np.ndarray:
 
     ``phi`` holds one full state (d,) or a stack of them (..., d); the
     result is (p,) or (..., p), in ``gradient_names`` order. Kernel
-    components use dM = -M dK M: one product of the (2, ..., d) cos/sin
-    block with M, then one with each kernel derivative. It reads the whole
-    precision and the model's cached kernel derivatives.
+    components use dM = -M dK M: P = [M cos; M sin] comes from the
+    eigenpairs as ((cs V) / s) V', with no d x d product, then one product
+    of P with each of the model's cached kernel derivatives.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape[-1:] != (model.size,):
         raise ValueError(f"expected {model.size} angles per state, got shape {phi.shape}")
-    w = model.w
-    M = model.precision.matrix
+    w, s, V = model.w, model.precision.eigenvalues, model.precision.eigenvectors
     cs = cos_sin(phi)
     flat = (math.prod(cs.shape[:-1]), model.size)  # (2N, d) for N states
-    P = (cs.reshape(flat) @ M).reshape(cs.shape)  # [M cos; M sin], M symmetric
+    P = (((cs.reshape(flat) @ V) / s) @ V.T).reshape(cs.shape)  # [M cos; M sin]
     grad = [
         -0.5 * np.sum((P.reshape(flat) @ dK).reshape(cs.shape) * P, axis=(0, -1))
         for dK in model.derivatives.values()

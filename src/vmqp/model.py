@@ -52,10 +52,10 @@ class PrecisionModel:
     """Precision M = K^-1 = V diag(1/s) V', kept as the eigenpairs of K.
 
     ``eigenvalues`` s and ``eigenvectors`` V are those of the Gram matrix
-    K = V diag(s) V', with the latent/observed split of its rows. The
-    samplers read M only through quadratic forms (``energy``) and its first
-    ``n_latent`` rows (``latent_block``, ``cross_block``). Those rows and the
-    whole ``matrix`` are each formed on first read and kept.
+    K = V diag(s) V', with the latent/observed split of its rows. Every
+    product with M reads (s, V) alone: the quadratic forms of ``energy``,
+    the m x m ``latent_block``, the pull of ``conditional_params`` and the
+    products of ``energy_gradient``; none forms M itself.
     """
 
     eigenvalues: np.ndarray
@@ -69,25 +69,17 @@ class PrecisionModel:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The whole d x d precision, exactly symmetric."""
+        """The whole d x d M, exactly symmetric; only tests and the benchmark tracer read it."""
         V = self.eigenvectors
         M = (V / self.eigenvalues) @ V.T
         return 0.5 * (M + M.T)
 
-    @cached_property
-    def latent_rows(self) -> np.ndarray:
-        """The first n_latent rows of M, (V[:m] / s) V'."""
-        V = self.eigenvectors
-        return (V[: self.n_latent] / self.eigenvalues) @ V.T
-
     @property
     def latent_block(self) -> np.ndarray:
-        L = self.latent_rows[:, : self.n_latent]
+        """M[:m, :m] = (V[:m] / s) V[:m]', exactly symmetric; O(m^2 d)."""
+        Vm = self.eigenvectors[: self.n_latent]
+        L = (Vm / self.eigenvalues) @ Vm.T
         return 0.5 * (L + L.T)
-
-    @property
-    def cross_block(self) -> np.ndarray:
-        return self.latent_rows[:, self.n_latent :]
 
 
 @dataclass(frozen=True)
@@ -98,8 +90,8 @@ class ConditionalParams:
     exp(rho_c . cos(phi) + rho_s . sin(phi)
         - cos(phi)' Q cos(phi) / 2 - sin(phi)' Q sin(phi) / 2).
     Only the linear terms are kept here. The coupling Q lives in the
-    augmentation factor of lam*I - Q that a chain runs on: the latent
-    block or the whole precision of a ``PrecisionModel``.
+    augmentation factor of lam*I - Q that a chain runs on: that of the
+    ``latent_block`` of a ``PrecisionModel``, or of its whole M.
     """
 
     rho_c: np.ndarray
@@ -133,10 +125,12 @@ def conditional_params(
         raise ValueError(
             f"expected {pm.n_observed} observed angles, got {theta.shape}"
         )
-    m = pm.n_latent
+    m, V = pm.n_latent, pm.eigenvectors
     kappa, nu = w.concentration, w.mean_direction
-    rho_c = -pm.cross_block @ np.cos(theta) + kappa * np.cos(nu) * np.ones(m)
-    rho_s = -pm.cross_block @ np.sin(theta) + kappa * np.sin(nu) * np.ones(m)
+    # the pull M[:m, m:] [cos; sin](theta), as ((cs V[m:]) / s) V[:m]'
+    pull = ((cos_sin(theta) @ V[m:]) / pm.eigenvalues) @ V[:m].T
+    rho_c = -pull[0] + kappa * np.cos(nu) * np.ones(m)
+    rho_s = -pull[1] + kappa * np.sin(nu) * np.ones(m)
     return ConditionalParams(rho_c, rho_s)
 
 

@@ -13,6 +13,8 @@ from vmqp.data import angle_to_schema_units, ingest, load_dataset, split_indices
 from vmqp.errors import ConfigError, DataError
 from vmqp.inference import FitConfig
 
+from test_inference import forbid_whole_precision
+
 
 def write(path, text):
     path.write_text(text)
@@ -379,6 +381,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2, (text, err)
         assert err.startswith("configuration error"), (text, err)
+    # a split fraction outside (0, 1) is a setting, like a negative seed
+    for fraction in ("2", "0", "1", "-0.5", "nan"):
+        code = main(["split", "--data", data, "--fraction", fraction,
+                     "--out", str(tmp_path / "split")])
+        err = capsys.readouterr().err
+        assert code == 2, (fraction, err)
+        assert err == f"configuration error: split fraction {float(fraction)} must be in (0, 1)\n"
+    # one that leaves a side empty for the file's n = 8 rows is a data error
+    assert main(["split", "--data", data, "--fraction", "0.01",
+                 "--out", str(tmp_path / "split")]) == 3
+    assert capsys.readouterr().err.startswith("data error: fraction 0.01 leaves an empty side")
 
 
 def test_cli_imports_no_scipy():
@@ -403,6 +416,21 @@ phi_sweeps = 2
 inner_sweeps = 3
 seed = 11
 """
+
+
+@pytest.mark.parametrize("chi", ["", "chi = 4.0\n"], ids=["plain", "chi"])
+def test_cli_runs_never_form_the_whole_precision(tmp_path, monkeypatch, chi):
+    # every product with M = K^-1 reads the Gram eigenpairs: fit, sample and
+    # diagnose, plain and noisy, run while the whole d x d M cannot be formed
+    forbid_whole_precision(monkeypatch)
+    data = make_generic(tmp_path / "d.csv", n_obs=6, n_pred=2)
+    configs = (("fit", FIT_CONFIG + "bridge_levels = 1\n"),
+               ("sample", BASE_CONFIG), ("diagnose", DIAG_CONFIG))
+    for command, config in configs:
+        cfg = write(tmp_path / f"{command}.cfg", config + chi)
+        out = tmp_path / command
+        assert run([command, "--config", cfg, "--data", data, "--out", str(out)]) == 0
+        assert read_kv(out / ("summary.txt" if command == "fit" else "report.txt"))
 
 
 @pytest.mark.parametrize("levels", [0, 2])

@@ -1,7 +1,6 @@
 import inspect
 import math
 from dataclasses import fields, replace
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -649,21 +648,6 @@ def test_bridge_ladder_matches_four_matvec_reference(levels):
     assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def counting_latent_rows(monkeypatch):
-    """Record each PrecisionModel whose latent rows get formed."""
-    formed = []
-    form = PrecisionModel.__dict__["latent_rows"].func
-
-    def counting(pm):
-        formed.append(pm)
-        return form(pm)
-
-    prop = cached_property(counting)
-    prop.__set_name__(PrecisionModel, "latent_rows")
-    monkeypatch.setattr(PrecisionModel, "latent_rows", prop)
-    return formed
-
-
 def forbid_whole_precision(monkeypatch):
     def never(pm):
         raise AssertionError("the whole d x d precision was formed")
@@ -673,7 +657,6 @@ def forbid_whole_precision(monkeypatch):
 
 def test_exchange_moves_form_no_whole_precision(monkeypatch, rng):
     forbid_whole_precision(monkeypatch)
-    formed = counting_latent_rows(monkeypatch)
     d, m = 10, 3
     locations = np.linspace(0.0, 5.0, d)[:, None]
     w = ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3)
@@ -687,13 +670,19 @@ def test_exchange_moves_form_no_whole_precision(monkeypatch, rng):
                        BridgeConfig(1, inner_sweeps=3), rng, xi, block=inference.KERNEL_BLOCK)
         outcomes.append(res.reason)
         xi = res.xi
-        assert formed == []
         if res.accepted:
-            # the latent chain of the fit reads the m latent rows, and only them
-            latent_params(res.model, theta)
-            assert formed == [res.model.precision]
-            assert res.model.precision.latent_rows.shape == (m, d)
-            formed.clear()
+            # the latent chain of the fit reads the m x m latent block and the
+            # pull of theta, both from the eigenpairs; check them against
+            # blocks of a dense (V / s) V' built here
+            pm = res.model.precision
+            M = (pm.eigenvectors / pm.eigenvalues) @ pm.eigenvectors.T
+            tol = 1e-12 * np.abs(M).max()
+            assert np.max(np.abs(pm.latent_block - M[:m, :m])) <= tol
+            cp = latent_params(res.model, theta)
+            kappa, nu = res.model.w.concentration, res.model.w.mean_direction
+            for rho, f in ((cp.rho_c, np.cos), (cp.rho_s, np.sin)):
+                assert np.max(np.abs(rho - (kappa * f(nu) - M[:m, m:] @ f(theta)))) <= tol
+            assert inference.latent_factor(res.model).size == m
             model = res.model
     assert "accepted" in outcomes and "mh" in outcomes
 
@@ -701,8 +690,8 @@ def test_exchange_moves_form_no_whole_precision(monkeypatch, rng):
 def test_kernel_proposal_runs_one_eigh_and_forms_no_whole_precision(monkeypatch, rng):
     # chi unset: a kernel proposal factors nothing of size d but its one eigh,
     # and the whole precision M, the d x d x d product this path used to form,
-    # is never read; the latent rows are formed, and factored by one eigh of
-    # size m, once per accepted kernel move
+    # is never read; the m x m latent block is formed, and factored by one
+    # eigh of size m, once per accepted kernel move
     d, m = 12, 3
     sizes = {"eigh": [], "eigvalsh": [], "cholesky": [], "inv": [], "solve": []}
     for name in sizes:
@@ -712,7 +701,6 @@ def test_kernel_proposal_runs_one_eigh_and_forms_no_whole_precision(monkeypatch,
 
         monkeypatch.setattr(np.linalg, name, recording)
     forbid_whole_precision(monkeypatch)
-    formed = counting_latent_rows(monkeypatch)
     w = ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3)
     train = np.linspace(0.0, 6.0, d - m)[:, None]
     theta = rng.uniform(-np.pi, np.pi, d - m)
@@ -727,7 +715,6 @@ def test_kernel_proposal_runs_one_eigh_and_forms_no_whole_precision(monkeypatch,
     assert sizes["eigh"].count(m) == 1 + kernel["accepted"]
     assert len(sizes["eigh"]) == sizes["eigh"].count(d) + sizes["eigh"].count(m)
     assert sizes["inv"] == sizes["solve"] == sizes["eigvalsh"] == sizes["cholesky"] == []
-    assert len(formed) == 1 + kernel["accepted"]
 
 
 def test_cd_gradient_repeats_evaluate_kernel_derivatives_once(monkeypatch, rng):

@@ -27,6 +27,22 @@ def pv(kappa=0.0, nu=0.0, chi=None):
     return ParamVector(KernelSpec("gaussian", 1.0, 1.0), kappa, nu, chi)
 
 
+def assert_blocks_of_dense_precision(pm, theta):
+    """latent_block and the pull of conditional_params against blocks of a
+    dense (V / s) V' built here, to 1e-12 relative to its largest entry."""
+    V, m = pm.eigenvectors, pm.n_latent
+    M = (V / pm.eigenvalues) @ V.T
+    tol = 1e-12 * np.abs(M).max()
+    L = pm.latent_block
+    assert L.shape == (m, m)
+    assert np.array_equal(L, L.T)
+    assert np.max(np.abs(L - M[:m, :m]), initial=0.0) <= tol
+    cp = conditional_params(pm, theta, pv())
+    for rho, f in ((cp.rho_c, np.cos), (cp.rho_s, np.sin)):
+        ref = -M[:m, m:] @ f(theta)
+        assert np.max(np.abs(rho - ref), initial=0.0) <= tol
+
+
 def test_param_vector_validation():
     with pytest.raises(ValueError):
         pv(kappa=-0.5)
@@ -42,7 +58,13 @@ def test_param_vector_validation():
 def test_precision_identity():
     pm = build_precision(gram_from_matrix(np.eye(4)), 2, 2)
     assert np.allclose(pm.matrix, np.eye(4))
-    assert np.allclose(pm.cross_block, 0.0)
+    assert np.allclose(pm.latent_block, np.eye(2), rtol=0, atol=1e-12)
+    theta = np.array([0.3, -1.0])
+    assert_blocks_of_dense_precision(pm, theta)
+    # the cross block vanishes, so theta exerts no pull
+    cp = conditional_params(pm, theta, pv())
+    assert np.allclose(cp.rho_c, 0.0, rtol=0, atol=1e-12)
+    assert np.allclose(cp.rho_s, 0.0, rtol=0, atol=1e-12)
 
 
 def test_precision_scalar():
@@ -75,9 +97,12 @@ def test_conditional_zero_kappa(rng):
     K = A @ A.T + 4 * np.eye(4)
     pm = build_precision(gram_from_matrix(K), 2, 2)
     theta = rng.uniform(-np.pi, np.pi, 2)
+    assert_blocks_of_dense_precision(pm, theta)
+    # the same block of M = K^-1, taken by a solve instead of the eigenpairs
+    cross = np.linalg.solve(K, np.eye(4))[:2, 2:]
     cp = conditional_params(pm, theta, pv(kappa=0.0))
-    assert np.allclose(cp.rho_c, -pm.cross_block @ np.cos(theta))
-    assert np.allclose(cp.rho_s, -pm.cross_block @ np.sin(theta))
+    assert np.allclose(cp.rho_c, -cross @ np.cos(theta), rtol=0, atol=1e-12)
+    assert np.allclose(cp.rho_s, -cross @ np.sin(theta), rtol=0, atol=1e-12)
 
 
 def test_conditional_hand_example():
@@ -193,17 +218,12 @@ def test_precision_forms_only_what_is_read(rng):
     spec = KernelSpec("gaussian", 1.0, 0.5)
     X = rng.uniform(size=(7, 2))
     pm = build_precision(build_gram(spec, X), 3, 4)
-    assert "matrix" not in vars(pm) and "latent_rows" not in vars(pm)
     energy(rng.uniform(-np.pi, np.pi, 7), pv(kappa=0.5), pm)
     cp = full_state_params(pm, pv(kappa=0.5))
     assert cp.size == 7
-    assert "matrix" not in vars(pm) and "latent_rows" not in vars(pm)
-    conditional_params(pm, np.zeros(4), pv())
-    assert "matrix" not in vars(pm)
-    assert pm.latent_rows.shape == (3, 7)
-    # the latent rows agree with the whole matrix once that is read
-    M = pm.matrix
-    assert M is pm.matrix
-    assert np.allclose(pm.latent_block, M[:3, :3], rtol=0, atol=1e-12 * np.abs(M).max())
-    assert np.array_equal(pm.latent_block, pm.latent_block.T)
-    assert np.allclose(pm.cross_block, M[:3, 3:], rtol=0, atol=1e-12 * np.abs(M).max())
+    theta = rng.uniform(-np.pi, np.pi, 4)
+    conditional_params(pm, theta, pv())
+    pm.latent_block
+    # nothing is cached: every read is a product with the eigenpairs
+    assert set(vars(pm)) == {"eigenvalues", "eigenvectors", "n_latent", "n_observed"}
+    assert_blocks_of_dense_precision(pm, theta)
