@@ -28,7 +28,6 @@ from .inference import (
     build_param_model,
     cd_gradient,
     gradient_names,
-    latent_factor,
     latent_params,
 )
 from .kernels import FAMILY_TERMS
@@ -74,10 +73,7 @@ def read_samples_csv(path) -> np.ndarray:
 
 
 def _assemble(cfg: RunConfig, dataset: Dataset):
-    """The model that fit, sample and diagnose start from, over [prediction; training].
-
-    It builds no latent factor: the fit would throw it away.
-    """
+    """The model that fit, sample and diagnose start from, over [prediction; training]."""
     if dataset.n_test == 0:
         raise DataError("no prediction locations")
     locations = np.vstack([dataset.test_locations, dataset.observed_locations])
@@ -91,12 +87,13 @@ def _diagnostics_rows(samples: np.ndarray, ress: np.ndarray):
 
 def cmd_sample(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
     model = _assemble(cfg, dataset)
-    cp, aug = latent_params(model, dataset.observed_angles), latent_factor(model)
+    cp = latent_params(model, dataset.observed_angles)
     rng = np.random.default_rng(cfg.seed)
     init = sample_von_mises(model.w.mean_direction, model.w.concentration * np.ones(cp.size), rng)
-    chain = run_chain(cp, aug, cfg.n_iter, cfg.burn_in, cfg.thin, seed=rng, init=init)
+    chain = run_chain(cp, model.latent_aug, cfg.n_iter, cfg.burn_in, cfg.thin, seed=rng, init=init)
     m = dataset.n_test
     samples = chain.samples[:, :m]
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out / "phi_samples.csv",
         [f"phi_{j + 1}" for j in range(m)],
@@ -131,6 +128,7 @@ def cmd_fit(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
     trace[:, 1:-2] = np.sqrt(trace[:, 1:-2])
     header = ["iter", "sigma2", *("l", "g")[: trace.shape[1] - 3], "kappa", "nu", "accepted"]
     rows = np.column_stack([np.arange(len(trace)), trace, result.accepted_trace])
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "w_trace.csv", header, rows)
     _write_csv(
         out / "phi_samples.csv",
@@ -178,6 +176,7 @@ def cmd_eval(pred_paths, truth_paths, schema: str, out: Path) -> None:
             [split_idx, j + 1, score] for j, score in enumerate(scores)
         )
         split_means.append(float(np.mean(scores)))
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "crps.csv", ["split", "location", "crps"], rows)
     _write_report(
         out / "summary.txt",
@@ -204,7 +203,7 @@ def _finite_median(values) -> float:
 
 def cmd_diagnose(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
     model = _assemble(cfg, dataset)
-    cp, latent_aug = latent_params(model, dataset.observed_angles), latent_factor(model)
+    cp, latent_aug = latent_params(model, dataset.observed_angles), model.latent_aug
     w = model.w
     batches = np.random.SeedSequence(cfg.seed).spawn(len(cfg.lambda_multipliers) + 1)
     init_conc = w.concentration * np.ones((cfg.sweep_seeds, cp.size))
@@ -219,6 +218,7 @@ def cmd_diagnose(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
         chain = run_chain(cp, aug, cfg.sweep_iters, cfg.sweep_burn_in, thin=1, seed=rng, init=init)
         per_chain = np.array([_finite_median(r) for r in chain.ress])
         sweep_rows.append([mult, _finite_median(per_chain)])
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "lambda_sweep.csv", ["lambda_multiplier", "median_ress"], sweep_rows)
 
     grads = cd_gradient(
@@ -227,7 +227,6 @@ def cmd_diagnose(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
         cfg.cd_mc_samples,
         np.random.default_rng(batches[-1]),
         repeats=cfg.cd_repeats,
-        latent_aug=latent_aug,
     )
     _write_csv(out / "cd_gradient.csv", list(gradient_names(w)), grads)
     items = [
@@ -251,6 +250,7 @@ def cmd_diagnose(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
 def cmd_split(data_path, schema: str, fraction: float, seed: int, out: Path) -> None:
     ds = ingest(data_path, schema)
     train_idx, test_idx = split_indices(ds.n_observed, fraction, seed)
+    out.mkdir(parents=True, exist_ok=True)
     write_rows(
         out / "train.csv",
         schema,
@@ -312,8 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out)  # each command makes it just before its first write
     if args.command == "split":
         if args.seed < 0:
             raise ConfigError("seed must be >= 0")

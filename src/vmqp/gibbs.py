@@ -14,14 +14,14 @@ lambda = (1 + slack) * lambda_max, in ``slack_augmentation``, with slack = 0.01.
 Every factor comes from eigenpairs: with Q = U diag(e) U', the factor
 A = diag(sqrt(lambda - e)) U' is kept as (e, U) and the scale
 sqrt(lambda - e), never as a matrix, and lambda_max = max(e) is exact.
-``make_augmentation`` (slack rule) and ``augmentation_at`` (explicit
-lambda) run one ``eigh`` of Q; the full-space models reuse the
-eigenpairs of their Gram matrix, and ``Augmentation.at`` moves a factor
-to another lambda by a rescale of its eigenpairs, with no ``eigh``.
-Every chain of the package advances through ``run_sweeps`` on a factor
-its caller built once. Every transition is ``augmented_sweep`` on a
-sequence of factors: one for a Gibbs sweep, two (scaled) for a bridge
-level of ``inference.bridge_ladder``.
+Every factor the package runs on is ``slack_augmentation`` of eigenpairs
+a ``model.PrecisionModel`` holds (those of M, or the ``latent_eigenpairs``
+of its latent block), and ``Augmentation.at`` moves a factor to another
+lambda by a rescale, with no ``eigh``. No package path calls
+``make_augmentation`` or ``augmentation_at``, which factor a given Q.
+Every chain advances through ``run_sweeps``; every transition is
+``augmented_sweep`` on a sequence of factors: one for a Gibbs sweep, two
+(scaled) for a bridge level of ``inference.bridge_ladder``.
 
 A state is one chain, phi of shape (m,), or a stack of C independent
 chains on the same factor, shape (C, m). A sweep of the stack costs one
@@ -40,7 +40,7 @@ import numpy as np
 
 from .circular import as_generator, cos_sin, sample_von_mises
 from .errors import NumericalError
-from .model import ConditionalParams
+from .model import ConditionalParams, spectrum
 from . import evaluation
 
 DEFAULT_SLACK = 0.01
@@ -103,19 +103,6 @@ def spectral_augmentation(e: np.ndarray, U: np.ndarray, lam: float) -> Augmentat
     return Augmentation(float(lam), e, U, np.sqrt(np.maximum(lam - e, 0.0)), lam_max)
 
 
-def _spectrum(Q) -> tuple:
-    """Ascending eigenpairs (e, U) of the symmetric matrix Q."""
-    Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise ValueError("Q must be a square matrix")
-    if not np.isfinite(Q).all():
-        raise NumericalError("Q has a non-finite entry")
-    try:
-        return np.linalg.eigh(Q)
-    except np.linalg.LinAlgError:
-        raise NumericalError("eigendecomposition of Q failed") from None
-
-
 def slack_augmentation(e: np.ndarray, U: np.ndarray, slack: float) -> Augmentation:
     """Factor of the eigenpairs (e, U) at the slack rule lam = (1 + slack) * max(e).
 
@@ -131,7 +118,7 @@ def slack_augmentation(e: np.ndarray, U: np.ndarray, slack: float) -> Augmentati
 
 def make_augmentation(Q: np.ndarray, slack: float = DEFAULT_SLACK) -> Augmentation:
     """Factor lam*I - Q at lam = (1 + slack) * lambda_max(Q), from one ``eigh`` of Q."""
-    return slack_augmentation(*_spectrum(Q), slack)
+    return slack_augmentation(*spectrum(Q), slack)
 
 
 def augmentation_at(Q: np.ndarray, lam: float) -> Augmentation:
@@ -140,7 +127,7 @@ def augmentation_at(Q: np.ndarray, lam: float) -> Augmentation:
     One ``eigh`` of Q, as in ``make_augmentation``; a factor already built
     for Q moves to another lambda with ``Augmentation.at`` and no ``eigh``.
     """
-    e, U = _spectrum(Q)
+    e, U = spectrum(Q)
     return spectral_augmentation(e, U, lam)
 
 

@@ -16,13 +16,15 @@ its top eigenvalue and the augmentation factor, which share the one
 d x d eigenvector array: a model keeps neither the Gram matrix nor a
 factor matrix. The exchange move reads the precision only through
 energies, which come straight from the eigenpairs, so a proposal forms
-no d x d precision; an accepted kernel move forms the m x m latent
-block, O(m^2 d), for the latent chain. Moves of the mean parameters
-alone reuse the current decomposition, and their energy differences need
-only the pull.
+no d x d precision. The latent chain's factor, ``ParamModel.latent_aug``,
+reads the eigenpairs of the m x m latent block, which the precision
+forms, O(m^2 d), and decomposes once, when a chain first sweeps on that
+kernel value. Moves of the mean parameters alone reuse the current
+precision, its latent eigenpairs included, and their energy differences
+need only the pull.
 
 The fit, ``sample`` and the CD diagnostic share one latent chain given the
-data: ``latent_params`` and ``latent_factor``, with ``full_states``.
+data: ``latent_params`` and ``ParamModel.latent_aug``, with ``full_states``.
 
 The learning setting is transductive: prediction locations are fixed at
 fit time because the model is not closed under marginalization; every
@@ -39,7 +41,7 @@ import numpy as np
 
 from .circular import as_generator, cos_sin, sample_von_mises
 from .errors import NumericalError
-from .gibbs import Augmentation, augmented_sweep, make_augmentation, run_sweeps
+from .gibbs import Augmentation, augmented_sweep, run_sweeps
 from .gibbs import slack_augmentation, DEFAULT_SLACK
 from .gibbs import gibbs_sweep  # noqa: F401  perfbench/test_perfbench.py reads this binding
 from .kernels import KernelSpec, build_gram, kernel_derivatives
@@ -156,8 +158,8 @@ class ParamModel:
     fictitious-sample chains and bridging ladders reuse it. The Gram
     matrix itself is not kept, only its diagonal ``jitter``. Models that
     differ only in the mean parameters share precision and full_aug.
-    ``slack`` is the rule lam = (1 + slack) * lam_max of full_aug, and
-    every latent factor built for this model uses it too. ``derivatives``
+    ``slack`` is the rule lam = (1 + slack) * lam_max of full_aug and of
+    ``latent_aug``, the factor of the latent chain. ``derivatives``
     (dK/dp for ``energy_gradient``, d x d each) is computed on first read
     and kept.
     """
@@ -175,6 +177,18 @@ class ParamModel:
 
     def energy(self, phi) -> float:
         return energy(phi, self.w, self.precision)
+
+    @property
+    def latent_aug(self) -> Augmentation:
+        """Factor of the latent chain whose target ``latent_params`` gives.
+
+        The precision's ``latent_eigenpairs`` at the model's slack: a rescale
+        per read, one ``eigh`` per kernel value. Under noisy observations the
+        coupling is the full precision, whose factor is ``full_aug``.
+        """
+        if self.w.noise_concentration is not None:
+            return self.full_aug
+        return slack_augmentation(*self.precision.latent_eigenpairs, self.slack)
 
     @cached_property
     def derivatives(self) -> dict:
@@ -220,19 +234,6 @@ def latent_params(model: ParamModel, theta) -> ConditionalParams:
     if model.w.noise_concentration is not None:
         return full_state_params(model.precision, model.w, theta)
     return conditional_params(model.precision, theta, model.w)
-
-
-def latent_factor(model: ParamModel) -> Augmentation:
-    """Factor of the latent chain whose target ``latent_params`` gives.
-
-    It factors the coupling, the precision's latent block, at the slack of
-    the model; so it depends on the kernel but not on (kappa, nu). Under
-    noisy observations the coupling is the full precision, whose spectral
-    factor the model already holds.
-    """
-    if model.w.noise_concentration is not None:
-        return model.full_aug
-    return make_augmentation(model.precision.latent_block, model.slack)
 
 
 def full_states(model: ParamModel, latent, theta) -> np.ndarray:
@@ -456,7 +457,6 @@ def block_gibbs_fit(theta, model: ParamModel, config: FitConfig, rng) -> FitOutp
         blocks.append(("mean", MEAN_BLOCK))
 
     cp = latent_params(model, theta)
-    latent_aug = latent_factor(model)
     phi = sample_von_mises(model.w.mean_direction, model.w.concentration * np.ones(cp.size), rng)
     xi = sample_von_mises(0.0, np.zeros(model.size), rng)
 
@@ -466,7 +466,7 @@ def block_gibbs_fit(theta, model: ParamModel, config: FitConfig, rng) -> FitOutp
     jitters = [model.jitter]
     for t in range(config.n_iter):
         if cp.size and config.phi_sweeps:
-            phi = run_sweeps(phi, latent_aug, cp, rng, config.phi_sweeps)[0]
+            phi = run_sweeps(phi, model.latent_aug, cp, rng, config.phi_sweeps)[0]
         phi_full = full_states(model, phi, theta)
         accepted_any = False
         for _ in range(config.dmh_steps):
@@ -485,12 +485,9 @@ def block_gibbs_fit(theta, model: ParamModel, config: FitConfig, rng) -> FitOutp
                 xi = res.xi
                 if res.accepted:
                     accepted_any = True
-                    kernel_moved = res.model.precision is not model.precision
                     model = res.model
                     cp = latent_params(model, theta)
-                    if kernel_moved:
-                        latent_aug = latent_factor(model)
-                        jitters.append(model.jitter)
+                    jitters.append(model.jitter)
         if t >= config.burn_in and (t - config.burn_in) % config.thin == 0:
             rows.append(list(_param_dict(model.w).values()))
             accepted_rows.append(int(accepted_any))
@@ -541,8 +538,7 @@ def cd_gradient(
     rng,
     sweeps_between: int = 5,
     burn_sweeps: int = 50,
-    repeats: int | None = None,
-    latent_aug: Augmentation | None = None,
+    repeats: int = 1,
 ) -> np.ndarray:
     """Contrastive-divergence estimate of the marginal-likelihood gradient.
 
@@ -551,42 +547,37 @@ def cd_gradient(
     as a diagnostic: with few parameters and many latent coordinates the
     estimate is too noisy to drive point estimation.
 
-    With ``repeats`` None it runs one chain pair and returns (p,). With an
-    int R it returns (R, p), one row per independent chain pair: the R
-    full-space chains run as one (R, d) stack and the R latent chains as
-    one (R, n) stack, on one Generator, and ``energy_gradient`` runs once
-    per stack. ``repeats=1`` gives the None estimate as its one row.
+    It returns (R, p) for R = ``repeats``, one row per independent chain
+    pair: the R full-space chains run as one (R, d) stack and the R latent
+    chains as one (R, n) stack, on one Generator, and ``energy_gradient``
+    runs once per stack; the default ``repeats=1`` runs one chain pair.
 
     The latent chains are those of ``block_gibbs_fit`` and ``sample``:
-    target ``latent_params``, factor ``latent_aug`` or, when None,
-    ``latent_factor(model)``. Without observation noise they run over the
-    n = m latent angles; under noise over all n = d, with theta as pulls.
+    target ``latent_params``, factor ``model.latent_aug``. Without
+    observation noise they run over the n = m latent angles; under noise
+    over all n = d, with theta as pulls.
     """
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
-    if repeats is not None and repeats < 0:
+    if repeats < 0:
         raise ValueError("repeats must be >= 0")
     rng = as_generator(rng)
     theta = np.asarray(theta, dtype=float)
     pm = model.precision
-    stack = () if repeats is None else (repeats,)
 
     first = burn_sweeps + sweeps_between
 
     # Full-space chains over all d angles.
     cp_full = full_state_params(pm, model.w)
-    state = sample_von_mises(0.0, np.zeros(stack + (pm.size,)), rng)
+    state = sample_von_mises(0.0, np.zeros((repeats, pm.size)), rng)
     states = run_sweeps(state, model.full_aug, cp_full, rng, first, mc_samples, sweeps_between)
     g_full = energy_gradient(states, model).mean(axis=0)
 
     # Conditional chains given the data (none without latent angles).
     cp = latent_params(model, theta)
     if cp.size > 0:
-        aug = latent_factor(model) if latent_aug is None else latent_aug
-        if aug.size != cp.size:
-            raise ValueError("latent_aug does not match the latent angles")
-        lat = sample_von_mises(0.0, np.zeros(stack + (cp.size,)), rng)
-        lats = run_sweeps(lat, aug, cp, rng, first, mc_samples, sweeps_between)
+        lat = sample_von_mises(0.0, np.zeros((repeats, cp.size)), rng)
+        lats = run_sweeps(lat, model.latent_aug, cp, rng, first, mc_samples, sweeps_between)
         g_cond = energy_gradient(full_states(model, lats, theta), model).mean(axis=0)
     else:
         g_cond = energy_gradient(theta, model)

@@ -55,7 +55,9 @@ class PrecisionModel:
     K = V diag(s) V', with the latent/observed split of its rows. Every
     product with M reads (s, V) alone: the quadratic forms of ``energy``,
     the m x m ``latent_block``, the pull of ``conditional_params`` and the
-    products of ``energy_gradient``; none forms M itself.
+    products of ``energy_gradient``; none forms M itself. The eigenpairs
+    of the latent block, ``latent_eigenpairs``, cost one ``eigh`` on first
+    read, shared by every model that holds this precision.
     """
 
     eigenvalues: np.ndarray
@@ -81,6 +83,24 @@ class PrecisionModel:
         L = (Vm / self.eigenvalues) @ Vm.T
         return 0.5 * (L + L.T)
 
+    @cached_property
+    def latent_eigenpairs(self) -> tuple:
+        """Ascending eigenpairs (e, U) of ``latent_block``: one ``eigh``, on first read."""
+        return spectrum(self.latent_block)
+
+
+def spectrum(Q) -> tuple:
+    """Ascending eigenpairs (e, U) of the symmetric matrix Q."""
+    Q = np.asarray(Q, dtype=float)
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+        raise ValueError("Q must be a square matrix")
+    if not np.isfinite(Q).all():
+        raise NumericalError("Q has a non-finite entry")
+    try:
+        return np.linalg.eigh(Q)
+    except np.linalg.LinAlgError:
+        raise NumericalError("eigendecomposition of Q failed") from None
+
 
 @dataclass(frozen=True)
 class ConditionalParams:
@@ -91,7 +111,7 @@ class ConditionalParams:
         - cos(phi)' Q cos(phi) / 2 - sin(phi)' Q sin(phi) / 2).
     Only the linear terms are kept here. The coupling Q lives in the
     augmentation factor of lam*I - Q that a chain runs on: that of the
-    ``latent_block`` of a ``PrecisionModel``, or of its whole M.
+    ``latent_eigenpairs`` of a ``PrecisionModel``, or of its whole M.
     """
 
     rho_c: np.ndarray

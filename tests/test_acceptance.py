@@ -398,7 +398,7 @@ def test_c10_cd_gradient_diagnostic():
 
     rng = np.random.default_rng(61)
     reps = np.array(
-        [cd_gradient(theta, model, 200, rng) for _ in range(40)]
+        [cd_gradient(theta, model, 200, rng, repeats=1)[0] for _ in range(40)]
     )
     se = reps.std(axis=0, ddof=1) / math.sqrt(len(reps))
     diff = np.abs(reps.mean(axis=0) - exact)
@@ -430,7 +430,8 @@ def test_c10_cd_gradient_diagnostic():
             np.random.default_rng(seed),
             sweeps_between=2,
             burn_sweeps=30,
-        )
+            repeats=1,
+        )[0]
         signs.append(math.copysign(1.0, g[idx]))
     agreement = max(signs.count(1.0), signs.count(-1.0)) / len(signs)
     ok = unbiased and agreement < 0.90

@@ -13,7 +13,7 @@ from vmqp.data import angle_to_schema_units, ingest, load_dataset, split_indices
 from vmqp.errors import ConfigError, DataError
 from vmqp.inference import FitConfig
 
-from test_inference import forbid_whole_precision
+from test_inference import forbid_whole_precision, recording_eighs, recording_sweeps
 
 
 def write(path, text):
@@ -217,12 +217,13 @@ def test_cli_kernel_with_more_terms_than_coordinates_is_a_data_error(tmp_path, c
     cfg = write(tmp_path / "run.cfg", text)
     data = make_generic(tmp_path / "d.csv")
     for command in ("sample", "fit", "diagnose"):
-        code = main([command, "--config", cfg, "--data", data,
-                     "--out", str(tmp_path / command)])
+        out = tmp_path / command
+        code = main([command, "--config", cfg, "--data", data, "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 3, (command, err)
         assert err == ("data error: anisotropic_gaussian kernel needs >= 2 location "
                        "coordinates, data has 1\n"), command
+        assert not out.exists(), command
 
 
 def test_angle_roundtrip():
@@ -287,6 +288,7 @@ def test_cli_sample_requires_predictions(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == 3
     assert "no prediction locations" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_sample_roundtrip_diagnostics(tmp_path):
@@ -374,24 +376,27 @@ CONFIG_ERRORS = [
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
     data = make_generic(tmp_path / "d.csv")
+    # a rejected run leaves no output directory behind
     for i, (command, text) in enumerate(CONFIG_ERRORS):
         cfg = write(tmp_path / f"run{i}.cfg", with_keys(BASE_CONFIG, text))
-        code = main([command, "--config", cfg, "--data", data,
-                     "--out", str(tmp_path / f"o{i}")])
+        out = tmp_path / f"o{i}"
+        code = main([command, "--config", cfg, "--data", data, "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2, (text, err)
         assert err.startswith("configuration error"), (text, err)
+        assert not out.exists(), text
     # a split fraction outside (0, 1) is a setting, like a negative seed
+    out = tmp_path / "split"
     for fraction in ("2", "0", "1", "-0.5", "nan"):
-        code = main(["split", "--data", data, "--fraction", fraction,
-                     "--out", str(tmp_path / "split")])
+        code = main(["split", "--data", data, "--fraction", fraction, "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2, (fraction, err)
         assert err == f"configuration error: split fraction {float(fraction)} must be in (0, 1)\n"
+        assert not out.exists(), fraction
     # one that leaves a side empty for the file's n = 8 rows is a data error
-    assert main(["split", "--data", data, "--fraction", "0.01",
-                 "--out", str(tmp_path / "split")]) == 3
+    assert main(["split", "--data", data, "--fraction", "0.01", "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("data error: fraction 0.01 leaves an empty side")
+    assert not out.exists()
 
 
 def test_cli_imports_no_scipy():
@@ -457,38 +462,35 @@ def test_cli_fit_schema(tmp_path, levels):
 
 def test_cli_fit_runs_at_the_configured_slack(tmp_path, monkeypatch):
     # the slack key reaches the model the fit starts from, every model
-    # built for a proposal and every latent factor of the fit
+    # built for a proposal and every factor a chain of the fit sweeps on:
+    # the latent ones (size 2) and the fictitious ones (size 8)
     import vmqp.cli as cli
     import vmqp.inference as inference
 
-    given, calls = [], []
-    fit, build, factor = cli.block_gibbs_fit, inference.build_param_model, inference.make_augmentation
+    given, slacks = [], []
+    fit, build = cli.block_gibbs_fit, inference.build_param_model
 
     def recording_fit(theta, model, config, rng):
         given.append(model)
         return fit(theta, model, config, rng)
 
     def recording_build(*args):
-        calls.append(("build_param_model", args[3]))  # a call without slack fails here
+        slacks.append(args[3])  # a call without slack fails here
         return build(*args)
-
-    def recording_factor(Q, slack):
-        calls.append(("make_augmentation", slack))
-        return factor(Q, slack)
 
     monkeypatch.setattr(cli, "block_gibbs_fit", recording_fit)
     monkeypatch.setattr(cli, "build_param_model", recording_build)
     monkeypatch.setattr(inference, "build_param_model", recording_build)
-    monkeypatch.setattr(inference, "make_augmentation", recording_factor)
+    factors = recording_sweeps(monkeypatch)
     cfg = write(tmp_path / "run.cfg", FIT_CONFIG + "slack = 0.5\n")
     data = make_generic(tmp_path / "d.csv", n_obs=6, n_pred=2)
     assert run(["fit", "--config", cfg, "--data", data, "--out", str(tmp_path / "o")]) == 0
     (model,) = given
     assert model.slack == 0.5
     assert model.full_aug.lam == 1.5 * model.full_aug.lam_max_estimate
-    names = [name for name, _ in calls]
-    assert names.count("build_param_model") > 1 and "make_augmentation" in names
-    assert all(slack == 0.5 for _, slack in calls), calls
+    assert len(slacks) > 1 and all(slack == 0.5 for slack in slacks), slacks
+    assert {aug.size for aug in factors} == {2, 8}
+    assert all(aug.lam == 1.5 * aug.lam_max_estimate for aug in factors)
 
 
 def test_cli_eval_perfect_and_single_split(tmp_path):
@@ -531,6 +533,7 @@ def test_cli_eval_mismatch(tmp_path, capsys):
                      "--out", str(tmp_path / "o")])
         assert code == 3, text
         assert message in capsys.readouterr().err, text
+        assert not (tmp_path / "o").exists(), text
 
 
 DIAG_CONFIG = BASE_CONFIG + """
@@ -580,7 +583,7 @@ def test_cli_diagnose_factors_once_per_multiplier(tmp_path, monkeypatch):
     # multiplier * lambda_max, and the CD chains run on the same eigenpairs
     import vmqp.cli as cli
 
-    eighs, factors, cd_factors = [], [], []
+    eighs, factors, sweeps = [], [], recording_sweeps(monkeypatch)
 
     def recording_eigh(a, *args, **kwargs):
         eighs.append((np.array(a), eigh(a, *args, **kwargs)))
@@ -590,14 +593,9 @@ def test_cli_diagnose_factors_once_per_multiplier(tmp_path, monkeypatch):
         factors.append(aug)
         return run_chain(cp, aug, *args, **kwargs)
 
-    def recording_cd(*args, **kwargs):
-        cd_factors.append(kwargs["latent_aug"])
-        return cd_gradient(*args, **kwargs)
-
-    eigh, run_chain, cd_gradient = np.linalg.eigh, cli.run_chain, cli.cd_gradient
+    eigh, run_chain = np.linalg.eigh, cli.run_chain
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     monkeypatch.setattr(cli, "run_chain", recording_chain)
-    monkeypatch.setattr(cli, "cd_gradient", recording_cd)
     cfg = write(tmp_path / "run.cfg", DIAG_CONFIG.replace(
         "lambda_multipliers = 1.5", "lambda_multipliers = 1.5, 3.0"))
     data = make_generic(tmp_path / "d.csv", n_obs=5, n_pred=2)
@@ -611,7 +609,9 @@ def test_cli_diagnose_factors_once_per_multiplier(tmp_path, monkeypatch):
         assert aug.eigenvectors is U
         assert aug.lam == mult * e[-1]
         assert aug.lam == pytest.approx(mult * np.linalg.eigvalsh(Q)[-1], rel=1e-12)
-    assert len(cd_factors) == 1 and cd_factors[0].eigenvectors is U
+    cd_factors = [aug for aug in sweeps if aug.size == 2]  # the other is the full-space one
+    assert len(sweeps) == 2 and len(cd_factors) == 1 and cd_factors[0].eigenvectors is U
+    assert cd_factors[0].lam == pytest.approx(1.01 * e[-1], rel=1e-15)
 
 
 def test_cli_anisotropic_fit_writes_the_scales_of_its_trace(tmp_path, monkeypatch):
@@ -660,9 +660,6 @@ def test_cli_noisy_sample_runs_on_the_model_factor(tmp_path, monkeypatch):
     import vmqp.gibbs as gibbs
     import vmqp.inference as inference
 
-    def no_factor(*args, **kwargs):
-        raise AssertionError("make_augmentation called")
-
     models, factors, sweeps = [], [], []
 
     def building(*args, **kwargs):
@@ -678,18 +675,18 @@ def test_cli_noisy_sample_runs_on_the_model_factor(tmp_path, monkeypatch):
         return run_sweeps(phi, aug, *args, **kwargs)
 
     build_param_model, run_chain, run_sweeps = cli.build_param_model, cli.run_chain, gibbs.run_sweeps
-    monkeypatch.setattr(inference, "make_augmentation", no_factor)
-    monkeypatch.setattr(gibbs, "make_augmentation", no_factor)
+    eighs = recording_eighs(monkeypatch)
     monkeypatch.setattr(cli, "build_param_model", building)
     monkeypatch.setattr(cli, "run_chain", recording)
     monkeypatch.setattr(inference, "run_sweeps", sweeping)
     data = make_generic(tmp_path / "d.csv", n_obs=6, n_pred=2)
     for command, config in (("sample", BASE_CONFIG), ("diagnose", DIAG_CONFIG)):
-        del models[:], factors[:], sweeps[:]
+        del models[:], factors[:], sweeps[:], eighs[:]
         cfg = write(tmp_path / f"{command}.cfg", config + "chi = 4.0\n")
         out = tmp_path / command
         assert run([command, "--config", cfg, "--data", data, "--out", str(out)]) == 0
         assert len(models) == 1 and len(factors) == 1
+        assert [n for n, _ in eighs] == [8]  # the Gram matrix's, and no latent block's
         full_aug = models[0].full_aug
         if command == "sample":
             assert factors[0] is full_aug and not sweeps

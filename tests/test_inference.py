@@ -23,13 +23,14 @@ from vmqp.inference import (
     energy_change,
     energy_gradient,
     gradient_names,
+    full_states,
     latent_params,
     propose,
     sample_fictitious,
 )
 from vmqp.kernels import GramMatrix, KernelSpec, kernel_derivatives, kernel_matrix
 from vmqp.circular import sample_von_mises
-from vmqp.model import ParamVector, PrecisionModel
+from vmqp.model import ParamVector, PrecisionModel, full_state_params
 
 from test_kernels import FAMILY_SPECS
 
@@ -37,6 +38,32 @@ from test_kernels import FAMILY_SPECS
 def simple_model(kappa=1.0, nu=0.0, n_latent=0):
     w = ParamVector(KernelSpec("gaussian", 1.0, 1.0), kappa, nu)
     return build_param_model(w, np.array([[0.0]]), n_latent)
+
+
+def recording_eighs(monkeypatch):
+    """Patch ``np.linalg.eigh`` to record (size, result) of every call."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        calls.append((np.shape(a)[-1], eigh(a, *args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return calls
+
+
+def recording_sweeps(monkeypatch):
+    """Patch ``inference.run_sweeps`` to record the factor of every call."""
+    factors = []
+    run_sweeps = inference.run_sweeps
+
+    def recording(phi, aug, *args, **kwargs):
+        factors.append(aug)
+        return run_sweeps(phi, aug, *args, **kwargs)
+
+    monkeypatch.setattr(inference, "run_sweeps", recording)
+    return factors
 
 
 def test_prior_support():
@@ -383,26 +410,22 @@ def test_energy_gradient_nu_zero_at_kappa_zero(rng):
 def test_cd_gradient_shape_and_validation(rng):
     model = simple_model(kappa=1.0, n_latent=0)
     g = cd_gradient(np.array([0.5]), model, 5, rng)
-    assert g.shape == (4,)
+    assert g.shape == (1, 4)
     with pytest.raises(ValueError):
         cd_gradient(np.array([0.5]), model, 0, rng)
 
 
 def test_cd_gradient_factors_its_latent_chain_at_the_model_slack(monkeypatch, rng):
-    factors = []
-    make_augmentation = inference.make_augmentation
-
-    def recording(Q, slack):
-        factors.append(make_augmentation(Q, slack))
-        return factors[-1]
-
-    monkeypatch.setattr(inference, "make_augmentation", recording)
+    # one eigh of the 2 x 2 latent block; the latent chain runs on its
+    # eigenpairs at the slack of the model, after the full-space chain
     w = ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3)
     model = build_param_model(w, np.linspace(0.0, 3.0, 5)[:, None], 2, slack=0.5)
+    eighs, factors = recording_eighs(monkeypatch), recording_sweeps(monkeypatch)
     cd_gradient(np.array([0.2, -0.4, 0.9]), model, 3, rng, burn_sweeps=2)
-    assert len(factors) == 1
-    aug = factors[0]
-    assert aug.size == 2
+    assert [n for n, _ in eighs] == [2]
+    full, aug = factors
+    assert full is model.full_aug
+    assert aug.size == 2 and aug.eigenvectors is eighs[0][1][1]
     assert aug.lam == pytest.approx(1.5 * aug.lam_max_estimate)
     assert aug.lam_max_estimate == pytest.approx(
         np.linalg.eigvalsh(model.precision.latent_block)[-1]
@@ -410,20 +433,21 @@ def test_cd_gradient_factors_its_latent_chain_at_the_model_slack(monkeypatch, rn
 
 
 def test_cd_gradient_runs_on_a_given_latent_factor(monkeypatch, rng):
+    # the latent chain runs on the factor the model holds: once a caller has
+    # read it, cd_gradient runs no eigh, and gives the bits of a fresh model
     w = ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3)
-    model = build_param_model(w, np.linspace(0.0, 3.0, 5)[:, None], 2, slack=0.5)
+    locations = np.linspace(0.0, 3.0, 5)[:, None]
+    model = build_param_model(w, locations, 2, slack=0.5)
     theta = np.array([0.2, -0.4, 0.9])
-    aug = inference.latent_factor(model)
-    expected = cd_gradient(theta, model, 3, np.random.default_rng(8), burn_sweeps=2)
-
-    def no_factor(*args, **kwargs):
-        raise AssertionError("cd_gradient factored its latent chain again")
-
-    monkeypatch.setattr(inference, "make_augmentation", no_factor)
-    got = cd_gradient(theta, model, 3, np.random.default_rng(8), burn_sweeps=2, latent_aug=aug)
+    fresh = build_param_model(w, locations, 2, slack=0.5)
+    expected = cd_gradient(theta, fresh, 3, np.random.default_rng(8), burn_sweeps=2)
+    aug = model.latent_aug
+    eighs, factors = recording_eighs(monkeypatch), recording_sweeps(monkeypatch)
+    got = cd_gradient(theta, model, 3, np.random.default_rng(8), burn_sweeps=2)
+    assert eighs == []
     assert np.array_equal(got, expected)
-    with pytest.raises(ValueError, match="latent_aug"):
-        cd_gradient(theta, model, 3, rng, burn_sweeps=2, latent_aug=model.full_aug)
+    assert factors[1].eigenvectors is aug.eigenvectors
+    assert np.array_equal(factors[1].scale, aug.scale) and factors[1].lam == aug.lam
 
 
 def test_fit_reports_the_jitter_range_of_its_kernels(rng):
@@ -506,15 +530,17 @@ def test_mean_block_dmh_reuses_the_current_model(monkeypatch, rng):
 
 def test_fit_keeps_latent_augmentation_after_mean_moves(monkeypatch, rng):
     # only kernel moves change the latent coupling block, so the latent
-    # augmentation is built once plus once per accepted kernel move
-    calls = []
-    make_augmentation = inference.make_augmentation
+    # block is decomposed once plus once per accepted kernel move that the
+    # latent chain sweeps on: each iteration sweeps before its exchange
+    # moves, so a kernel move accepted in the last one is never decomposed
+    eighs, steps = recording_eighs(monkeypatch), []
+    dmh = inference.dmh_step
 
-    def counting(Q, slack):
-        calls.append(Q.shape)
-        return make_augmentation(Q, slack)
+    def stepping(*args, **kwargs):
+        steps.append((kwargs["block"], dmh(*args, **kwargs)))
+        return steps[-1][1]
 
-    monkeypatch.setattr(inference, "make_augmentation", counting)
+    monkeypatch.setattr(inference, "dmh_step", stepping)
     w = ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3)
     theta = np.array([0.2, -0.4, 0.9, 0.1])
     train = np.arange(4, dtype=float).reshape(-1, 1)
@@ -522,7 +548,39 @@ def test_fit_keeps_latent_augmentation_after_mean_moves(monkeypatch, rng):
     model = build_param_model(w, np.vstack([[[0.5], [2.5]], train]), 2)
     out = block_gibbs_fit(theta, model, cfg, rng)
     assert out.outcomes["mean"]["accepted"] > 0
-    assert len(calls) == 1 + out.outcomes["kernel"]["accepted"]
+    assert len(steps) == 2 * 40  # a kernel then a mean move per iteration
+    kernel = [res.accepted for block, res in steps if block == inference.KERNEL_BLOCK]
+    assert sum(kernel) == out.outcomes["kernel"]["accepted"]
+    assert [n for n, _ in eighs].count(2) == 1 + sum(kernel[:-1])
+
+
+def test_latent_eigenpairs_are_one_eigh_per_kernel_value(monkeypatch, rng):
+    # a mean-moved model shares the precision, and so the latent eigenpairs,
+    # of its parent; a fit runs one eigh of size m per kernel value its
+    # latent chain swept on, and sweeps on every one it runs
+    w = ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3)
+    theta = np.array([0.2, -0.4, 0.9, 0.1])
+    locations = np.vstack([[[0.5], [2.5]], np.arange(4, dtype=float).reshape(-1, 1)])
+    model = build_param_model(w, locations, 2)
+    eighs, sweeps = recording_eighs(monkeypatch), recording_sweeps(monkeypatch)
+    moved = replace(model, w=ParamVector(w.kernel, 1.3, -0.8))
+    assert moved.latent_aug.eigenvectors is model.latent_aug.eigenvectors
+    assert moved.precision.latent_eigenpairs is model.precision.latent_eigenpairs
+    assert np.array_equal(moved.latent_aug.scale, model.latent_aug.scale)
+    assert [n for n, _ in eighs] == [2]
+    del eighs[:]
+    cfg = FitConfig(n_iter=40, burn_in=0, phi_sweeps=1,
+                    proposals=ProposalSpec(lengthscale2_step=0.5),
+                    bridge=BridgeConfig(0, inner_sweeps=2))
+    out = block_gibbs_fit(theta, build_param_model(w, locations, 2), cfg, rng)
+    assert out.outcomes["kernel"]["accepted"] > 1 and out.outcomes["mean"]["accepted"] > 0
+    latent_eighs = [U for n, (_, U) in eighs if n == 2]
+    swept_on = []
+    for aug in sweeps:
+        if aug.size == 2 and not any(aug.eigenvectors is U for U in swept_on):
+            swept_on.append(aug.eigenvectors)
+    assert len(latent_eighs) == len(swept_on) > 2
+    assert all(U is V for U, V in zip(latent_eighs, swept_on))
 
 
 def reachable_arrays(obj):
@@ -682,7 +740,9 @@ def test_exchange_moves_form_no_whole_precision(monkeypatch, rng):
             kappa, nu = res.model.w.concentration, res.model.w.mean_direction
             for rho, f in ((cp.rho_c, np.cos), (cp.rho_s, np.sin)):
                 assert np.max(np.abs(rho - (kappa * f(nu) - M[:m, m:] @ f(theta)))) <= tol
-            assert inference.latent_factor(res.model).size == m
+            e, _ = pm.latent_eigenpairs
+            assert np.max(np.abs(e - np.linalg.eigvalsh(M[:m, :m]))) <= tol
+            assert res.model.latent_aug.size == m
             model = res.model
     assert "accepted" in outcomes and "mh" in outcomes
 
@@ -691,7 +751,7 @@ def test_kernel_proposal_runs_one_eigh_and_forms_no_whole_precision(monkeypatch,
     # chi unset: a kernel proposal factors nothing of size d but its one eigh,
     # and the whole precision M, the d x d x d product this path used to form,
     # is never read; the m x m latent block is formed, and factored by one
-    # eigh of size m, once per accepted kernel move
+    # eigh of size m, once per kernel value the latent chain sweeps on
     d, m = 12, 3
     sizes = {"eigh": [], "eigvalsh": [], "cholesky": [], "inv": [], "solve": []}
     for name in sizes:
@@ -701,6 +761,7 @@ def test_kernel_proposal_runs_one_eigh_and_forms_no_whole_precision(monkeypatch,
 
         monkeypatch.setattr(np.linalg, name, recording)
     forbid_whole_precision(monkeypatch)
+    sweeps = recording_sweeps(monkeypatch)
     w = ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3)
     train = np.linspace(0.0, 6.0, d - m)[:, None]
     theta = rng.uniform(-np.pi, np.pi, d - m)
@@ -712,7 +773,9 @@ def test_kernel_proposal_runs_one_eigh_and_forms_no_whole_precision(monkeypatch,
     kernel = out.outcomes["kernel"]
     assert kernel["accepted"] > 0 and kernel["mh"] > 0
     assert sizes["eigh"].count(d) == 1 + sum(kernel.values()) - kernel["support"]
-    assert sizes["eigh"].count(m) == 1 + kernel["accepted"]
+    swept_on = {id(aug.eigenvectors) for aug in sweeps if aug.size == m}
+    assert sizes["eigh"].count(m) == len(swept_on)
+    assert kernel["accepted"] <= len(swept_on) <= 1 + kernel["accepted"]
     assert len(sizes["eigh"]) == sizes["eigh"].count(d) + sizes["eigh"].count(m)
     assert sizes["inv"] == sizes["solve"] == sizes["eigvalsh"] == sizes["cholesky"] == []
 
@@ -770,13 +833,24 @@ def test_energy_gradient_of_a_stack_matches_each_row(rng, family):
 
 
 def test_cd_gradient_without_repeats_is_its_one_repeat_case():
+    # the default is one repeat, whose row is the estimate of one full-space
+    # and one latent chain, run here by hand, bit for bit
     w = ParamVector(KernelSpec("gaussian", 1.0, 1.0), 0.5, 0.3)
     model = build_param_model(w, np.linspace(0.0, 3.0, 6)[:, None], 2)
     theta = np.array([0.2, -0.4, 0.9, 0.1])
     single = cd_gradient(theta, model, 4, np.random.default_rng(8), burn_sweeps=2)
     one = cd_gradient(theta, model, 4, np.random.default_rng(8), burn_sweeps=2, repeats=1)
-    assert single.shape == (4,) and one.shape == (1, 4)
-    np.testing.assert_array_equal(one[0], single)
+    assert single.shape == one.shape == (1, 4)
+    np.testing.assert_array_equal(one, single)
+    gen = np.random.default_rng(8)
+    cp_full, cp = full_state_params(model.precision, model.w), latent_params(model, theta)
+    full = inference.run_sweeps(sample_von_mises(0.0, np.zeros(6), gen), model.full_aug,
+                                cp_full, gen, 7, 4, 5)
+    lat = inference.run_sweeps(sample_von_mises(0.0, np.zeros(2), gen), model.latent_aug,
+                               cp, gen, 7, 4, 5)
+    expected = (energy_gradient(full, model).mean(axis=0)
+                - energy_gradient(full_states(model, lat, theta), model).mean(axis=0))
+    np.testing.assert_array_equal(single[0], expected)
     many = cd_gradient(theta, model, 4, np.random.default_rng(8), burn_sweeps=2, repeats=5)
     assert many.shape == (5, 4) and len(np.unique(many[:, 0])) == 5
     assert cd_gradient(theta, model, 4, np.random.default_rng(8), repeats=0).shape == (0, 4)

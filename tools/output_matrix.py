@@ -15,7 +15,8 @@ dir)`` for data seeds s in {7, 13} and chain seed 11:
 
 It prints one line per output file: ``same`` when the bytes are equal,
 else the largest absolute difference of its numeric values, or what
-differs when the files do not hold the same cells.
+differs when the files do not hold the same cells. It exits 0 when every
+file is ``same`` and 1 otherwise, so a byte-identity gate is one command.
 """
 
 from __future__ import annotations
@@ -109,6 +110,7 @@ def main(argv=None) -> int:
         print("usage: python tools/output_matrix.py OLD_SRC NEW_SRC", file=sys.stderr)
         return 2
     trees = {"old": Path(args[0]).resolve(), "new": Path(args[1]).resolve()}
+    all_same = True
     with tempfile.TemporaryDirectory(prefix="output_matrix_") as tmp:
         work = Path(tmp)
         for seed in DATA_SEEDS:
@@ -126,7 +128,8 @@ def main(argv=None) -> int:
                 for file in files:
                     verdict = compare(case / "old" / file, case / "new" / file)
                     print(f"seed {seed} {name} {file}: {verdict}", flush=True)
-    return 0
+                    all_same = all_same and verdict == "same"
+    return 0 if all_same else 1
 
 
 if __name__ == "__main__":
