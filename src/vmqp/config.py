@@ -8,7 +8,7 @@ line number; silent typos in sampler configs are too costly to tolerate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .gibbs import DEFAULT_SLACK

@@ -23,6 +23,17 @@ Every chain advances through ``run_sweeps``; every transition is
 ``augmented_sweep`` on a sequence of factors: one for a Gibbs sweep, two
 (scaled) for a bridge level of ``inference.bridge_ladder``.
 
+Over-relaxation: given z each phi_i is von Mises(gamma_i, a_i), which is
+symmetric about gamma_i, so the reflection phi_i <- 2 gamma_i - phi_i
+keeps phi | z, and so the target, invariant. A reflection sweep draws z
+as a heat-bath sweep does and makes no von Mises draw. Alone it is not
+ergodic; ``run_sweeps(..., overrelax=True)`` makes every second sweep a
+reflection, which raises the effective draws per sweep and per second
+(Creutz 1987; Brown & Woch 1987 for the XY model). The chains whose draws
+the CLI reports, ``run_chain`` and the fit's latent sweeps, run that
+schedule; the fictitious and contrastive-divergence chains of
+``inference`` stay heat-bath, and their docstrings say why.
+
 A state is one chain, phi of shape (m,), or a stack of C independent
 chains on the same factor, shape (C, m). A sweep of the stack costs one
 random-normal draw, two products with U and one von Mises call, as a
@@ -38,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circular import as_generator, cos_sin, sample_von_mises
+from .circular import as_generator, cos_sin, normalize_angle, sample_von_mises
 from .errors import NumericalError
 from .model import ConditionalParams, spectrum
 from . import evaluation
@@ -138,7 +149,7 @@ def polar_params(b_c: np.ndarray, b_s: np.ndarray):
     return a, gamma
 
 
-def augmented_sweep(phi: np.ndarray, factors, rho_c, rho_s, rng) -> np.ndarray:
+def augmented_sweep(phi: np.ndarray, factors, rho_c, rho_s, rng, reflect=False) -> np.ndarray:
     """One Gibbs transition on the factors (U_k, g_k), A_k = diag(g_k) U_k'.
 
     The target's coupling is lam*I - sum_k A_k'A_k, for any lam (cos^2 +
@@ -148,6 +159,9 @@ def augmented_sweep(phi: np.ndarray, factors, rho_c, rho_s, rng) -> np.ndarray:
     drawn as one (K, 2, ...) block in factor order; with cs the (2C, m)
     block of cos/sin rows, z_k = (cs U_k) g_k + eps_k and each coordinate
     is redrawn from a von Mises with coefficients sum_k (z_k g_k) U_k' + rho.
+    With ``reflect`` it is reflected about that von Mises' mean gamma
+    instead, 2 gamma - phi, and no von Mises draw is made; a coordinate
+    with concentration 0 has gamma = 0 and maps to -phi.
     """
     eps = rng.standard_normal((len(factors), 2) + np.shape(phi))
     flat = (math.prod(eps.shape[1:-1]), eps.shape[-1])  # (2C, m), or (2, m) for one chain
@@ -163,6 +177,8 @@ def augmented_sweep(phi: np.ndarray, factors, rho_c, rho_s, rng) -> np.ndarray:
     b = b.reshape(eps.shape[1:])
     b[0] += rho_c
     b[1] += rho_s
+    if reflect:
+        return normalize_angle(2.0 * np.arctan2(b[1], b[0]) - phi)
     a, gamma = polar_params(b[0], b[1])
     return sample_von_mises(gamma, a, rng)
 
@@ -172,29 +188,35 @@ def gibbs_sweep(
     aug: Augmentation,
     cp: ConditionalParams,
     rng,
+    reflect: bool = False,
 ) -> np.ndarray:
     """One full sweep: refresh z given phi, then redraw every phi_i given z.
 
     ``phi`` is one state (m,) or a stack (C, m), and the result has its
     shape. ``augmented_sweep`` on the one factor (U, g) of ``aug`` with the
     rho of ``cp``: z = A cs + eps and b = rho + A'z for A = diag(g) U'.
+    With ``reflect`` every phi_i is reflected about its conditional mean
+    instead of redrawn.
     """
     return augmented_sweep(
-        phi, ((aug.eigenvectors, aug.scale),), cp.rho_c, cp.rho_s, as_generator(rng)
+        phi, ((aug.eigenvectors, aug.scale),), cp.rho_c, cp.rho_s, as_generator(rng), reflect
     )
 
 
 def run_sweeps(phi, aug: Augmentation, cp: ConditionalParams, rng, first: int,
-               n_kept: int = 1, thin: int = 1) -> np.ndarray:
+               n_kept: int = 1, thin: int = 1, overrelax: bool = False) -> np.ndarray:
     """Run exact Gibbs sweeps from ``phi`` on one factor; return kept states.
 
     Keeps the states after sweeps first, first + thin, ..., n_kept of them,
     and runs no sweep past the last. From one state (m,) the result is
-    (n_kept, m); from a stack (C, m) it is (n_kept, C, m).
+    (n_kept, m); from a stack (C, m) it is (n_kept, C, m). With
+    ``overrelax`` sweeps 2, 4, ... (1-based) are reflections and sweeps
+    1, 3, ... heat-bath. A call thus starts with a heat-bath sweep, so a
+    caller that runs one sweep per call still runs an ergodic chain.
     """
     kept = np.empty((n_kept,) + np.shape(phi))
     for t in range(1, first + (n_kept - 1) * thin + 1):
-        phi = gibbs_sweep(phi, aug, cp, rng)
+        phi = gibbs_sweep(phi, aug, cp, rng, reflect=overrelax and t % 2 == 0)
         if t >= first and (t - first) % thin == 0:
             kept[(t - first) // thin] = phi
     return kept
@@ -218,8 +240,9 @@ def run_chain(
     seed=0,
     init=None,
 ) -> ChainOutput:
-    """Run the augmented Gibbs chain on ``aug`` and keep every ``thin``-th sweep.
+    """Run the over-relaxed Gibbs chain on ``aug``; keep every ``thin``-th sweep.
 
+    Every second sweep is a reflection (``run_sweeps`` with ``overrelax``).
     Sweeps burn_in, burn_in + thin, ... < n_iter (0-based) are kept;
     deterministic given ``seed``. The coupling of the chain lives only in
     ``aug`` (lam*I minus the coupling, factored), which also fixes its
@@ -245,6 +268,6 @@ def run_chain(
     else:
         phi = sample_von_mises(0.0, np.zeros(m), rng)
     n_kept = len(range(burn_in, n_iter, thin))
-    samples = run_sweeps(phi, aug, cp, rng, burn_in + 1, n_kept, thin)
+    samples = run_sweeps(phi, aug, cp, rng, burn_in + 1, n_kept, thin, overrelax=True)
     ress = evaluation.circular_column_ress(samples.reshape(n_kept, -1))
     return ChainOutput(samples, ress.reshape(phi.shape), aug.lam)

@@ -9,12 +9,13 @@ import math
 import time
 
 import numpy as np
+import pytest
 from scipy.stats import kstest
 
 from conftest import QUAD_GRID, bessel_ratio, synthetic_prior_draw
 from vmqp.circular import sample_von_mises
 from vmqp.evaluation import circular_crps
-from vmqp.gibbs import augmentation_at, make_augmentation, run_chain
+from vmqp.gibbs import augmentation_at, make_augmentation, run_chain, run_sweeps
 from vmqp.inference import (
     BridgeConfig,
     FitConfig,
@@ -113,6 +114,53 @@ def test_c02_gibbs_chain_matches_grid_density():
     report(
         "criterion 2: Gibbs chain vs grid density",
         ok,
+        f"m=1 KS={ks:.4f} (<0.01); m=2 TV={tvs[0]:.4f}/{tvs[1]:.4f} (<0.02)",
+    )
+
+
+def _c02_draws(cp, Q, n_iter, burn_in, seed, overrelax):
+    """The draws of c02's ``run_chain`` call, from ``run_sweeps`` on either schedule."""
+    rng = np.random.default_rng(seed)
+    phi = sample_von_mises(0.0, np.zeros(cp.size), rng)
+    return run_sweeps(phi, make_augmentation(Q), cp, rng, burn_in + 1, n_iter - burn_in,
+                      overrelax=overrelax)
+
+
+@pytest.mark.parametrize("overrelax", [False, True])
+def test_c02_targets_hold_under_each_sweep_schedule(overrelax):
+    # c02's two targets, seeds, lengths and bounds, sampled heat-bath and
+    # with every second sweep a reflection
+    rho_c, q = 2.0, 1.0
+    draws1 = _c02_draws(ConditionalParams(np.array([rho_c]), np.array([0.0])),
+                        np.array([[q]]), 202000, 2000, 3, overrelax)
+    grid = np.linspace(-np.pi, np.pi, 5761)
+    dens = np.exp(rho_c * np.cos(grid) - 0.5 * q)  # cos^2 + sin^2 = 1
+    cdf_grid = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2)])
+    cdf_grid /= cdf_grid[-1]
+    ks = kstest(draws1[:, 0], lambda x: np.interp(x, grid, cdf_grid)).statistic
+
+    rho_c2, rho_s2 = np.array([1.0, -0.5]), np.array([0.5, 0.8])
+    Q2 = np.array([[1.5, -0.7], [-0.7, 1.2]])
+    draws2 = _c02_draws(ConditionalParams(rho_c2, rho_s2), Q2, 210000, 10000, 4, overrelax)
+    edges = np.linspace(-np.pi, np.pi, 721)
+    centers = (edges[:-1] + edges[1:]) / 2
+    P1, P2 = np.meshgrid(centers, centers, indexing="ij")
+    expo = (
+        rho_c2[0] * np.cos(P1) + rho_c2[1] * np.cos(P2)
+        + rho_s2[0] * np.sin(P1) + rho_s2[1] * np.sin(P2)
+        - Q2[0, 1] * np.cos(P1 - P2)  # the diagonal of Q2 adds a constant
+    )
+    joint = np.exp(expo - expo.max())
+    joint /= joint.sum()
+    coarse = np.linspace(-np.pi, np.pi, 73)
+    tvs = []
+    for j, axis in ((0, 1), (1, 0)):
+        marg = joint.sum(axis=axis).reshape(72, 10).sum(axis=1)
+        hist, _ = np.histogram(draws2[:, j], bins=coarse)
+        tvs.append(0.5 * float(np.abs(hist / hist.sum() - marg).sum()))
+    report(
+        f"criterion 2, overrelax={overrelax}",
+        ks < 0.01 and max(tvs) < 0.02,
         f"m=1 KS={ks:.4f} (<0.01); m=2 TV={tvs[0]:.4f}/{tvs[1]:.4f} (<0.02)",
     )
 

@@ -12,7 +12,7 @@ from vmqp.gibbs import (
     run_chain,
     run_sweeps,
 )
-from vmqp.circular import sample_von_mises
+from vmqp.circular import normalize_angle, sample_von_mises
 from vmqp.model import ConditionalParams
 
 
@@ -235,8 +235,8 @@ def test_run_chain_stops_at_its_last_kept_sweep(monkeypatch):
 
     states = []
 
-    def recording(phi, aug, cp, rng):
-        states.append(sweep(phi, aug, cp, rng))
+    def recording(phi, aug, cp, rng, reflect=False):
+        states.append(sweep(phi, aug, cp, rng, reflect=reflect))
         return states[-1]
 
     sweep = gibbs.gibbs_sweep
@@ -246,6 +246,61 @@ def test_run_chain_stops_at_its_last_kept_sweep(monkeypatch):
     out = run_chain(cp, make_augmentation(Q), 100, 20, thin=3, seed=0)
     assert len(states) == 99  # sweeps 0..98; sweep 99 is never kept
     assert np.array_equal(out.samples, np.array(states[20::3]))
+
+
+def test_run_sweeps_overrelax_reflects_every_second_sweep(monkeypatch):
+    import vmqp.gibbs as gibbs
+
+    flags = []
+
+    def recording(phi, aug, cp, rng, reflect=False):
+        flags.append(reflect)
+        return sweep(phi, aug, cp, rng, reflect=reflect)
+
+    sweep = gibbs.gibbs_sweep
+    monkeypatch.setattr(gibbs, "gibbs_sweep", recording)
+    cp, aug, gen = coupled_target(3, 2)
+    phi = gen.uniform(-np.pi, np.pi, 3)
+    run_sweeps(phi, aug, cp, np.random.default_rng(1), 4)
+    assert flags == [False] * 4
+    flags.clear()
+    run_sweeps(phi, aug, cp, np.random.default_rng(1), 3, 2, 2, overrelax=True)
+    assert flags == [False, True, False, True, False]
+
+
+def test_reflection_sweep_reflects_about_the_conditional_mean(monkeypatch):
+    # a reflection sweep draws the normals of a heat-bath sweep, then maps
+    # phi to 2 gamma - phi, wrapped into (-pi, pi], with no von Mises draw
+    import vmqp.gibbs as gibbs
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a reflection sweep drew a von Mises variate")
+
+    monkeypatch.setattr(gibbs, "sample_von_mises", no_draw)
+    cp, aug, gen = coupled_target(9, 1)
+    A = aug.factor
+    for phi in (gen.uniform(-np.pi, np.pi, 9), gen.uniform(-np.pi, np.pi, (3, 9))):
+        got_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = gibbs_sweep(phi, aug, cp, got_rng, reflect=True)
+        eps = ref_rng.standard_normal((2,) + phi.shape)
+        b_c = cp.rho_c + (np.cos(phi) @ A.T + eps[0]) @ A
+        b_s = cp.rho_s + (np.sin(phi) @ A.T + eps[1]) @ A
+        ref = 2.0 * np.arctan2(b_s, b_c) - phi
+        assert got.shape == phi.shape
+        assert np.all((got > -np.pi) & (got <= np.pi))
+        assert np.max(np.abs(np.angle(np.exp(1j * (got - ref))))) < 1e-12
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_reflection_at_zero_concentration_maps_phi_to_minus_phi():
+    # no pull and lam = lam_max give b = 0: a = 0, gamma = 0
+    aug = augmentation_at(np.array([[2.0]]), 2.0)
+    assert aug.scale[0] == 0.0
+    cp = ConditionalParams(np.zeros(1), np.zeros(1))
+    phi = np.array([[0.3], [-2.0], [np.pi], [0.0]])
+    got = gibbs_sweep(phi, aug, cp, 0, reflect=True)
+    assert np.array_equal(got, normalize_angle(-phi))
+    assert got[2, 0] == np.pi  # -pi wraps to pi
 
 
 def test_run_sweeps_keeps_the_requested_states(rng):
@@ -404,7 +459,7 @@ def test_run_chain_on_a_stack_keeps_every_chain_and_its_ress():
     out = run_chain(cp, aug, 60, 20, thin=2, seed=np.random.default_rng(2), init=init)
     assert out.samples.shape == (20, 3, 4) and out.ress.shape == (3, 4)
     rng = np.random.default_rng(2)
-    assert np.array_equal(out.samples, run_sweeps(init, aug, cp, rng, 21, 20, 2))
+    assert np.array_equal(out.samples, run_sweeps(init, aug, cp, rng, 21, 20, 2, overrelax=True))
     for c in range(3):
         for j in range(4):
             assert out.ress[c, j] == pytest.approx(circular_ress(out.samples[:, c, j]), rel=1e-12)
