@@ -23,13 +23,7 @@ from .config import RunConfig, parse_config
 from .data import SCHEMAS, Dataset, ingest, load_dataset, split_indices, write_rows
 from .errors import ConfigError, DataError, NumericalError, VmqpError
 from .gibbs import run_chain
-from .inference import (
-    block_gibbs_fit,
-    build_param_model,
-    cd_gradient,
-    gradient_names,
-    latent_params,
-)
+from .inference import block_gibbs_fit, build_param_model, cd_gradient, gradient_names
 from .kernels import FAMILY_TERMS
 
 
@@ -87,10 +81,10 @@ def _diagnostics_rows(samples: np.ndarray, ress: np.ndarray):
 
 def cmd_sample(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
     model = _assemble(cfg, dataset)
-    cp = latent_params(model, dataset.observed_angles)
+    cp, aug = model.latent(dataset.observed_angles)
     rng = np.random.default_rng(cfg.seed)
     init = sample_von_mises(model.w.mean_direction, model.w.concentration * np.ones(cp.size), rng)
-    chain = run_chain(cp, model.latent_aug, cfg.n_iter, cfg.burn_in, cfg.thin, seed=rng, init=init)
+    chain = run_chain(cp, aug, cfg.n_iter, cfg.burn_in, cfg.thin, seed=rng, init=init)
     m = dataset.n_test
     samples = chain.samples[:, :m]
     out.mkdir(parents=True, exist_ok=True)
@@ -203,7 +197,7 @@ def _finite_median(values) -> float:
 
 def cmd_diagnose(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
     model = _assemble(cfg, dataset)
-    cp, latent_aug = latent_params(model, dataset.observed_angles), model.latent_aug
+    cp, latent_aug = model.latent(dataset.observed_angles)
     w = model.w
     batches = np.random.SeedSequence(cfg.seed).spawn(len(cfg.lambda_multipliers) + 1)
     init_conc = w.concentration * np.ones((cfg.sweep_seeds, cp.size))

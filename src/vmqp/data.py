@@ -8,8 +8,9 @@ Three schemas are supported:
            2*pi*t/100 and normalized)
   generic: x1..xk, angle_rad
 
-Rows with an empty angle cell are prediction locations with unknown
-truth. Internally every angle is stored in radians in (-pi, pi].
+Every row has one cell per header column. Rows with an empty angle cell
+are prediction locations with unknown truth. Internally every angle is
+stored in radians in (-pi, pi].
 """
 
 from __future__ import annotations
@@ -112,9 +113,11 @@ def ingest(path, schema: str) -> Dataset:
         for line, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
+            if len(row) != len(header):
+                raise DataError(f"row {line} has {len(row)} of {len(header)} cells")
             coords = []
             for c in loc_cols:
-                cell = row[idx[c]].strip() if idx[c] < len(row) else ""
+                cell = row[idx[c]].strip()
                 try:
                     value = float(cell)
                 except ValueError:
@@ -124,7 +127,7 @@ def ingest(path, schema: str) -> Dataset:
                 if not np.isfinite(value):
                     raise DataError(f"row {line}: non-finite value in column {c}")
                 coords.append(value)
-            cell = row[idx[angle_col]].strip() if idx[angle_col] < len(row) else ""
+            cell = row[idx[angle_col]].strip()
             if cell == "":
                 tst_loc.append(coords)
                 tst_ang.append(np.nan)

@@ -17,7 +17,8 @@ sqrt(lambda - e), never as a matrix, and lambda_max = max(e) is exact.
 Every factor the package runs on is ``slack_augmentation`` of eigenpairs
 a ``model.PrecisionModel`` holds (those of M, or the ``latent_eigenpairs``
 of its latent block), and ``Augmentation.at`` moves a factor to another
-lambda by a rescale, with no ``eigh``. No package path calls
+lambda by a rescale, with no ``eigh``. A latent chain takes its target and
+factor together from ``inference.ParamModel.latent``. No package path calls
 ``make_augmentation`` or ``augmentation_at``, which factor a given Q.
 Every chain advances through ``run_sweeps``; every transition is
 ``augmented_sweep`` on a sequence of factors: one for a Gibbs sweep, two

@@ -16,15 +16,16 @@ its top eigenvalue and the augmentation factor, which share the one
 d x d eigenvector array: a model keeps neither the Gram matrix nor a
 factor matrix. The exchange move reads the precision only through
 energies, which come straight from the eigenpairs, so a proposal forms
-no d x d precision. The latent chain's factor, ``ParamModel.latent_aug``,
+no d x d precision. Without observation noise the latent chain's factor
 reads the eigenpairs of the m x m latent block, which the precision
 forms, O(m^2 d), and decomposes once, when a chain first sweeps on that
 kernel value. Moves of the mean parameters alone reuse the current
 precision, its latent eigenpairs included, and their energy differences
 need only the pull.
 
-The fit, ``sample`` and the CD diagnostic share one latent target given
-the data: ``latent_params`` and ``ParamModel.latent_aug``, with
+The fit, ``sample`` and the CD diagnostic share one latent chain given
+the data: the target and factor that ``ParamModel.latent(theta)``
+returns, the one place that reads the observation noise chi, with
 ``full_states``. The fit and ``sample`` run it over-relaxed (every second
 sweep a reflection, ``run_sweeps(..., overrelax=True)``); ``cd_gradient``
 keeps the heat-bath schedule, because acceptance criterion c10 needs the
@@ -51,7 +52,6 @@ from .gibbs import slack_augmentation, DEFAULT_SLACK
 from .gibbs import gibbs_sweep  # noqa: F401  perfbench/test_perfbench.py reads this binding
 from .kernels import KernelSpec, build_gram, kernel_derivatives
 from .model import (
-    ConditionalParams,
     ParamVector,
     PrecisionModel,
     build_precision,
@@ -164,7 +164,7 @@ class ParamModel:
     matrix itself is not kept, only its diagonal ``jitter``. Models that
     differ only in the mean parameters share precision and full_aug.
     ``slack`` is the rule lam = (1 + slack) * lam_max of full_aug and of
-    ``latent_aug``, the factor of the latent chain. ``derivatives``
+    the factor of the latent chain, which ``latent`` gives. ``derivatives``
     (dK/dp for ``energy_gradient``, d x d each) is computed on first read
     and kept.
     """
@@ -183,17 +183,28 @@ class ParamModel:
     def energy(self, phi) -> float:
         return energy(phi, self.w, self.precision)
 
-    @property
-    def latent_aug(self) -> Augmentation:
-        """Factor of the latent chain whose target ``latent_params`` gives.
+    def latent(self, theta) -> tuple:
+        """Target and factor (cp, aug) of the latent chain given the observed angles.
 
-        The precision's ``latent_eigenpairs`` at the model's slack: a rescale
-        per read, one ``eigh`` per kernel value. Under noisy observations the
-        coupling is the full precision, whose factor is ``full_aug``.
+        Without observation noise the chain runs over the m prediction
+        angles: ``conditional_params`` given theta, on the precision's
+        ``latent_eigenpairs`` at the model's slack (a rescale per call, one
+        ``eigh`` per kernel value). With noisy observations (chi present) it
+        runs over all d angles on ``full_aug``: the prior terms of
+        ``full_state_params`` plus chi * (cos theta, sin theta) on the
+        observed coordinates.
         """
-        if self.w.noise_concentration is not None:
-            return self.full_aug
-        return slack_augmentation(*self.precision.latent_eigenpairs, self.slack)
+        pm, chi = self.precision, self.w.noise_concentration
+        if chi is None:
+            aug = slack_augmentation(*pm.latent_eigenpairs, self.slack)
+            return conditional_params(pm, theta, self.w), aug
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (pm.n_observed,):
+            raise ValueError(f"expected {pm.n_observed} observed angles, got {theta.shape}")
+        cp = full_state_params(pm, self.w)
+        cp.rho_c[pm.n_latent :] += chi * np.cos(theta)
+        cp.rho_s[pm.n_latent :] += chi * np.sin(theta)
+        return cp, self.full_aug
 
     @cached_property
     def derivatives(self) -> dict:
@@ -229,24 +240,13 @@ def build_param_model(
     return ParamModel(w, X, gram.jitter, pm, aug, slack)
 
 
-def latent_params(model: ParamModel, theta) -> ConditionalParams:
-    """Target of the latent chain given the observed angles ``theta``.
-
-    Without observation noise the chain runs over the m prediction angles
-    conditioned on theta. With noisy observations (chi present) it runs
-    over all d angles, and theta enters as per-coordinate pulls.
-    """
-    if model.w.noise_concentration is not None:
-        return full_state_params(model.precision, model.w, theta)
-    return conditional_params(model.precision, theta, model.w)
-
-
 def full_states(model: ParamModel, latent, theta) -> np.ndarray:
     """Full states (..., d) of latent-chain states (..., n): [latent; theta].
 
-    Under noisy observations the latent states already span all d angles.
+    States that already span all d angles, as under noisy observations,
+    are returned unchanged.
     """
-    if model.w.noise_concentration is not None:
+    if latent.shape[-1] == model.size:
         return latent
     observed = np.broadcast_to(theta, latent.shape[:-1] + theta.shape)
     return np.concatenate([latent, observed], axis=-1)
@@ -372,14 +372,15 @@ def dmh_step(
     bridge: BridgeConfig,
     rng,
     xi_init: np.ndarray,
-    block=None,
+    block,
 ) -> DmhResult:
     """One exchange move on the parameters given the current full state.
 
     The acceptance ratio uses only priors, proposal symmetry, the
     unnormalized density f at the current state and the ``bridge_ladder``
     ratio from the fictitious sample (plain double-MH at
-    ``bridge.levels`` = 0); normalizing constants never appear.
+    ``bridge.levels`` = 0); normalizing constants never appear. The move
+    proposes the table entries that ``block`` names.
     Proposals outside the prior support are rejected without touching the
     kernel. A proposal that keeps the kernel reuses the current
     precision and augmentation factor, and its energy differences
@@ -389,8 +390,6 @@ def dmh_step(
     move hands back the final ladder state for the next step.
     """
     rng = as_generator(rng)
-    if block is None:
-        block = KERNEL_BLOCK + MEAN_BLOCK
     w = model.w
     wp = propose(w, proposals, block, rng)
     if wp is None:
@@ -455,10 +454,10 @@ def block_gibbs_fit(theta, model: ParamModel, config: FitConfig, rng) -> FitOutp
     Transductive: the fit starts at ``model``, built over the prediction
     locations (first) and training locations (last) together, and builds
     every proposal at its slack. The parameter moves see the full state
-    [phi, theta]. With noisy observations (chi present) the latent state
-    spans all locations and the data enter through observation pulls.
-    Each iteration's ``phi_sweeps`` latent sweeps are over-relaxed: every
-    second one is a reflection.
+    [phi, theta]. Each iteration's ``phi_sweeps`` latent sweeps run on
+    ``model.latent(theta)`` of the model it starts with (under noisy
+    observations that chain spans all locations) and are over-relaxed:
+    every second one is a reflection.
     """
     rng = as_generator(rng)
     theta = np.asarray(theta, dtype=float)
@@ -468,8 +467,8 @@ def block_gibbs_fit(theta, model: ParamModel, config: FitConfig, rng) -> FitOutp
     if config.learn_mean:
         blocks.append(("mean", MEAN_BLOCK))
 
-    cp = latent_params(model, theta)
-    phi = sample_von_mises(model.w.mean_direction, model.w.concentration * np.ones(cp.size), rng)
+    n = model.latent(theta)[0].size
+    phi = sample_von_mises(model.w.mean_direction, model.w.concentration * np.ones(n), rng)
     xi = sample_von_mises(0.0, np.zeros(model.size), rng)
 
     names = tuple(_param_dict(model.w).keys())
@@ -477,9 +476,9 @@ def block_gibbs_fit(theta, model: ParamModel, config: FitConfig, rng) -> FitOutp
     outcomes = {name: dict.fromkeys(DMH_REASONS, 0) for name, _ in blocks}
     jitters = [model.jitter]
     for t in range(config.n_iter):
-        if cp.size and config.phi_sweeps:
-            phi = run_sweeps(phi, model.latent_aug, cp, rng, config.phi_sweeps,
-                             overrelax=True)[0]
+        if n and config.phi_sweeps:
+            cp, aug = model.latent(theta)
+            phi = run_sweeps(phi, aug, cp, rng, config.phi_sweeps, overrelax=True)[0]
         phi_full = full_states(model, phi, theta)
         accepted_any = False
         for _ in range(config.dmh_steps):
@@ -499,7 +498,6 @@ def block_gibbs_fit(theta, model: ParamModel, config: FitConfig, rng) -> FitOutp
                 if res.accepted:
                     accepted_any = True
                     model = res.model
-                    cp = latent_params(model, theta)
                     jitters.append(model.jitter)
         if t >= config.burn_in and (t - config.burn_in) % config.thin == 0:
             rows.append(list(_param_dict(model.w).values()))
@@ -566,8 +564,8 @@ def cd_gradient(
     runs once per stack; the default ``repeats=1`` runs one chain pair.
 
     The latent chains have the target and factor of ``block_gibbs_fit``
-    and ``sample``: ``latent_params`` and ``model.latent_aug``. Without
-    observation noise they run over the n = m latent angles; under noise
+    and ``sample``, ``model.latent(theta)``. Without observation noise
+    they run over the n = m latent angles; under noise
     over all n = d, with theta as pulls. Both chains stay heat-bath, not
     over-relaxed: acceptance criterion c10 requires the lengthscale
     component's sign to disagree across seeds (agreement < 0.90), and
@@ -591,10 +589,10 @@ def cd_gradient(
     g_full = energy_gradient(states, model).mean(axis=0)
 
     # Conditional chains given the data (none without latent angles).
-    cp = latent_params(model, theta)
+    cp, aug = model.latent(theta)
     if cp.size > 0:
         lat = sample_von_mises(0.0, np.zeros((repeats, cp.size)), rng)
-        lats = run_sweeps(lat, model.latent_aug, cp, rng, first, mc_samples, sweeps_between)
+        lats = run_sweeps(lat, aug, cp, rng, first, mc_samples, sweeps_between)
         g_cond = energy_gradient(full_states(model, lats, theta), model).mean(axis=0)
     else:
         g_cond = energy_gradient(theta, model)

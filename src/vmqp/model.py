@@ -5,7 +5,9 @@ occupy indices 0..m-1 and observed angles occupy m..d-1. The unnormalized
 log-density of the full state is -energy(); conditioning on the observed
 angles yields an exponential family in (cos, sin) of the latent angles,
 whose linear natural parameters are assembled by conditional_params();
-its coupling is the precision's ``latent_block``.
+its coupling is the precision's ``latent_block``. full_state_params()
+gives the prior's terms over all d angles. Observation noise has no term
+here: ``inference.ParamModel.latent`` adds its pulls to those prior terms.
 """
 
 from __future__ import annotations
@@ -154,31 +156,15 @@ def conditional_params(
     return ConditionalParams(rho_c, rho_s)
 
 
-def full_state_params(
-    pm: PrecisionModel, w: ParamVector, theta=None
-) -> ConditionalParams:
-    """Natural parameters over all d angles.
+def full_state_params(pm: PrecisionModel, w: ParamVector) -> ConditionalParams:
+    """Natural parameters of the prior exp(-energy) over all d angles.
 
-    With ``theta`` absent this targets the prior exp(-energy), which is
-    what the fictitious-sample chains of the parameter sampler need. With
-    ``theta`` present (noisy-observation mode) each trailing coordinate
-    additionally feels the pull chi*cos(theta_i - varphi_{m+i}).
+    The fictitious-sample chains of the parameter sampler target it.
     """
     d = pm.size
     kappa, nu = w.concentration, w.mean_direction
     rho_c = kappa * np.cos(nu) * np.ones(d)
     rho_s = kappa * np.sin(nu) * np.ones(d)
-    if theta is not None:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (pm.n_observed,):
-            raise ValueError(
-                f"expected {pm.n_observed} observed angles, got {theta.shape}"
-            )
-        chi = w.noise_concentration
-        if chi is None:
-            raise ValueError("noisy conditional requires noise_concentration")
-        rho_c[pm.n_latent :] += chi * np.cos(theta)
-        rho_s[pm.n_latent :] += chi * np.sin(theta)
     return ConditionalParams(rho_c, rho_s)
 
 

@@ -85,6 +85,14 @@ def test_parse_config_comments_and_lists(tmp_path):
     assert cfg.learn_mean is False
 
 
+def test_parse_config_learn_mean_true_and_not_a_boolean(tmp_path, capsys):
+    assert parse_config(write(tmp_path / "t.cfg", "learn_mean = true\n")).learn_mean is True
+    cfg = write(tmp_path / "m.cfg", BASE_CONFIG + "learn_mean = maybe\n")
+    data = make_generic(tmp_path / "d.csv")
+    assert main(["fit", "--config", cfg, "--data", data, "--out", str(tmp_path / "o")]) == 2
+    assert "not a boolean: 'maybe'" in capsys.readouterr().err
+
+
 def test_parse_config_unknown_key(tmp_path):
     path = write(tmp_path / "run.cfg", "\nkernal_family = gaussian\n")
     with pytest.raises(ConfigError, match="line 2.*kernal_family"):
@@ -198,6 +206,17 @@ def test_load_dataset_merges_test_file(tmp_path):
     assert ds.n_test == 2
     assert ds.test_angles[0] == pytest.approx(0.3)
     assert np.isnan(ds.test_angles[1])
+
+
+@pytest.mark.parametrize("row", ["3.0,4.0", "5.0,6.0,180,77"], ids=["short", "long"])
+def test_cli_row_with_another_cell_count_than_the_header_is_a_data_error(tmp_path, capsys, row):
+    # the prediction row 2,2, keeps its empty angle cell and passes
+    data = write(tmp_path / "w.csv", f"lon,lat,direction_deg\n0,0,10\n1,1,20\n2,2,\n{row}\n")
+    cfg = write(tmp_path / "run.cfg", BASE_CONFIG)
+    assert main(["sample", "--config", cfg, "--data", data, "--schema", "wind",
+                 "--out", str(tmp_path / "o")]) == 3
+    cells = len(row.split(","))
+    assert capsys.readouterr().err == f"data error: row 5 has {cells} of 3 cells\n"
 
 
 def test_cli_test_data_with_other_coordinates_is_a_data_error(tmp_path, capsys):
@@ -577,6 +596,29 @@ def test_cli_split(tmp_path):
     assert np.allclose(combined, np.sort(original.observed_angles), atol=1e-12)
 
 
+@pytest.mark.parametrize("schema", ["wind", "gait"])
+def test_cli_split_keeps_the_angles_of_a_fixed_schema(tmp_path, schema):
+    # the split files keep the schema's columns and units (degrees, cycle
+    # percent), so ingest reads the same angles back
+    rng = np.random.default_rng(3)
+    cols = {"wind": ["lon", "lat", "direction_deg"],
+            "gait": ["ankle_deg", "knee_deg", "hip_deg", "gradient_pct", "cycle_pct"]}[schema]
+    units = rng.uniform(1.0, 99.0, 10) * (3.6 if schema == "wind" else 1.0)
+    rows = [",".join([*map(str, rng.uniform(0, 4, len(cols) - 1)), str(u)]) for u in units]
+    data = write(tmp_path / "d.csv", "\n".join([",".join(cols), *rows]) + "\n")
+    out = tmp_path / "o"
+    assert run(["split", "--data", data, "--schema", schema, "--fraction", "0.3",
+                "--out", str(out)]) == 0
+    tables = [read_table(out / name) for name in ("train.csv", "test.csv")]
+    assert [header for header, _ in tables] == [cols, cols]
+    assert [len(body) for _, body in tables] == [7, 3]
+    written = np.concatenate([np.array(body, dtype=float)[:, -1] for _, body in tables])
+    np.testing.assert_allclose(np.sort(written), np.sort(units), rtol=1e-12)
+    angles = [ingest(str(out / name), schema).observed_angles for name in ("train.csv", "test.csv")]
+    np.testing.assert_allclose(np.sort(np.concatenate(angles)),
+                               np.sort(ingest(data, schema).observed_angles), rtol=0, atol=1e-12)
+
+
 def test_cli_diagnose_factors_once_per_multiplier(tmp_path, monkeypatch):
     # one eigh of the latent coupling in all of diagnose: each multiplier's
     # factor, shared by every sweep seed, is a rescale of its eigenpairs to
@@ -821,6 +863,17 @@ def test_cli_setup_size_diagnose_is_quiet_and_says_why_ress_is_nan(tmp_path):
     _, rows = read_table(tmp_path / "o" / "lambda_sweep.csv")
     assert rows == [["1.5", "nan"]]
     assert "keeps 1 sweeps" in read_kv(tmp_path / "o" / "report.txt")["median_ress_nan"]
+
+
+def test_cli_diagnose_with_fewer_than_ten_kept_sweeps_writes_nan_and_says_why(tmp_path):
+    # in process: a chain that keeps 5 sweeps has no finite RESS
+    text = with_keys(DIAG_CONFIG, "sweep_iters = 25\nsweep_burn_in = 20\n")
+    cfg = write(tmp_path / "run.cfg", text)
+    data = make_generic(tmp_path / "d.csv", n_obs=5, n_pred=2)
+    out = tmp_path / "o"
+    assert run(["diagnose", "--config", cfg, "--data", data, "--out", str(out)]) == 0
+    assert read_table(out / "lambda_sweep.csv")[1] == [["1.5", "nan"]]
+    assert "each chain keeps 5 sweeps" in read_kv(out / "report.txt")["median_ress_nan"]
 
 
 def test_cli_diagnose_imports_no_numpy_ma(tmp_path):

@@ -24,7 +24,6 @@ from vmqp.inference import (
     energy_gradient,
     gradient_names,
     full_states,
-    latent_params,
     propose,
     sample_fictitious,
 )
@@ -441,13 +440,30 @@ def test_cd_gradient_runs_on_a_given_latent_factor(monkeypatch, rng):
     theta = np.array([0.2, -0.4, 0.9])
     fresh = build_param_model(w, locations, 2, slack=0.5)
     expected = cd_gradient(theta, fresh, 3, np.random.default_rng(8), burn_sweeps=2)
-    aug = model.latent_aug
+    aug = model.latent(theta)[1]
     eighs, factors = recording_eighs(monkeypatch), recording_sweeps(monkeypatch)
     got = cd_gradient(theta, model, 3, np.random.default_rng(8), burn_sweeps=2)
     assert eighs == []
     assert np.array_equal(got, expected)
     assert factors[1].eigenvectors is aug.eigenvectors
     assert np.array_equal(factors[1].scale, aug.scale) and factors[1].lam == aug.lam
+
+
+def test_noisy_latent_chain_spans_every_angle_on_the_full_factor():
+    # under chi the latent chain runs on full_aug over all d angles (its
+    # pulls: test_model.py::test_full_state_params_noisy_tail); its states
+    # are full states, and a theta of another shape is refused
+    w = ParamVector(KernelSpec("gaussian", 1.0, 1.0), 0.5, 0.3, 2.0)
+    model = build_param_model(w, np.linspace(0.0, 3.0, 5)[:, None], 2)
+    theta = np.array([0.2, -0.4, 0.9])
+    cp, aug = model.latent(theta)
+    assert aug is model.full_aug and cp.size == 5
+    states = np.zeros((4, 5))
+    assert full_states(model, states, theta) is states
+    for noise in (2.0, None):
+        noisy = replace(model, w=replace(w, noise_concentration=noise))
+        with pytest.raises(ValueError, match="expected 3 observed angles"):
+            noisy.latent(theta[:2])
 
 
 def test_fit_reports_the_jitter_range_of_its_kernels(rng):
@@ -564,9 +580,10 @@ def test_latent_eigenpairs_are_one_eigh_per_kernel_value(monkeypatch, rng):
     model = build_param_model(w, locations, 2)
     eighs, sweeps = recording_eighs(monkeypatch), recording_sweeps(monkeypatch)
     moved = replace(model, w=ParamVector(w.kernel, 1.3, -0.8))
-    assert moved.latent_aug.eigenvectors is model.latent_aug.eigenvectors
+    (_, moved_aug), (_, aug) = moved.latent(theta), model.latent(theta)
+    assert moved_aug.eigenvectors is aug.eigenvectors
     assert moved.precision.latent_eigenpairs is model.precision.latent_eigenpairs
-    assert np.array_equal(moved.latent_aug.scale, model.latent_aug.scale)
+    assert np.array_equal(moved_aug.scale, aug.scale)
     assert [n for n, _ in eighs] == [2]
     del eighs[:]
     cfg = FitConfig(n_iter=40, burn_in=0, phi_sweeps=1,
@@ -736,13 +753,13 @@ def test_exchange_moves_form_no_whole_precision(monkeypatch, rng):
             M = (pm.eigenvectors / pm.eigenvalues) @ pm.eigenvectors.T
             tol = 1e-12 * np.abs(M).max()
             assert np.max(np.abs(pm.latent_block - M[:m, :m])) <= tol
-            cp = latent_params(res.model, theta)
+            cp, aug = res.model.latent(theta)
             kappa, nu = res.model.w.concentration, res.model.w.mean_direction
             for rho, f in ((cp.rho_c, np.cos), (cp.rho_s, np.sin)):
                 assert np.max(np.abs(rho - (kappa * f(nu) - M[:m, m:] @ f(theta)))) <= tol
             e, _ = pm.latent_eigenpairs
             assert np.max(np.abs(e - np.linalg.eigvalsh(M[:m, :m]))) <= tol
-            assert res.model.latent_aug.size == m
+            assert aug.size == m
             model = res.model
     assert "accepted" in outcomes and "mh" in outcomes
 
@@ -843,10 +860,10 @@ def test_cd_gradient_without_repeats_is_its_one_repeat_case():
     assert single.shape == one.shape == (1, 4)
     np.testing.assert_array_equal(one, single)
     gen = np.random.default_rng(8)
-    cp_full, cp = full_state_params(model.precision, model.w), latent_params(model, theta)
+    cp_full, (cp, aug) = full_state_params(model.precision, model.w), model.latent(theta)
     full = inference.run_sweeps(sample_von_mises(0.0, np.zeros(6), gen), model.full_aug,
                                 cp_full, gen, 7, 4, 5)
-    lat = inference.run_sweeps(sample_von_mises(0.0, np.zeros(2), gen), model.latent_aug,
+    lat = inference.run_sweeps(sample_von_mises(0.0, np.zeros(2), gen), aug,
                                cp, gen, 7, 4, 5)
     expected = (energy_gradient(full, model).mean(axis=0)
                 - energy_gradient(full_states(model, lat, theta), model).mean(axis=0))

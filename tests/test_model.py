@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vmqp.inference import ParamModel
 from vmqp.kernels import KernelSpec, build_gram, GramMatrix
 from vmqp.model import (
     ParamVector,
@@ -196,7 +197,8 @@ def test_full_state_params_prior_mode():
 def test_full_state_params_noisy_tail():
     pm = precision_from_matrix(np.eye(3), 1, 2)
     theta = np.array([0.0, np.pi / 2])
-    cp = full_state_params(pm, pv(kappa=0.0, chi=3.0), theta)
+    model = ParamModel(pv(kappa=0.0, chi=3.0), np.zeros((3, 1)), 0.0, pm, None, 0.01)
+    cp, _ = model.latent(theta)
     assert np.allclose(cp.rho_c, [0.0, 3.0, 0.0], atol=1e-12)
     assert np.allclose(cp.rho_s, [0.0, 0.0, 3.0], atol=1e-12)
 
