@@ -91,9 +91,19 @@ def _location_columns(schema: str, header: list) -> list:
 
 
 def ingest(path, schema: str) -> Dataset:
-    """Parse and validate one CSV file into a Dataset."""
+    """Parse and validate one CSV file into a Dataset.
+
+    Every error in the file's contents is prefixed with its path.
+    """
     if schema not in SCHEMAS:
         raise DataError(f"unknown schema {schema!r}")
+    try:
+        return _parse(path, schema)
+    except DataError as err:
+        raise DataError(f"{path}: {err}") from None
+
+
+def _parse(path, schema: str) -> Dataset:
     angle_col = _ANGLE_COLUMN[schema]
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -16,7 +16,7 @@ A = diag(sqrt(lambda - e)) U' is kept as (e, U) and the scale
 sqrt(lambda - e), never as a matrix, and lambda_max = max(e) is exact.
 Every factor the package runs on is ``slack_augmentation`` of eigenpairs
 a ``model.PrecisionModel`` holds (those of M, or the ``latent_eigenpairs``
-of its latent block), and ``Augmentation.at`` moves a factor to another
+of its latent block, at unit variance and divided by sigma2), and ``Augmentation.at`` moves a factor to another
 lambda by a rescale, with no ``eigh``. A latent chain takes its target and
 factor together from ``inference.ParamModel.latent``. No package path calls
 ``make_augmentation`` or ``augmentation_at``, which factor a given Q.

@@ -10,18 +10,23 @@ of ``gibbs.augmented_sweep`` on the two existing full-space factors, each
 scaled, so no per-level factorization is needed; plain double-MH is the
 ladder with no level.
 
-Each kernel value costs one symmetric eigendecomposition of its Gram
-matrix, in ``build_gram``; it sets the jitter and yields the precision,
-its top eigenvalue and the augmentation factor, which share the one
-d x d eigenvector array: a model keeps neither the Gram matrix nor a
-factor matrix. The exchange move reads the precision only through
-energies, which come straight from the eigenpairs, so a proposal forms
-no d x d precision. Without observation noise the latent chain's factor
-reads the eigenpairs of the m x m latent block, which the precision
-forms, O(m^2 d), and decomposes once, when a chain first sweeps on that
-kernel value. Moves of the mean parameters alone reuse the current
-precision, its latent eigenpairs included, and their energy differences
-need only the pull.
+Every model is sigma2 times a unit-variance model: K(sigma2, l) =
+sigma2 * K(1, l), and the jitter rung is proportional to sigma2, so
+``build_param_model`` decomposes the Gram matrix of the kernel at
+variance 1, in ``build_gram``, and scales its eigenvalues and jitter by
+sigma2. Each lengthscale value therefore costs one symmetric
+eigendecomposition of size d; it sets the jitter and yields the
+precision, its top eigenvalue and the augmentation factor, which share
+the one d x d eigenvector array: a model keeps neither the Gram matrix
+nor a factor matrix. A move of sigma2 alone is a rescale of the current
+model's unit-variance eigenpairs, with no ``eigh``. The exchange move
+reads the precision only through energies, which come straight from the
+eigenpairs, so a proposal forms no d x d precision. Without observation
+noise the latent chain's factor reads the eigenpairs of the m x m latent
+block of the unit-variance precision, which it forms, O(m^2 d), and
+decomposes once, when a chain first sweeps on that lengthscale value;
+every sigma2 divides them. Moves of the mean parameters alone reuse the
+current precision and their energy differences need only the pull.
 
 The fit, ``sample`` and the CD diagnostic share one latent chain given
 the data: the target and factor that ``ParamModel.latent(theta)``
@@ -39,6 +44,7 @@ sampler, the fit too, runs on a ``ParamModel`` its caller builds over them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
@@ -50,7 +56,7 @@ from .errors import NumericalError
 from .gibbs import Augmentation, augmented_sweep, run_sweeps
 from .gibbs import slack_augmentation, DEFAULT_SLACK
 from .gibbs import gibbs_sweep  # noqa: F401  perfbench/test_perfbench.py reads this binding
-from .kernels import KernelSpec, build_gram, kernel_derivatives
+from .kernels import build_gram, kernel_derivatives
 from .model import (
     ParamVector,
     PrecisionModel,
@@ -64,9 +70,18 @@ from .model import (
 _LOG_HALF_NORMAL = 0.5 * math.log(2.0 / math.pi)
 
 # The parameter table: the exchange move walks (sigma2, lengthscale^2,
-# [gradient_lengthscale^2], kappa, nu), in this order, as two blocks.
+# [gradient_lengthscale^2], kappa, nu), in this order. The fit moves the
+# kernel entries in two halves, in turn: sigma2 alone, then the lengthscales.
 KERNEL_BLOCK = ("sigma2", "lengthscale2", "gradient2")
+VARIANCE_BLOCK = KERNEL_BLOCK[:1]
+LENGTHSCALE_BLOCK = KERNEL_BLOCK[1:]
 MEAN_BLOCK = ("kappa", "nu")
+# The KernelSpec field that each kernel table entry sets, and how.
+_KERNEL_FIELDS = (
+    ("sigma2", "variance", float),
+    ("lengthscale2", "lengthscale", math.sqrt),
+    ("gradient2", "gradient_lengthscale", math.sqrt),
+)
 
 
 def _param_dict(w: ParamVector) -> dict:
@@ -155,30 +170,38 @@ class BridgeConfig:
 class ParamModel:
     """Everything the samplers need for one parameter value.
 
-    ``precision`` holds the eigenpairs (s, V) of K = V diag(s) V', the one
-    form in which the samplers apply M = K^-1. The full-space augmentation
-    factor ``full_aug`` (any A with A'A = lam*I - M, here
-    diag(sqrt(lam - 1/s)) V') holds the same V object and the scale
+    The Gram matrix is sigma2 times the unit-variance one, K1, whose
+    precision ``unit`` holds the eigenpairs (s1, V) of K1 and whose jitter
+    is ``unit_jitter``. ``precision`` holds the eigenpairs (sigma2 * s1, V)
+    of K, the one form in which the samplers apply M = K^-1. The
+    full-space augmentation factor ``full_aug`` (any A with A'A = lam*I - M,
+    here diag(sqrt(lam - 1/s)) V') holds the same V object and the scale
     sqrt(lam - 1/s), so V is the only d x d array the model owns; repeated
     fictitious-sample chains and bridging ladders reuse it. The Gram
     matrix itself is not kept, only its diagonal ``jitter``. Models that
-    differ only in the mean parameters share precision and full_aug.
-    ``slack`` is the rule lam = (1 + slack) * lam_max of full_aug and of
-    the factor of the latent chain, which ``latent`` gives. ``derivatives``
-    (dK/dp for ``energy_gradient``, d x d each) is computed on first read
-    and kept.
+    differ only in the mean parameters share precision and full_aug, and
+    models that differ only in sigma2 share ``unit`` and with it its
+    latent eigenpairs. ``slack`` is the rule lam = (1 + slack) * lam_max
+    of full_aug and of the factor of the latent chain, which ``latent``
+    gives. ``derivatives`` (dK/dp for ``energy_gradient``, d x d each) is
+    computed on first read and kept.
     """
 
     w: ParamVector
     locations: np.ndarray
-    jitter: float
+    unit_jitter: float
     precision: PrecisionModel
     full_aug: Augmentation
     slack: float
+    unit: PrecisionModel
 
     @property
     def size(self) -> int:
         return self.precision.size
+
+    @property
+    def jitter(self) -> float:
+        return self.w.kernel.variance * self.unit_jitter
 
     def energy(self, phi) -> float:
         return energy(phi, self.w, self.precision)
@@ -187,16 +210,18 @@ class ParamModel:
         """Target and factor (cp, aug) of the latent chain given the observed angles.
 
         Without observation noise the chain runs over the m prediction
-        angles: ``conditional_params`` given theta, on the precision's
-        ``latent_eigenpairs`` at the model's slack (a rescale per call, one
-        ``eigh`` per kernel value). With noisy observations (chi present) it
-        runs over all d angles on ``full_aug``: the prior terms of
-        ``full_state_params`` plus chi * (cos theta, sin theta) on the
-        observed coordinates.
+        angles: ``conditional_params`` given theta, on the eigenpairs
+        (e1 / sigma2, U1) of the latent block of M, with (e1, U1) the
+        ``latent_eigenpairs`` of ``unit``, at the model's slack (a rescale
+        per call, one ``eigh`` per lengthscale value). With noisy
+        observations (chi present) it runs over all d angles on
+        ``full_aug``: the prior terms of ``full_state_params`` plus
+        chi * (cos theta, sin theta) on the observed coordinates.
         """
         pm, chi = self.precision, self.w.noise_concentration
         if chi is None:
-            aug = slack_augmentation(*pm.latent_eigenpairs, self.slack)
+            e, U = self.unit.latent_eigenpairs
+            aug = slack_augmentation(e / self.w.kernel.variance, U, self.slack)
             return conditional_params(pm, theta, self.w), aug
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (pm.n_observed,):
@@ -228,16 +253,26 @@ def build_param_model(
 ) -> ParamModel:
     """Model at ``w`` from the one eigendecomposition that ``build_gram`` ran.
 
-    Besides that ``eigh`` it forms O(d) scales; the precision and the
-    factor share the eigenvectors of K, and K itself is dropped.
+    ``build_gram`` runs on the kernel at variance 1; the model scales its
+    eigenvalues and jitter by sigma2 (``_at_variance``). Besides that
+    ``eigh`` it forms O(d) scales; the precision and the factor share the
+    eigenvectors of K, and K itself is dropped.
     """
     X = np.asarray(locations, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
-    gram = build_gram(w.kernel, X)
-    pm = build_precision(gram, n_latent, X.shape[0] - n_latent)
+    gram = build_gram(replace(w.kernel, variance=1.0), X)
+    unit = build_precision(gram, n_latent, X.shape[0] - n_latent)
+    return _at_variance(w, X, unit, gram.jitter, slack)
+
+
+def _at_variance(w: ParamVector, X, unit: PrecisionModel, unit_jitter: float, slack) -> ParamModel:
+    """Model at ``w`` whose Gram matrix is sigma2 times the one of ``unit``: O(d), no ``eigh``."""
+    pm = PrecisionModel(
+        w.kernel.variance * unit.eigenvalues, unit.eigenvectors, unit.n_latent, unit.n_observed
+    )
     aug = slack_augmentation(1.0 / pm.eigenvalues, pm.eigenvectors, slack)  # eigenpairs of M
-    return ParamModel(w, X, gram.jitter, pm, aug, slack)
+    return ParamModel(w, X, unit_jitter, pm, aug, slack, unit)
 
 
 def full_states(model: ParamModel, latent, theta) -> np.ndarray:
@@ -259,9 +294,11 @@ def propose(
 
     Each table entry p of ``block`` present in ``w`` moves by
     ``<p>_step`` times a standard normal, in block order. The support is
-    that of the ``KernelSpec`` and ``ParamVector`` constructors. A block
-    that moves no kernel parameter keeps the ``KernelSpec`` object of
-    ``w``, which tells the exchange step that the Gram matrix is unchanged.
+    that of the ``KernelSpec`` and ``ParamVector`` constructors. Kernel
+    fields that ``block`` does not move keep their bits, and a block that
+    moves no kernel parameter keeps the ``KernelSpec`` object of ``w``:
+    that tells the exchange step that the Gram matrix is unchanged, or
+    changed only in its variance.
     """
     rng = as_generator(rng)
     values = _param_dict(w)
@@ -270,14 +307,13 @@ def propose(
         values[name] += getattr(proposals, f"{name}_step") * rng.standard_normal()
     kernel = w.kernel
     try:
-        if not set(moved).isdisjoint(KERNEL_BLOCK):
-            g2 = values.get("gradient2")
-            kernel = KernelSpec(
-                kernel.family,
-                values["sigma2"],
-                math.sqrt(values["lengthscale2"]),
-                None if g2 is None else math.sqrt(g2),
-            )
+        changes = {
+            field: to_field(values[name])
+            for name, field, to_field in _KERNEL_FIELDS
+            if name in moved
+        }
+        if changes:
+            kernel = replace(kernel, **changes)
         return ParamVector(kernel, values["kappa"], values["nu"], w.noise_concentration)
     except ValueError:  # a constructor or sqrt refused a value
         return None
@@ -384,8 +420,11 @@ def dmh_step(
     Proposals outside the prior support are rejected without touching the
     kernel. A proposal that keeps the kernel reuses the current
     precision and augmentation factor, and its energy differences
-    are differences of the pull alone; one that moves it is built at the
-    slack of ``model``. The inner chain starts from
+    are differences of the pull alone. One that moves sigma2 alone, its
+    lengthscales bit for bit the current ones, rescales the current
+    model's unit-variance eigenpairs, with no ``eigh`` of either size;
+    one that moves a lengthscale is built by ``build_param_model``. Both
+    are at the slack of ``model``. The inner chain starts from
     ``xi_init`` (persistent across outer iterations), and the accepted
     move hands back the final ladder state for the next step.
     """
@@ -398,6 +437,8 @@ def dmh_step(
     lp_wp = priors.log_density(wp)
     if wp.kernel is w.kernel:
         model_wp = replace(model, w=wp)
+    elif replace(wp.kernel, variance=1.0) == replace(w.kernel, variance=1.0):
+        model_wp = _at_variance(wp, model.locations, model.unit, model.unit_jitter, model.slack)
     else:
         try:
             model_wp = build_param_model(
@@ -444,8 +485,13 @@ class FitOutput:
     param_trace: np.ndarray  # (n_retained, len(param_names))
     accepted_trace: np.ndarray  # (n_retained,) 0/1: any block accepted
     phi_samples: np.ndarray  # (n_retained, m) latent angles at test locations
-    outcomes: dict  # block -> {reason in DMH_REASONS: count}
+    outcomes: dict  # move -> {reason in DMH_REASONS: count}; moves as in FIT_MOVES
     jitter_range: tuple  # (min, max) Gram jitter over every kernel value the chain held
+
+
+# The fit's exchange moves, by the name its outcomes and summary.txt use:
+# the kernel moves alternate between the first two, and "mean" follows each.
+FIT_MOVES = (("variance", VARIANCE_BLOCK), ("lengthscale", LENGTHSCALE_BLOCK), ("mean", MEAN_BLOCK))
 
 
 def block_gibbs_fit(theta, model: ParamModel, config: FitConfig, rng) -> FitOutput:
@@ -457,15 +503,18 @@ def block_gibbs_fit(theta, model: ParamModel, config: FitConfig, rng) -> FitOutp
     [phi, theta]. Each iteration's ``phi_sweeps`` latent sweeps run on
     ``model.latent(theta)`` of the model it starts with (under noisy
     observations that chain spans all locations) and are over-relaxed:
-    every second one is a reflection.
+    every second one is a reflection. Each of the ``dmh_steps`` rounds
+    then runs one kernel move and, with ``learn_mean``, one mean move.
+    The k-th kernel move of the fit, counted from 0, moves sigma2 alone
+    when k is even, a rescale with no ``eigh``, and the lengthscales when
+    k is odd, so only every second kernel move decomposes a Gram matrix.
     """
     rng = as_generator(rng)
     theta = np.asarray(theta, dtype=float)
     m = model.precision.n_latent
 
-    blocks = [("kernel", KERNEL_BLOCK)]
-    if config.learn_mean:
-        blocks.append(("mean", MEAN_BLOCK))
+    moves = FIT_MOVES if config.learn_mean else FIT_MOVES[:2]
+    kernel_moves = itertools.cycle(moves[:2])
 
     n = model.latent(theta)[0].size
     phi = sample_von_mises(model.w.mean_direction, model.w.concentration * np.ones(n), rng)
@@ -473,7 +522,7 @@ def block_gibbs_fit(theta, model: ParamModel, config: FitConfig, rng) -> FitOutp
 
     names = tuple(_param_dict(model.w).keys())
     rows, accepted_rows, phi_rows = [], [], []
-    outcomes = {name: dict.fromkeys(DMH_REASONS, 0) for name, _ in blocks}
+    outcomes = {name: dict.fromkeys(DMH_REASONS, 0) for name, _ in moves}
     jitters = [model.jitter]
     for t in range(config.n_iter):
         if n and config.phi_sweeps:
@@ -482,7 +531,7 @@ def block_gibbs_fit(theta, model: ParamModel, config: FitConfig, rng) -> FitOutp
         phi_full = full_states(model, phi, theta)
         accepted_any = False
         for _ in range(config.dmh_steps):
-            for name, block in blocks:
+            for name, block in (next(kernel_moves), *moves[2:]):
                 res = dmh_step(
                     model,
                     phi_full,

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import i0e
 from scipy.stats import kstest
 
 from conftest import QUAD_GRID, bessel_ratio, synthetic_prior_draw
@@ -17,6 +18,7 @@ from vmqp.circular import sample_von_mises
 from vmqp.evaluation import circular_crps
 from vmqp.gibbs import augmentation_at, make_augmentation, run_chain, run_sweeps
 from vmqp.inference import (
+    VARIANCE_BLOCK,
     BridgeConfig,
     FitConfig,
     PriorSpec,
@@ -293,6 +295,70 @@ def test_c05_double_mh_matches_exact_posterior():
         "criterion 5: exchange sampler vs exact posterior",
         ok,
         f"mean diff {mean_diff:.4f} < {mean_tol:.4f}, "
+        f"var diff {var_diff:.4f} < {var_tol:.4f} ({elapsed:.0f}s)",
+    )
+
+
+def test_variance_exchange_move_matches_exact_posterior_at_d2():
+    # both angles observed, kappa = 0 and the lengthscale fixed: with
+    # M = M1 / sigma2, M1 the unit-variance precision, the normalizer is
+    # Z = (2 pi)^2 exp(-(M11 + M22) / 2) I0(M12), so the exact log posterior
+    # of sigma2 is log prior - M12 cos(theta1 - theta2) - log I0(M12); the
+    # sigma2 exchange move with two bridge levels runs against an exact
+    # random-walk MH chain on it, judged by the rule of c05
+    t0 = time.time()
+    theta = np.array([1.5, -1.5])
+    w0 = ParamVector(KernelSpec("gaussian", 1.0, 1.0), 0.0, 0.0)
+    priors = PriorSpec()
+    step = 0.5
+    proposals = ProposalSpec(sigma2_step=step)
+    bridge = BridgeConfig(2, inner_sweeps=10)
+    n_outer = 3 * 10**4
+
+    rng = np.random.default_rng(71)
+    model = build_param_model(w0, np.array([[0.0], [0.5]]), 0)
+    m12 = model.unit.matrix[0, 1]
+    xi = np.zeros(2)
+    dmh_trace = np.empty(n_outer)
+    for t in range(n_outer):
+        res = dmh_step(model, theta, priors, proposals, bridge, rng, xi, block=VARIANCE_BLOCK)
+        model, xi = res.model, res.xi
+        dmh_trace[t] = model.w.kernel.variance
+
+    cos_diff = math.cos(theta[0] - theta[1])
+
+    def log_post(sigma2):
+        if sigma2 <= 0:
+            return -math.inf
+        x = m12 / sigma2
+        log_i0 = math.log(i0e(x)) + abs(x)  # np.i0 overflows at small sigma2
+        return _half_normal_logpdf(sigma2, priors.sigma2_scale) - x * cos_diff - log_i0
+
+    rng2 = np.random.default_rng(72)
+    sigma2 = 1.0
+    lp = log_post(sigma2)
+    exact_trace = np.empty(n_outer)
+    for t in range(n_outer):
+        prop = sigma2 + step * rng2.standard_normal()
+        lp_prop = log_post(prop)
+        if math.log(rng2.uniform()) < lp_prop - lp:
+            sigma2, lp = prop, lp_prop
+        exact_trace[t] = sigma2
+
+    burn = 1000
+    a, b = dmh_trace[burn:], exact_trace[burn:]
+    mean_diff = abs(a.mean() - b.mean())
+    mean_tol = 3 * math.hypot(batch_se(a), batch_se(b))
+    var_diff = abs(a.var() - b.var())
+    var_tol = 3 * math.hypot(
+        batch_se((a - a.mean()) ** 2), batch_se((b - b.mean()) ** 2)
+    )
+    elapsed = time.time() - t0
+    ok = mean_diff < mean_tol and var_diff < var_tol and elapsed < 300
+    report(
+        "sigma2 exchange move vs exact posterior at d = 2",
+        ok,
+        f"mean {a.mean():.3f} vs {b.mean():.3f}, diff {mean_diff:.4f} < {mean_tol:.4f}, "
         f"var diff {var_diff:.4f} < {var_tol:.4f} ({elapsed:.0f}s)",
     )
 

@@ -208,6 +208,19 @@ def test_load_dataset_merges_test_file(tmp_path):
     assert np.isnan(ds.test_angles[1])
 
 
+def test_load_dataset_errors_name_the_file_of_the_bad_row(tmp_path, capsys):
+    # both files have a row 3; the message says which one is short
+    data = make_generic(tmp_path / "train.csv")
+    test = write(tmp_path / "test.csv", "x1,angle_rad\n0.5,\n0.9\n")
+    with pytest.raises(DataError, match=r"test\.csv: row 3 has 1 of 2 cells$"):
+        load_dataset(data, "generic", test)
+    cfg = write(tmp_path / "run.cfg", BASE_CONFIG)
+    code = main(["sample", "--config", cfg, "--data", data, "--test-data", test,
+                 "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert capsys.readouterr().err == f"data error: {test}: row 3 has 1 of 2 cells\n"
+
+
 @pytest.mark.parametrize("row", ["3.0,4.0", "5.0,6.0,180,77"], ids=["short", "long"])
 def test_cli_row_with_another_cell_count_than_the_header_is_a_data_error(tmp_path, capsys, row):
     # the prediction row 2,2, keeps its empty angle cell and passes
@@ -216,7 +229,7 @@ def test_cli_row_with_another_cell_count_than_the_header_is_a_data_error(tmp_pat
     assert main(["sample", "--config", cfg, "--data", data, "--schema", "wind",
                  "--out", str(tmp_path / "o")]) == 3
     cells = len(row.split(","))
-    assert capsys.readouterr().err == f"data error: row 5 has {cells} of 3 cells\n"
+    assert capsys.readouterr().err == f"data error: {data}: row 5 has {cells} of 3 cells\n"
 
 
 def test_cli_test_data_with_other_coordinates_is_a_data_error(tmp_path, capsys):
@@ -369,10 +382,14 @@ def test_cli_fit_reports_numerical_rejections(tmp_path, monkeypatch):
     out = tmp_path / "o"
     assert run(["fit", "--config", cfg, "--data", data, "--out", str(out)]) == 0
     report = read_kv(out / "summary.txt")
-    assert report["rejects_kernel_numerical"] == "12"
-    assert report["rejects_kernel_support"] == "0"
-    assert report["rejects_kernel_mh"] == "0"
-    assert float(report["accept_rate_kernel"]) == 0.0
+    # of the 12 kernel moves, the 6 lengthscale ones build a Gram matrix;
+    # the 6 sigma2 ones rescale the first and never reach build_gram
+    assert len(built) == 1
+    assert report["rejects_lengthscale_numerical"] == "6"
+    assert report["rejects_lengthscale_support"] == "0"
+    assert report["rejects_lengthscale_mh"] == "0"
+    assert float(report["accept_rate_lengthscale"]) == 0.0
+    assert report["rejects_variance_numerical"] == "0"
     assert report["rejects_mean_numerical"] == "0"
 
 
@@ -468,12 +485,15 @@ def test_cli_fit_schema(tmp_path, levels):
     assert len(rows) == 8
     assert all(row[5] in ("0", "1") for row in rows)
     report = read_kv(out / "summary.txt")
-    assert "accept_rate_kernel" in report
-    assert "accept_rate_mean" in report
-    for block in ("kernel", "mean"):
-        counts = [int(report[f"rejects_{block}_{r}"]) for r in ("support", "numerical", "mh")]
-        accepted = float(report[f"accept_rate_{block}"]) * 12
-        assert sum(counts) + accepted == pytest.approx(12)
+    # 12 iterations: kernel moves alternate between sigma2 and the lengthscale
+    moves = {"variance": 6, "lengthscale": 6, "mean": 12}
+    assert {key for key in report if key.startswith("accept_rate_")} == {
+        f"accept_rate_{move}" for move in moves
+    }
+    for move, total in moves.items():
+        counts = [int(report[f"rejects_{move}_{r}"]) for r in ("support", "numerical", "mh")]
+        accepted = float(report[f"accept_rate_{move}"]) * total
+        assert sum(counts) + accepted == pytest.approx(total)
     assert "predictive_mean_rad_1" in report
     samples = read_samples_csv(out / "phi_samples.csv")
     assert samples.shape == (8, 2)

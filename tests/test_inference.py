@@ -27,9 +27,10 @@ from vmqp.inference import (
     propose,
     sample_fictitious,
 )
-from vmqp.kernels import GramMatrix, KernelSpec, kernel_derivatives, kernel_matrix
+from vmqp.gibbs import slack_augmentation
+from vmqp.kernels import GramMatrix, KernelSpec, build_gram, kernel_derivatives, kernel_matrix
 from vmqp.circular import sample_von_mises
-from vmqp.model import ParamVector, PrecisionModel, full_state_params
+from vmqp.model import ParamVector, PrecisionModel, build_precision, energy, full_state_params
 
 from test_kernels import FAMILY_SPECS
 
@@ -334,7 +335,7 @@ def test_fit_learns_and_reports_rates(rng):
     # no test locations, on column and on flat training locations
     for locations in (train, train[:, 0]):
         out = block_gibbs_fit(theta, build_param_model(w, locations, 0), cfg, rng)
-        assert set(out.outcomes) == {"kernel", "mean"}
+        assert set(out.outcomes) == {"variance", "lengthscale", "mean"}
         assert out.param_trace.shape == (30, 4)
         assert out.param_names == ("sigma2", "lengthscale2", "kappa", "nu")
     # the anisotropic kernel adds gradient2, in table order
@@ -475,7 +476,7 @@ def test_fit_reports_the_jitter_range_of_its_kernels(rng):
     cfg = FitConfig(n_iter=40, burn_in=0, phi_sweeps=1, bridge=BridgeConfig(0, inner_sweeps=2))
     model = build_param_model(w, np.vstack([[[0.5], [2.5]], train]), 2)
     out = block_gibbs_fit(theta, model, cfg, rng)
-    assert out.outcomes["kernel"]["accepted"] > 0
+    assert out.outcomes["variance"]["accepted"] > 0
     lo, hi = out.jitter_range
     sigma2 = out.param_trace[:, out.param_names.index("sigma2")]
     assert lo < hi
@@ -502,6 +503,57 @@ def test_spectral_param_model_identities(d):
     assert aug.lam_max_estimate == pytest.approx(1.0 / s_min, rel=1e-12)
     assert aug.lam == (1.0 + slack) * aug.lam_max_estimate
     assert model.precision.n_latent == 2 and model.precision.n_observed == d - 2
+
+
+@pytest.mark.parametrize("sigma2", [0.01, 1.0, 20.0])
+def test_model_is_sigma2_times_the_unit_variance_model(sigma2, rng):
+    # against the model of the Gram matrix built at sigma2 directly: the
+    # same jitter rung, eigenvalues, energies and latent factors
+    d, m, slack = 30, 5, 0.05
+    X = np.linspace(0.0, 12.0, d)[:, None]
+    w = ParamVector(KernelSpec("exponential", sigma2, 1.3), 0.5, 0.2)
+    model = build_param_model(w, X, m, slack)
+    gram = build_gram(w.kernel, X)
+    direct = build_precision(gram, m, d - m)
+    assert model.jitter == pytest.approx(gram.jitter, rel=1e-12)
+    assert np.allclose(model.precision.eigenvalues, direct.eigenvalues, rtol=1e-12, atol=0)
+    for phi in rng.uniform(-np.pi, np.pi, (5, d)):
+        assert model.energy(phi) == pytest.approx(energy(phi, w, direct), rel=1e-12)
+    theta = rng.uniform(-np.pi, np.pi, d - m)
+    aug = model.latent(theta)[1]
+    ref = slack_augmentation(*direct.latent_eigenpairs, slack)
+    assert np.allclose(aug.eigenvalues, ref.eigenvalues, rtol=1e-12, atol=0)
+    assert aug.lam == pytest.approx(ref.lam, rel=1e-12)
+    gap = aug.factor.T @ aug.factor
+    assert np.max(np.abs(gap - ref.factor.T @ ref.factor)) <= 1e-12 * ref.lam
+
+
+def test_variance_move_rescales_the_model_with_no_eigh(monkeypatch, rng):
+    # a sigma2-only exchange move keeps the lengthscale bits, the unit
+    # precision and its latent eigenpairs, and decomposes nothing
+    d, m = 12, 3
+    w = ParamVector(KernelSpec("anisotropic_gaussian", 1.0, 1.1, 0.7), 0.5, 0.3)
+    X = np.column_stack([np.linspace(0.0, 6.0, d), np.arange(d) % 3])
+    model = build_param_model(w, X, m)
+    theta = rng.uniform(-np.pi, np.pi, d - m)
+    model.latent(theta)  # the one latent eigh, before recording
+    eighs = recording_eighs(monkeypatch)
+    results = [
+        dmh_step(model, rng.uniform(-np.pi, np.pi, d), PriorSpec(), ProposalSpec(sigma2_step=0.3),
+                 BridgeConfig(2, inner_sweeps=2), rng, np.zeros(d), block=inference.VARIANCE_BLOCK)
+        for _ in range(10)
+    ]
+    accepted = [res.model for res in results if res.accepted]
+    assert accepted
+    for moved in accepted:
+        moved.latent(theta)
+        k, k0 = moved.w.kernel, w.kernel
+        assert k.variance != k0.variance
+        assert (k.lengthscale, k.gradient_lengthscale) == (k0.lengthscale, k0.gradient_lengthscale)
+        assert moved.unit is model.unit and moved.unit_jitter == model.unit_jitter
+        assert moved.precision.eigenvectors is model.precision.eigenvectors
+        assert np.array_equal(moved.precision.eigenvalues, k.variance * model.unit.eigenvalues)
+    assert eighs == []
 
 
 def test_build_param_model_rejects_indefinite_gram(monkeypatch):
@@ -545,10 +597,11 @@ def test_mean_block_dmh_reuses_the_current_model(monkeypatch, rng):
 
 
 def test_fit_keeps_latent_augmentation_after_mean_moves(monkeypatch, rng):
-    # only kernel moves change the latent coupling block, so the latent
-    # block is decomposed once plus once per accepted kernel move that the
-    # latent chain sweeps on: each iteration sweeps before its exchange
-    # moves, so a kernel move accepted in the last one is never decomposed
+    # only lengthscale moves change the eigenpairs of the unit-variance
+    # latent block (a sigma2 move divides them), so it is decomposed once
+    # plus once per accepted lengthscale move that the latent chain sweeps
+    # on: each iteration sweeps before its exchange moves, so a move
+    # accepted in the last one is never decomposed
     eighs, steps = recording_eighs(monkeypatch), []
     dmh = inference.dmh_step
 
@@ -563,17 +616,21 @@ def test_fit_keeps_latent_augmentation_after_mean_moves(monkeypatch, rng):
     cfg = FitConfig(n_iter=40, burn_in=10, phi_sweeps=1, bridge=BridgeConfig(0, inner_sweeps=2))
     model = build_param_model(w, np.vstack([[[0.5], [2.5]], train]), 2)
     out = block_gibbs_fit(theta, model, cfg, rng)
-    assert out.outcomes["mean"]["accepted"] > 0
+    assert out.outcomes["mean"]["accepted"] > 0 and out.outcomes["variance"]["accepted"] > 0
     assert len(steps) == 2 * 40  # a kernel then a mean move per iteration
-    kernel = [res.accepted for block, res in steps if block == inference.KERNEL_BLOCK]
-    assert sum(kernel) == out.outcomes["kernel"]["accepted"]
-    assert [n for n, _ in eighs].count(2) == 1 + sum(kernel[:-1])
+    halves = (inference.VARIANCE_BLOCK, inference.LENGTHSCALE_BLOCK)
+    assert [block for block, _ in steps[::2]] == list(halves) * 20
+    assert all(block == MEAN_BLOCK for block, _ in steps[1::2])
+    lengthscale = [res.accepted for block, res in steps if block == halves[1]]
+    assert sum(lengthscale) == out.outcomes["lengthscale"]["accepted"]
+    assert [n for n, _ in eighs].count(2) == 1 + sum(lengthscale[:-1])
 
 
 def test_latent_eigenpairs_are_one_eigh_per_kernel_value(monkeypatch, rng):
     # a mean-moved model shares the precision, and so the latent eigenpairs,
-    # of its parent; a fit runs one eigh of size m per kernel value its
-    # latent chain swept on, and sweeps on every one it runs
+    # of its parent; a fit runs one eigh of size m per lengthscale value its
+    # latent chain swept on, and sweeps on every one it runs: a sigma2 move
+    # keeps the unit-variance eigenpairs and rescales the factor
     w = ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3)
     theta = np.array([0.2, -0.4, 0.9, 0.1])
     locations = np.vstack([[[0.5], [2.5]], np.arange(4, dtype=float).reshape(-1, 1)])
@@ -582,7 +639,7 @@ def test_latent_eigenpairs_are_one_eigh_per_kernel_value(monkeypatch, rng):
     moved = replace(model, w=ParamVector(w.kernel, 1.3, -0.8))
     (_, moved_aug), (_, aug) = moved.latent(theta), model.latent(theta)
     assert moved_aug.eigenvectors is aug.eigenvectors
-    assert moved.precision.latent_eigenpairs is model.precision.latent_eigenpairs
+    assert moved.unit.latent_eigenpairs is model.unit.latent_eigenpairs
     assert np.array_equal(moved_aug.scale, aug.scale)
     assert [n for n, _ in eighs] == [2]
     del eighs[:]
@@ -590,7 +647,8 @@ def test_latent_eigenpairs_are_one_eigh_per_kernel_value(monkeypatch, rng):
                     proposals=ProposalSpec(lengthscale2_step=0.5),
                     bridge=BridgeConfig(0, inner_sweeps=2))
     out = block_gibbs_fit(theta, build_param_model(w, locations, 2), cfg, rng)
-    assert out.outcomes["kernel"]["accepted"] > 1 and out.outcomes["mean"]["accepted"] > 0
+    accepted = {name: counts["accepted"] for name, counts in out.outcomes.items()}
+    assert accepted["lengthscale"] > 1 and accepted["variance"] > 0 and accepted["mean"] > 0
     latent_eighs = [U for n, (_, U) in eighs if n == 2]
     swept_on = []
     for aug in sweeps:
@@ -598,6 +656,8 @@ def test_latent_eigenpairs_are_one_eigh_per_kernel_value(monkeypatch, rng):
             swept_on.append(aug.eigenvectors)
     assert len(latent_eighs) == len(swept_on) > 2
     assert all(U is V for U, V in zip(latent_eighs, swept_on))
+    # the chain swept on more latent factors than eigenvector arrays
+    assert len({aug.lam for aug in sweeps if aug.size == 2}) > len(swept_on)
 
 
 def reachable_arrays(obj):
@@ -662,12 +722,15 @@ def test_fit_counts_every_outcome_by_block(rng):
         bridge=BridgeConfig(0, inner_sweeps=2),
     )
     out = block_gibbs_fit(theta, build_param_model(w, np.vstack([[[0.5]], train]), 1), cfg, rng)
+    # 120 rounds: one mean move each, and kernel moves that alternate
+    # between sigma2 and the lengthscales
+    expected = {"variance": 60, "lengthscale": 60, "mean": 120}
+    assert {name: sum(counts.values()) for name, counts in out.outcomes.items()} == expected
     for name, counts in out.outcomes.items():
         assert tuple(counts) == inference.DMH_REASONS
-        assert sum(counts.values()) == 120
     # kappa starts near zero with a wide step, so some moves leave the support
     assert out.outcomes["mean"]["support"] > 0
-    assert out.outcomes["kernel"]["numerical"] == 0
+    assert out.outcomes["variance"]["numerical"] == out.outcomes["lengthscale"]["numerical"] == 0
 
 
 
@@ -757,8 +820,7 @@ def test_exchange_moves_form_no_whole_precision(monkeypatch, rng):
             kappa, nu = res.model.w.concentration, res.model.w.mean_direction
             for rho, f in ((cp.rho_c, np.cos), (cp.rho_s, np.sin)):
                 assert np.max(np.abs(rho - (kappa * f(nu) - M[:m, m:] @ f(theta)))) <= tol
-            e, _ = pm.latent_eigenpairs
-            assert np.max(np.abs(e - np.linalg.eigvalsh(M[:m, :m]))) <= tol
+            assert np.max(np.abs(aug.eigenvalues - np.linalg.eigvalsh(M[:m, :m]))) <= tol
             assert aug.size == m
             model = res.model
     assert "accepted" in outcomes and "mh" in outcomes
@@ -768,7 +830,7 @@ def test_kernel_proposal_runs_one_eigh_and_forms_no_whole_precision(monkeypatch,
     # chi unset: a kernel proposal factors nothing of size d but its one eigh,
     # and the whole precision M, the d x d x d product this path used to form,
     # is never read; the m x m latent block is formed, and factored by one
-    # eigh of size m, once per kernel value the latent chain sweeps on
+    # eigh of size m, once per lengthscale value the latent chain sweeps on
     d, m = 12, 3
     sizes = {"eigh": [], "eigvalsh": [], "cholesky": [], "inv": [], "solve": []}
     for name in sizes:
@@ -787,12 +849,14 @@ def test_kernel_proposal_runs_one_eigh_and_forms_no_whole_precision(monkeypatch,
                     bridge=BridgeConfig(1, inner_sweeps=2))
     model = build_param_model(w, np.vstack([[[0.5], [2.5], [4.5]], train]), m)
     out = block_gibbs_fit(theta, model, cfg, rng)
-    kernel = out.outcomes["kernel"]
-    assert kernel["accepted"] > 0 and kernel["mh"] > 0
-    assert sizes["eigh"].count(d) == 1 + sum(kernel.values()) - kernel["support"]
+    lengthscale = out.outcomes["lengthscale"]
+    assert lengthscale["accepted"] > 0 and lengthscale["mh"] > 0
+    assert out.outcomes["variance"]["accepted"] > 0
+    # sigma2 moves are a rescale: only the lengthscale ones decompose
+    assert sizes["eigh"].count(d) == 1 + sum(lengthscale.values()) - lengthscale["support"]
     swept_on = {id(aug.eigenvectors) for aug in sweeps if aug.size == m}
     assert sizes["eigh"].count(m) == len(swept_on)
-    assert kernel["accepted"] <= len(swept_on) <= 1 + kernel["accepted"]
+    assert lengthscale["accepted"] <= len(swept_on) <= 1 + lengthscale["accepted"]
     assert len(sizes["eigh"]) == sizes["eigh"].count(d) + sizes["eigh"].count(m)
     assert sizes["inv"] == sizes["solve"] == sizes["eigvalsh"] == sizes["cholesky"] == []
 

@@ -197,7 +197,7 @@ def test_full_state_params_prior_mode():
 def test_full_state_params_noisy_tail():
     pm = precision_from_matrix(np.eye(3), 1, 2)
     theta = np.array([0.0, np.pi / 2])
-    model = ParamModel(pv(kappa=0.0, chi=3.0), np.zeros((3, 1)), 0.0, pm, None, 0.01)
+    model = ParamModel(pv(kappa=0.0, chi=3.0), np.zeros((3, 1)), 0.0, pm, None, 0.01, pm)
     cp, _ = model.latent(theta)
     assert np.allclose(cp.rho_c, [0.0, 3.0, 0.0], atol=1e-12)
     assert np.allclose(cp.rho_s, [0.0, 0.0, 3.0], atol=1e-12)
