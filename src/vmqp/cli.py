@@ -103,7 +103,7 @@ def cmd_sample(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
         [
             ("command", "sample"),
             ("n_retained", samples.shape[0]),
-            ("lambda", _fmt(chain.lam)),
+            ("lambda", _fmt(aug.lam)),
             ("jitter", _fmt(model.jitter)),
             ("seed", cfg.seed),
         ],

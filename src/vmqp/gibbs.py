@@ -20,9 +20,12 @@ of its latent block, at unit variance and divided by sigma2), and ``Augmentation
 lambda by a rescale, with no ``eigh``. A latent chain takes its target and
 factor together from ``inference.ParamModel.latent``. No package path calls
 ``make_augmentation`` or ``augmentation_at``, which factor a given Q.
-Every chain advances through ``run_sweeps``; every transition is
-``augmented_sweep`` on a sequence of factors: one for a Gibbs sweep, two
-(scaled) for a bridge level of ``inference.bridge_ladder``.
+Every chain advances through ``run_sweeps``. Every transition is the two
+exact conditionals in turn: the z half, ``sweep_coefficients``, draws z
+given phi on a sequence of factors and returns the von Mises coefficients
+b of phi | z; the phi half, ``redraw``, takes phi from b. A Gibbs sweep
+runs the z half on one factor, a bridge level of
+``inference.bridge_ladder`` on two (scaled).
 
 Over-relaxation: given z each phi_i is von Mises(gamma_i, a_i), which is
 symmetric about gamma_i, so the reflection phi_i <- 2 gamma_i - phi_i
@@ -36,11 +39,12 @@ schedule; the fictitious and contrastive-divergence chains of
 ``inference`` stay heat-bath, and their docstrings say why.
 
 A state is one chain, phi of shape (m,), or a stack of C independent
-chains on the same factor, shape (C, m). A sweep of the stack costs one
-random-normal draw, two products with U and one von Mises call, as a
-sweep of one chain does, so at small m the C chains cost about as much as
-one. They share one Generator, so the stream of a stack is not that of C
-separate chains; a (1, m) stack draws what the 1D chain draws.
+chains on the same factor, shape (C, m), and b then has shape (2, C, m).
+A sweep of the stack costs one random-normal draw and two products with
+U in the z half and one von Mises call in the phi half, as a sweep of one
+chain does, so at small m the C chains cost about as much as one. They
+share one Generator, so the stream of a stack is not that of C separate
+chains; a (1, m) stack draws what the 1D chain draws.
 """
 
 from __future__ import annotations
@@ -143,26 +147,18 @@ def augmentation_at(Q: np.ndarray, lam: float) -> Augmentation:
     return spectral_augmentation(e, U, lam)
 
 
-def polar_params(b_c: np.ndarray, b_s: np.ndarray):
-    """Per-coordinate concentration and mean from the linear coefficients."""
-    a = np.hypot(b_c, b_s)
-    gamma = np.arctan2(b_s, b_c)
-    return a, gamma
+def sweep_coefficients(phi: np.ndarray, factors, rho_c, rho_s, rng) -> np.ndarray:
+    """The z half of a sweep, state -> b, on the factors (U_k, g_k).
 
-
-def augmented_sweep(phi: np.ndarray, factors, rho_c, rho_s, rng, reflect=False) -> np.ndarray:
-    """One Gibbs transition on the factors (U_k, g_k), A_k = diag(g_k) U_k'.
-
-    The target's coupling is lam*I - sum_k A_k'A_k, for any lam (cos^2 +
-    sin^2 = 1 makes a multiple of I a constant), and its linear terms are
-    ``rho_c``, ``rho_s`` (arrays, or one scalar for every coordinate);
-    ``rng`` is a Generator. The normals are
-    drawn as one (K, 2, ...) block in factor order; with cs the (2C, m)
-    block of cos/sin rows, z_k = (cs U_k) g_k + eps_k and each coordinate
-    is redrawn from a von Mises with coefficients sum_k (z_k g_k) U_k' + rho.
-    With ``reflect`` it is reflected about that von Mises' mean gamma
-    instead, 2 gamma - phi, and no von Mises draw is made; a coordinate
-    with concentration 0 has gamma = 0 and maps to -phi.
+    Each factor is A_k = diag(g_k) U_k'. The target's coupling is
+    lam*I - sum_k A_k'A_k, for any lam (cos^2 + sin^2 = 1 makes a multiple
+    of I a constant), and its linear terms are ``rho_c``, ``rho_s``
+    (arrays, or one scalar for every coordinate); ``rng`` is a Generator.
+    The normals are drawn as one (K, 2, ...) block in factor order; with
+    cs the (2C, m) block of cos/sin rows, z_k = (cs U_k) g_k + eps_k, and
+    the result is the coefficients b = sum_k (z_k g_k) U_k' + rho of
+    phi | z, shape (2,) + phi.shape: b[0] multiplies cos(phi) and b[1]
+    sin(phi).
     """
     eps = rng.standard_normal((len(factors), 2) + np.shape(phi))
     flat = (math.prod(eps.shape[1:-1]), eps.shape[-1])  # (2C, m), or (2, m) for one chain
@@ -178,10 +174,22 @@ def augmented_sweep(phi: np.ndarray, factors, rho_c, rho_s, rng, reflect=False) 
     b = b.reshape(eps.shape[1:])
     b[0] += rho_c
     b[1] += rho_s
+    return b
+
+
+def redraw(phi: np.ndarray, b: np.ndarray, rng, reflect: bool = False) -> np.ndarray:
+    """The phi half of a sweep, b -> state, for the b of ``sweep_coefficients``.
+
+    Each phi_i | z is von Mises(gamma_i, a_i) with gamma = arctan2(b_s, b_c)
+    and a = hypot(b_c, b_s), and is redrawn from it. With ``reflect`` it
+    is reflected about gamma instead, 2 gamma - phi, and no von Mises draw
+    is made, so ``rng`` is not read; a coordinate with concentration 0 has
+    gamma = 0 and maps to -phi.
+    """
+    gamma = np.arctan2(b[1], b[0])
     if reflect:
-        return normalize_angle(2.0 * np.arctan2(b[1], b[0]) - phi)
-    a, gamma = polar_params(b[0], b[1])
-    return sample_von_mises(gamma, a, rng)
+        return normalize_angle(2.0 * gamma - phi)
+    return sample_von_mises(gamma, np.hypot(b[0], b[1]), rng)
 
 
 def gibbs_sweep(
@@ -194,14 +202,14 @@ def gibbs_sweep(
     """One full sweep: refresh z given phi, then redraw every phi_i given z.
 
     ``phi`` is one state (m,) or a stack (C, m), and the result has its
-    shape. ``augmented_sweep`` on the one factor (U, g) of ``aug`` with the
-    rho of ``cp``: z = A cs + eps and b = rho + A'z for A = diag(g) U'.
-    With ``reflect`` every phi_i is reflected about its conditional mean
-    instead of redrawn.
+    shape. ``sweep_coefficients`` on the one factor (U, g) of ``aug`` with
+    the rho of ``cp`` (z = A cs + eps and b = rho + A'z for A = diag(g) U'),
+    then ``redraw``; with ``reflect`` every phi_i is reflected about its
+    conditional mean instead of redrawn.
     """
-    return augmented_sweep(
-        phi, ((aug.eigenvectors, aug.scale),), cp.rho_c, cp.rho_s, as_generator(rng), reflect
-    )
+    rng = as_generator(rng)
+    b = sweep_coefficients(phi, ((aug.eigenvectors, aug.scale),), cp.rho_c, cp.rho_s, rng)
+    return redraw(phi, b, rng, reflect)
 
 
 def run_sweeps(phi, aug: Augmentation, cp: ConditionalParams, rng, first: int,
@@ -229,7 +237,6 @@ class ChainOutput:
 
     samples: np.ndarray  # (n_retained, m), or (n_retained, C, m) for a stack
     ress: np.ndarray  # relative effective sample size per coordinate: (m,) or (C, m)
-    lam: float
 
 
 def run_chain(
@@ -271,4 +278,4 @@ def run_chain(
     n_kept = len(range(burn_in, n_iter, thin))
     samples = run_sweeps(phi, aug, cp, rng, burn_in + 1, n_kept, thin, overrelax=True)
     ress = evaluation.circular_column_ress(samples.reshape(n_kept, -1))
-    return ChainOutput(samples, ress.reshape(phi.shape), aug.lam)
+    return ChainOutput(samples, ress.reshape(phi.shape))

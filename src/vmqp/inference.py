@@ -5,10 +5,10 @@ unknown normalizer. Each Metropolis step therefore draws a fictitious
 full-space angle vector under the proposed parameters (an inner augmented
 Gibbs chain) so that the normalizers cancel from the acceptance ratio.
 Optionally, K annealed bridging levels refine the one-sample importance
-estimate of the normalizer ratio. A bridging transition is the Gibbs sweep
-of ``gibbs.augmented_sweep`` on the two existing full-space factors, each
-scaled, so no per-level factorization is needed; plain double-MH is the
-ladder with no level.
+estimate of the normalizer ratio. A bridging transition is the two halves
+of the Gibbs sweep: ``gibbs.sweep_coefficients`` on the two existing
+full-space factors, each scaled, then ``gibbs.redraw``, so no per-level
+factorization is needed; plain double-MH is the ladder with no level.
 
 Every model is sigma2 times a unit-variance model: K(sigma2, l) =
 sigma2 * K(1, l), and the jitter rung is proportional to sigma2, so
@@ -53,7 +53,7 @@ import numpy as np
 
 from .circular import as_generator, cos_sin, sample_von_mises
 from .errors import NumericalError
-from .gibbs import Augmentation, augmented_sweep, run_sweeps
+from .gibbs import Augmentation, redraw, run_sweeps, sweep_coefficients
 from .gibbs import slack_augmentation, DEFAULT_SLACK
 from .gibbs import gibbs_sweep  # noqa: F401  perfbench/test_perfbench.py reads this binding
 from .kernels import build_gram, kernel_derivatives
@@ -348,9 +348,10 @@ def bridge_ladder(
     """Run the K annealed transitions and return the log-ratio estimate.
 
     Level k targets the coupling beta_k * M_w + (1 - beta_k) * M_w' and the
-    interpolated pull. Its transition is ``augmented_sweep`` on the two
-    cached factors (A'A = lam*I - M) scaled by sqrt(beta_k) and
-    sqrt(1 - beta_k), so no level needs a factorization. The estimate is
+    interpolated pull. Its transition is the z half ``sweep_coefficients``
+    on the two cached factors (A'A = lam*I - M) scaled by sqrt(beta_k) and
+    sqrt(1 - beta_k), then the phi half ``redraw``, so no level needs a
+    factorization. The estimate is
     sum_k [log f_{k+1}(xi_k) - log f_k(xi_k)], endpoints included, which
     telescopes to (1/(K+1)) * sum_k [U(xi_k|w') - U(xi_k|w)]. With K = 0
     it is plain double-MH: states [xi0], ratio U(xi0|w') - U(xi0|w), and
@@ -379,7 +380,7 @@ def bridge_ladder(
             + (1.0 - beta) * wp.concentration * f(wp.mean_direction)
             for f in (math.cos, math.sin)
         )
-        xi = augmented_sweep(xi, factors, alpha_c, alpha_s, rng)
+        xi = redraw(xi, sweep_coefficients(xi, factors, alpha_c, alpha_s, rng), rng)
         xis.append(xi)
         log_ratio += energy_change(model_w, model_wp, xi) / denom
     return xis, float(log_ratio)

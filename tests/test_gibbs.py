@@ -8,9 +8,10 @@ from vmqp.gibbs import (
     augmentation_at,
     gibbs_sweep,
     make_augmentation,
-    polar_params,
+    redraw,
     run_chain,
     run_sweeps,
+    sweep_coefficients,
 )
 from vmqp.circular import normalize_angle, sample_von_mises
 from vmqp.model import ConditionalParams
@@ -149,13 +150,51 @@ def test_eigh_failure_is_a_numerical_error(monkeypatch):
         make_augmentation(np.eye(2))
 
 
-def test_polar_params_examples():
-    a, g = polar_params(np.array([1.0]), np.array([0.0]))
-    assert a[0] == pytest.approx(1.0)
-    assert g[0] == pytest.approx(0.0)
-    a, g = polar_params(np.array([1.0]), np.array([1.0]))
-    assert a[0] == pytest.approx(np.sqrt(2.0))
-    assert g[0] == pytest.approx(np.pi / 4)
+def test_redraw_examples(monkeypatch):
+    # the phi half draws von Mises(gamma, a) with gamma = arctan2(b_s, b_c)
+    # and a = hypot(b_c, b_s); a reflection about gamma undoes itself and
+    # reads no random state
+    import vmqp.gibbs as gibbs
+
+    calls = []
+
+    def recording(mean, kappa, rng):
+        calls.append((mean, kappa))
+        return sample_von_mises(mean, kappa, rng)
+
+    monkeypatch.setattr(gibbs, "sample_von_mises", recording)
+    phi = np.array([0.4])
+    for b, a, gamma in (((1.0, 0.0), 1.0, 0.0), ((1.0, 1.0), np.sqrt(2.0), np.pi / 4)):
+        redraw(phi, np.array(b)[:, None], np.random.default_rng(0))
+        mean, kappa = calls.pop()
+        assert kappa[0] == pytest.approx(a)
+        assert mean[0] == pytest.approx(gamma)
+
+    gen = np.random.default_rng(3)
+    b = gen.standard_normal((2, 3, 8))
+    phi = gen.uniform(-np.pi, np.pi, (3, 8))
+    state = gen.bit_generator.state
+    back = redraw(redraw(phi, b, gen, reflect=True), b, gen, reflect=True)
+    assert np.max(np.abs(np.angle(np.exp(1j * (back - phi))))) < 1e-12
+    assert gen.bit_generator.state == state
+    assert calls == []
+
+
+@pytest.mark.parametrize("reflect", [False, True])
+@pytest.mark.parametrize("shape", [(9,), (3, 9)])
+def test_sweep_halves_compose_to_gibbs_sweep(shape, reflect):
+    # the z half then the phi half, on the one factor of aug, is the sweep
+    # bit for bit, and both leave the generator in the same state
+    cp, aug, gen = coupled_target(9, 4)
+    phi = gen.uniform(-np.pi, np.pi, shape)
+    got_rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+    for _ in range(5):
+        b = sweep_coefficients(phi, ((aug.eigenvectors, aug.scale),), cp.rho_c, cp.rho_s, got_rng)
+        assert b.shape == (2,) + shape
+        got = redraw(phi, b, got_rng, reflect)
+        phi = gibbs_sweep(phi, aug, cp, ref_rng, reflect=reflect)
+        assert np.array_equal(got, phi)
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_quadratic_cancellation(rng):
@@ -224,8 +263,10 @@ def test_run_chain_single_retained():
 def test_run_chain_lam_multiplier():
     # lambda = 5 * lambda_max through a factor the caller builds
     cp = ConditionalParams(np.array([1.0]), np.array([0.0]))
-    out = run_chain(cp, augmentation_at(np.array([[2.0]]), 5.0 * 2.0), 50, 10, seed=0)
-    assert out.lam == pytest.approx(10.0)
+    aug = augmentation_at(np.array([[2.0]]), 5.0 * 2.0)
+    out = run_chain(cp, aug, 50, 10, seed=0)
+    assert aug.lam == pytest.approx(10.0)
+    assert out.samples.shape == (40, 1)
 
 
 def test_run_chain_stops_at_its_last_kept_sweep(monkeypatch):
