@@ -196,6 +196,10 @@ def _finite_median(values) -> float:
 
 
 def cmd_diagnose(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
+    if cfg.chi is not None and min(cfg.lambda_multipliers) < 1.0 + cfg.slack:
+        # the full-space lambda_max is only known within a factor 1 + slack,
+        # and a factor exists only above it
+        raise ConfigError("with chi set, lambda_multipliers must be >= 1 + slack")
     model = _assemble(cfg, dataset)
     cp, latent_aug = model.latent(dataset.observed_angles)
     w = model.w

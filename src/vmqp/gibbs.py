@@ -9,17 +9,24 @@ conditionals gives the sweep implemented here.
 
 Small lambda mixes best: in the large-lambda limit the conditional mean
 of each coordinate collapses onto its previous value. The default rule is
-lambda = (1 + slack) * lambda_max, in ``slack_augmentation``, with slack = 0.01.
+lambda = (1 + slack) * lambda_max with slack = 0.01.
 
-Every factor comes from eigenpairs: with Q = U diag(e) U', the factor
-A = diag(sqrt(lambda - e)) U' is kept as (e, U) and the scale
-sqrt(lambda - e), never as a matrix, and lambda_max = max(e) is exact.
-Every factor the package runs on is ``slack_augmentation`` of eigenpairs
-a ``model.PrecisionModel`` holds (those of M, or the ``latent_eigenpairs``
-of its latent block, at unit variance and divided by sigma2), and ``Augmentation.at`` moves a factor to another
-lambda by a rescale, with no ``eigh``. A latent chain takes its target and
-factor together from ``inference.ParamModel.latent``. No package path calls
-``make_augmentation`` or ``augmentation_at``, which factor a given Q.
+A factor A is kept as a basis U and a scale g, A = diag(g) U', never as
+one matrix, and a sweep applies it as one product with U and a scaling.
+There are two kinds. A ``SpectralAugmentation`` comes from eigenpairs
+(e, U) of Q: g = sqrt(lambda - e), lambda_max = max(e) is exact, and
+``at`` moves it to another lambda by a rescale, with no ``eigh``. The
+latent chains run on one, ``slack_augmentation`` of the
+``latent_eigenpairs`` of a unit-variance ``model.PrecisionModel``,
+divided by sigma2. A ``TriangularAugmentation`` factors a full-space
+precision Q = unit / variance: U is the lower Cholesky factor C of
+lam*variance*I - unit and g = 1/sqrt(variance), so one C serves every
+sigma2. ``kernels.build_gram`` takes its lam from a power-iteration
+estimate of lambda_max, and the Cholesky that succeeds certifies it; its
+``at`` runs one new Cholesky. A latent chain takes its target and factor
+together from ``inference.ParamModel.latent``. No package path calls
+``make_augmentation`` or ``augmentation_at``, which factor a given Q by
+its eigenpairs.
 Every chain advances through ``run_sweeps``. Every transition is the two
 exact conditionals in turn: the z half, ``sweep_coefficients``, draws z
 given phi on a sequence of factors and returns the von Mises coefficients
@@ -50,16 +57,15 @@ chains; a (1, m) stack draws what the 1D chain draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .circular import as_generator, cos_sin, normalize_angle, sample_von_mises
 from .errors import NumericalError
+from .kernels import DEFAULT_SLACK
 from .model import ConditionalParams, spectrum
 from . import evaluation
-
-DEFAULT_SLACK = 0.01
 
 # Only the perfbench tracer's flop model reads these; ROADMAP item 1 deletes them.
 _EIG_EXACT_LIMIT = 512
@@ -68,58 +74,95 @@ _POWER_ITERATIONS = 200
 
 @dataclass(frozen=True)
 class Augmentation:
-    """Augmentation factor: any A with A'A = lam*I - Q.
+    """Augmentation factor: any A with A'A = lam*I - Q, as A = diag(scale) basis'.
 
     The sweep sees A only through A'z ~ N(A'A cos(phi), A'A), so every
-    such factor gives the same Markov kernel. Every factor of the package
-    is the spectral one, A = diag(sqrt(lam - e)) U' from the eigenpairs
-    (e, U) of Q, kept as ``eigenvalues`` e, ``eigenvectors`` U and
-    ``scale`` sqrt(lam - e): a sweep applies A as one product with U and
-    one scaling, so A is never stored. ``lam_max_estimate`` is the exact
-    top eigenvalue max(e). A chain takes its factor from the caller and
-    never refactors Q itself.
+    such factor gives the same Markov kernel. ``scale`` is an array with
+    one entry per column of ``basis``, or one number for all of them. A
+    sweep applies A as one product with the basis and one scaling, so A is
+    never stored. ``lam_max_estimate`` estimates the top eigenvalue of Q:
+    exact for a ``SpectralAugmentation``, from below for a
+    ``TriangularAugmentation``. ``at(lam)`` is the factor of lam*I - Q for
+    another lam. A chain takes its factor from the caller and never
+    refactors Q itself.
     """
 
     lam: float
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    scale: np.ndarray
+    basis: np.ndarray
+    scale: np.ndarray | float
     lam_max_estimate: float
 
     @property
     def size(self) -> int:
-        return self.scale.shape[0]
+        return self.basis.shape[0]
 
     @property
     def factor(self) -> np.ndarray:
-        """The matrix A = diag(scale) U', formed anew on every read."""
-        return self.scale[:, None] * self.eigenvectors.T
+        """The matrix A = diag(scale) basis', formed anew on every read."""
+        return (self.basis * self.scale).T
 
-    def at(self, lam: float) -> "Augmentation":
+
+@dataclass(frozen=True)
+class SpectralAugmentation(Augmentation):
+    """A = diag(sqrt(lam - e)) U' from the eigenpairs (e, U) of Q; ``basis`` is U."""
+
+    eigenvalues: np.ndarray
+
+    def at(self, lam: float) -> "SpectralAugmentation":
         """The factor of lam*I - Q on the same eigenpairs: a rescale, no ``eigh``."""
-        return spectral_augmentation(self.eigenvalues, self.eigenvectors, lam)
+        return spectral_augmentation(self.eigenvalues, self.basis, lam)
 
 
-def spectral_augmentation(e: np.ndarray, U: np.ndarray, lam: float) -> Augmentation:
+@dataclass(frozen=True)
+class TriangularAugmentation(Augmentation):
+    """A = C' / sqrt(variance) with C C' = lam*variance*I - unit: Q = unit / variance.
+
+    ``basis`` is the lower-triangular C and ``scale`` 1/sqrt(variance).
+    ``top`` is the unit vector of the power iteration that gave
+    ``lam_max_estimate``; the next kernel value's iteration starts there.
+    """
+
+    unit: np.ndarray
+    variance: float
+    top: np.ndarray
+
+    def at(self, lam: float) -> "TriangularAugmentation":
+        """The factor of lam*I - Q: one Cholesky of lam*variance*I - unit.
+
+        Raises ``NumericalError`` when that Cholesky fails, as it does
+        when lam is below the top eigenvalue of Q.
+        """
+        if not np.isfinite(lam):
+            raise ValueError("lambda must be finite")
+        G = np.negative(self.unit)
+        G.flat[:: len(G) + 1] += lam * self.variance
+        try:
+            C = np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:
+            raise NumericalError(f"lambda {lam} is not above the top eigenvalue") from None
+        return replace(self, lam=float(lam), basis=C)
+
+
+def spectral_augmentation(e: np.ndarray, U: np.ndarray, lam: float) -> SpectralAugmentation:
     """Factor A = diag(sqrt(lam - e)) U' of lam*I - U diag(e) U'.
 
     ``e`` holds the eigenvalues in any order and ``U`` the eigenvectors as
     columns; both are kept as given, not copied. At lam = max(e) the top
     scale is exactly zero. A lam below max(e) by no more than the
     eigensolver's roundoff, len(e) * eps * |max(e)|, counts as max(e): a
-    lambda_max taken from another decomposition of the same matrix (the
-    Gram eigenpairs of a full-space model) may differ from max(e) by that
-    much.
+    lambda_max taken from another decomposition of the same matrix may
+    differ from max(e) by that much.
     """
     if not np.isfinite(lam):
         raise ValueError("lambda must be finite")
     lam_max = float(e.max()) if len(e) else 0.0
     if lam < lam_max - len(e) * np.finfo(float).eps * abs(lam_max):
         raise NumericalError(f"lambda {lam} is below the top eigenvalue {lam_max}")
-    return Augmentation(float(lam), e, U, np.sqrt(np.maximum(lam - e, 0.0)), lam_max)
+    scale = np.sqrt(np.maximum(lam - e, 0.0))
+    return SpectralAugmentation(float(lam), U, scale, lam_max, e)
 
 
-def slack_augmentation(e: np.ndarray, U: np.ndarray, slack: float) -> Augmentation:
+def slack_augmentation(e: np.ndarray, U: np.ndarray, slack: float) -> SpectralAugmentation:
     """Factor of the eigenpairs (e, U) at the slack rule lam = (1 + slack) * max(e).
 
     An empty ``e`` gives an empty factor; otherwise max(e) must be positive.
@@ -132,12 +175,12 @@ def slack_augmentation(e: np.ndarray, U: np.ndarray, slack: float) -> Augmentati
     return spectral_augmentation(e, U, (1.0 + slack) * lam_max)
 
 
-def make_augmentation(Q: np.ndarray, slack: float = DEFAULT_SLACK) -> Augmentation:
+def make_augmentation(Q: np.ndarray, slack: float = DEFAULT_SLACK) -> SpectralAugmentation:
     """Factor lam*I - Q at lam = (1 + slack) * lambda_max(Q), from one ``eigh`` of Q."""
     return slack_augmentation(*spectrum(Q), slack)
 
 
-def augmentation_at(Q: np.ndarray, lam: float) -> Augmentation:
+def augmentation_at(Q: np.ndarray, lam: float) -> SpectralAugmentation:
     """Factor lam*I - Q at an explicitly chosen lam >= lambda_max(Q).
 
     One ``eigh`` of Q, as in ``make_augmentation``; a factor already built
@@ -150,9 +193,10 @@ def augmentation_at(Q: np.ndarray, lam: float) -> Augmentation:
 def sweep_coefficients(phi: np.ndarray, factors, rho_c, rho_s, rng) -> np.ndarray:
     """The z half of a sweep, state -> b, on the factors (U_k, g_k).
 
-    Each factor is A_k = diag(g_k) U_k'. The target's coupling is
-    lam*I - sum_k A_k'A_k, for any lam (cos^2 + sin^2 = 1 makes a multiple
-    of I a constant), and its linear terms are ``rho_c``, ``rho_s``
+    Each factor is A_k = diag(g_k) U_k', g_k an array or one number. The
+    target's coupling is lam*I - sum_k A_k'A_k, for any lam (cos^2 +
+    sin^2 = 1 makes a multiple of I a constant), and its linear terms are
+    ``rho_c``, ``rho_s``
     (arrays, or one scalar for every coordinate); ``rng`` is a Generator.
     The normals are drawn as one (K, 2, ...) block in factor order; with
     cs the (2C, m) block of cos/sin rows, z_k = (cs U_k) g_k + eps_k, and
@@ -202,13 +246,14 @@ def gibbs_sweep(
     """One full sweep: refresh z given phi, then redraw every phi_i given z.
 
     ``phi`` is one state (m,) or a stack (C, m), and the result has its
-    shape. ``sweep_coefficients`` on the one factor (U, g) of ``aug`` with
-    the rho of ``cp`` (z = A cs + eps and b = rho + A'z for A = diag(g) U'),
+    shape. ``sweep_coefficients`` on the one factor (basis U, scale g) of
+    ``aug`` with the rho of ``cp`` (z = A cs + eps and b = rho + A'z for
+    A = diag(g) U'),
     then ``redraw``; with ``reflect`` every phi_i is reflected about its
     conditional mean instead of redrawn.
     """
     rng = as_generator(rng)
-    b = sweep_coefficients(phi, ((aug.eigenvectors, aug.scale),), cp.rho_c, cp.rho_s, rng)
+    b = sweep_coefficients(phi, ((aug.basis, aug.scale),), cp.rho_c, cp.rho_s, rng)
     return redraw(phi, b, rng, reflect)
 
 
@@ -222,7 +267,10 @@ def run_sweeps(phi, aug: Augmentation, cp: ConditionalParams, rng, first: int,
     ``overrelax`` sweeps 2, 4, ... (1-based) are reflections and sweeps
     1, 3, ... heat-bath. A call thus starts with a heat-bath sweep, so a
     caller that runs one sweep per call still runs an ergodic chain.
+    ``first``, ``n_kept`` and ``thin`` must each be at least 1.
     """
+    if min(first, n_kept, thin) < 1:
+        raise ValueError("first, n_kept and thin must be >= 1")
     kept = np.empty((n_kept,) + np.shape(phi))
     for t in range(1, first + (n_kept - 1) * thin + 1):
         phi = gibbs_sweep(phi, aug, cp, rng, reflect=overrelax and t % 2 == 0)

@@ -12,21 +12,20 @@ factorization is needed; plain double-MH is the ladder with no level.
 
 Every model is sigma2 times a unit-variance model: K(sigma2, l) =
 sigma2 * K(1, l), and the jitter rung is proportional to sigma2, so
-``build_param_model`` decomposes the Gram matrix of the kernel at
-variance 1, in ``build_gram``, and scales its eigenvalues and jitter by
-sigma2. Each lengthscale value therefore costs one symmetric
-eigendecomposition of size d; it sets the jitter and yields the
-precision, its top eigenvalue and the augmentation factor, which share
-the one d x d eigenvector array: a model keeps neither the Gram matrix
-nor a factor matrix. A move of sigma2 alone is a rescale of the current
-model's unit-variance eigenpairs, with no ``eigh``. The exchange move
-reads the precision only through energies, which come straight from the
-eigenpairs, so a proposal forms no d x d precision. Without observation
-noise the latent chain's factor reads the eigenpairs of the m x m latent
-block of the unit-variance precision, which it forms, O(m^2 d), and
-decomposes once, when a chain first sweeps on that lengthscale value;
-every sigma2 divides them. Moves of the mean parameters alone reuse the
-current precision and their energy differences need only the pull.
+``build_param_model`` runs ``build_gram`` on the kernel at variance 1.
+Each lengthscale value therefore costs two Cholesky factorizations and a
+triangular inverse of size d, and a few power-iteration products started
+from the current model's top vector. They give the jitter, the unit
+precision M1 = K1^-1 and the lower Cholesky factor C1 of lam1*I - M1: the
+two d x d arrays a model owns, and the Gram matrix itself is dropped. A
+model at sigma2 reads M1 / sigma2 and the factor (C1, 1/sigma), so a
+move of sigma2 alone allocates no d x d array. The exchange move reads
+the precision only through energies, products of the (2, d) cos/sin
+block with M1. Without observation noise the latent chain's factor reads
+the eigenpairs of the m x m latent block of M1, from one ``eigh`` when a
+chain first sweeps on that lengthscale value; every sigma2 divides them.
+Moves of the mean parameters alone reuse the current precision and their
+energy differences need only the pull.
 
 The fit, ``sample`` and the CD diagnostic share one latent chain given
 the data: the target and factor that ``ParamModel.latent(theta)``
@@ -53,7 +52,7 @@ import numpy as np
 
 from .circular import as_generator, cos_sin, sample_von_mises
 from .errors import NumericalError
-from .gibbs import Augmentation, redraw, run_sweeps, sweep_coefficients
+from .gibbs import Augmentation, TriangularAugmentation, redraw, run_sweeps, sweep_coefficients
 from .gibbs import slack_augmentation, DEFAULT_SLACK
 from .gibbs import gibbs_sweep  # noqa: F401  perfbench/test_perfbench.py reads this binding
 from .kernels import build_gram, kernel_derivatives
@@ -171,19 +170,19 @@ class ParamModel:
     """Everything the samplers need for one parameter value.
 
     The Gram matrix is sigma2 times the unit-variance one, K1, whose
-    precision ``unit`` holds the eigenpairs (s1, V) of K1 and whose jitter
-    is ``unit_jitter``. ``precision`` holds the eigenpairs (sigma2 * s1, V)
-    of K, the one form in which the samplers apply M = K^-1. The
-    full-space augmentation factor ``full_aug`` (any A with A'A = lam*I - M,
-    here diag(sqrt(lam - 1/s)) V') holds the same V object and the scale
-    sqrt(lam - 1/s), so V is the only d x d array the model owns; repeated
-    fictitious-sample chains and bridging ladders reuse it. The Gram
-    matrix itself is not kept, only its diagonal ``jitter``. Models that
-    differ only in the mean parameters share precision and full_aug, and
-    models that differ only in sigma2 share ``unit`` and with it its
-    latent eigenpairs. ``slack`` is the rule lam = (1 + slack) * lam_max
-    of full_aug and of the factor of the latent chain, which ``latent``
-    gives. ``derivatives`` (dK/dp for ``energy_gradient``, d x d each) is
+    precision ``unit`` holds M1 = K1^-1 and whose jitter is
+    ``unit_jitter``. ``unit_aug`` factors lam1*I - M1 by its lower
+    Cholesky factor C1. ``precision`` is M1 / sigma2, and the full-space
+    augmentation factor ``full_aug`` (any A with A'A = lam*I - M) is
+    (C1, 1/sigma) at lam = lam1 / sigma2, so M1 and C1 are the only d x d
+    arrays the model owns; repeated fictitious-sample chains and bridging
+    ladders reuse them. The Gram matrix itself is not kept, only its
+    diagonal ``jitter``. Models that differ only in the mean parameters
+    share precision and full_aug, and models that differ only in sigma2
+    share ``unit``, ``unit_aug`` and the latent eigenpairs of ``unit``.
+    ``slack`` is the rule lam = (1 + slack) * estimate of full_aug and of
+    the factor of the latent chain, which ``latent`` gives.
+    ``derivatives`` (dK/dp for ``energy_gradient``, d x d each) is
     computed on first read and kept.
     """
 
@@ -194,6 +193,7 @@ class ParamModel:
     full_aug: Augmentation
     slack: float
     unit: PrecisionModel
+    unit_aug: TriangularAugmentation
 
     @property
     def size(self) -> int:
@@ -241,7 +241,7 @@ def energy_change(model_w: ParamModel, model_wp: ParamModel, phi) -> float:
 
     Models that share their precision, as a mean-block proposal does with
     the current model, differ only in the pull, so their difference costs
-    O(d) and no product with the eigenvectors.
+    O(d) and no product with the precision.
     """
     if model_wp.precision is model_w.precision:
         return float(mean_pull(phi, model_w.w) - mean_pull(phi, model_wp.w))
@@ -249,30 +249,41 @@ def energy_change(model_w: ParamModel, model_wp: ParamModel, phi) -> float:
 
 
 def build_param_model(
-    w: ParamVector, locations, n_latent: int, slack: float = DEFAULT_SLACK
+    w: ParamVector, locations, n_latent: int, slack: float = DEFAULT_SLACK, start=None
 ) -> ParamModel:
-    """Model at ``w`` from the one eigendecomposition that ``build_gram`` ran.
+    """Model at ``w`` from the factorizations that ``build_gram`` ran.
 
-    ``build_gram`` runs on the kernel at variance 1; the model scales its
-    eigenvalues and jitter by sigma2 (``_at_variance``). Besides that
-    ``eigh`` it forms O(d) scales; the precision and the factor share the
-    eigenvectors of K, and K itself is dropped.
+    ``build_gram`` runs on the kernel at variance 1, its power iteration
+    starting at the unit vector ``start`` when one is given (the current
+    model's ``unit_aug.top`` in a fit); the model divides by sigma2
+    (``_at_variance``), and K itself is dropped.
     """
     X = np.asarray(locations, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
-    gram = build_gram(replace(w.kernel, variance=1.0), X)
+    unit_kernel = replace(w.kernel, variance=1.0)
+    gram = build_gram(unit_kernel, X, slack, start)
     unit = build_precision(gram, n_latent, X.shape[0] - n_latent)
-    return _at_variance(w, X, unit, gram.jitter, slack)
-
-
-def _at_variance(w: ParamVector, X, unit: PrecisionModel, unit_jitter: float, slack) -> ParamModel:
-    """Model at ``w`` whose Gram matrix is sigma2 times the one of ``unit``: O(d), no ``eigh``."""
-    pm = PrecisionModel(
-        w.kernel.variance * unit.eigenvalues, unit.eigenvectors, unit.n_latent, unit.n_observed
+    unit_aug = TriangularAugmentation(
+        gram.lam, gram.factor, 1.0, gram.lam_max_estimate, gram.precision, 1.0, gram.top
     )
-    aug = slack_augmentation(1.0 / pm.eigenvalues, pm.eigenvectors, slack)  # eigenpairs of M
-    return ParamModel(w, X, unit_jitter, pm, aug, slack, unit)
+    unit_model = ParamModel(
+        replace(w, kernel=unit_kernel), X, gram.jitter, unit, unit_aug, slack, unit, unit_aug
+    )
+    return _at_variance(unit_model, w)
+
+
+def _at_variance(model: ParamModel, w: ParamVector) -> ParamModel:
+    """``model`` moved to ``w``, whose kernel differs from its own in sigma2 alone.
+
+    The precision divides the unit one by sigma2, and the factor is
+    (C1, 1/sigma) at the slack rule: O(1), no factorization.
+    """
+    v = w.kernel.variance
+    est = model.unit_aug.lam_max_estimate / v
+    aug = replace(model.unit_aug, lam=(1.0 + model.slack) * est, scale=1.0 / math.sqrt(v),
+                  lam_max_estimate=est, variance=v)
+    return replace(model, w=w, precision=replace(model.unit, variance=v), full_aug=aug)
 
 
 def full_states(model: ParamModel, latent, theta) -> np.ndarray:
@@ -328,8 +339,6 @@ def sample_fictitious(
     the tracer test of ``perfbench/test_perfbench.py`` counts one
     ``sample_von_mises`` call per fictitious sweep.
     """
-    if sweeps < 1:
-        raise ValueError("sweeps must be >= 1")
     rng = as_generator(rng)
     cp = full_state_params(model.precision, model.w)
     xi = np.array(init, dtype=float)
@@ -372,8 +381,8 @@ def bridge_ladder(
     for k in range(1, levels + 1):
         beta = k / denom
         factors = (
-            (aug_w.eigenvectors, math.sqrt(beta) * aug_w.scale),
-            (aug_wp.eigenvectors, math.sqrt(1.0 - beta) * aug_wp.scale),
+            (aug_w.basis, math.sqrt(beta) * aug_w.scale),
+            (aug_wp.basis, math.sqrt(1.0 - beta) * aug_wp.scale),
         )
         alpha_c, alpha_s = (
             beta * w.concentration * f(w.mean_direction)
@@ -422,10 +431,11 @@ def dmh_step(
     kernel. A proposal that keeps the kernel reuses the current
     precision and augmentation factor, and its energy differences
     are differences of the pull alone. One that moves sigma2 alone, its
-    lengthscales bit for bit the current ones, rescales the current
-    model's unit-variance eigenpairs, with no ``eigh`` of either size;
-    one that moves a lengthscale is built by ``build_param_model``. Both
-    are at the slack of ``model``. The inner chain starts from
+    lengthscales bit for bit the current ones, divides the current
+    model's unit-variance precision and factor by the new sigma2, with no
+    factorization of either size; one that moves a lengthscale is built
+    by ``build_param_model``, its power iteration started from the
+    current model's top vector. Both are at the slack of ``model``. The inner chain starts from
     ``xi_init`` (persistent across outer iterations), and the accepted
     move hands back the final ladder state for the next step.
     """
@@ -439,11 +449,11 @@ def dmh_step(
     if wp.kernel is w.kernel:
         model_wp = replace(model, w=wp)
     elif replace(wp.kernel, variance=1.0) == replace(w.kernel, variance=1.0):
-        model_wp = _at_variance(wp, model.locations, model.unit, model.unit_jitter, model.slack)
+        model_wp = _at_variance(model, wp)
     else:
         try:
             model_wp = build_param_model(
-                wp, model.locations, model.precision.n_latent, model.slack
+                wp, model.locations, model.precision.n_latent, model.slack, model.unit_aug.top
             )
         except NumericalError:
             return DmhResult(model, False, xi_init, -math.inf, "numerical")
@@ -507,8 +517,8 @@ def block_gibbs_fit(theta, model: ParamModel, config: FitConfig, rng) -> FitOutp
     every second one is a reflection. Each of the ``dmh_steps`` rounds
     then runs one kernel move and, with ``learn_mean``, one mean move.
     The k-th kernel move of the fit, counted from 0, moves sigma2 alone
-    when k is even, a rescale with no ``eigh``, and the lengthscales when
-    k is odd, so only every second kernel move decomposes a Gram matrix.
+    when k is even, a rescale with no factorization, and the lengthscales
+    when k is odd, so only every second kernel move factors a Gram matrix.
     """
     rng = as_generator(rng)
     theta = np.asarray(theta, dtype=float)
@@ -572,17 +582,18 @@ def energy_gradient(phi, model: ParamModel) -> np.ndarray:
 
     ``phi`` holds one full state (d,) or a stack of them (..., d); the
     result is (p,) or (..., p), in ``gradient_names`` order. Kernel
-    components use dM = -M dK M: P = [M cos; M sin] comes from the
-    eigenpairs as ((cs V) / s) V', with no d x d product, then one product
-    of P with each of the model's cached kernel derivatives.
+    components use dM = -M dK M: P = [M cos; M sin] is one product of
+    the cos/sin block with the unit precision, divided by sigma2, then one
+    product of P with each of the model's cached kernel derivatives.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape[-1:] != (model.size,):
         raise ValueError(f"expected {model.size} angles per state, got shape {phi.shape}")
-    w, s, V = model.w, model.precision.eigenvalues, model.precision.eigenvectors
+    w, pm = model.w, model.precision
     cs = cos_sin(phi)
     flat = (math.prod(cs.shape[:-1]), model.size)  # (2N, d) for N states
-    P = (((cs.reshape(flat) @ V) / s) @ V.T).reshape(cs.shape)  # [M cos; M sin]
+    P = (cs.reshape(flat) @ pm.unit_matrix).reshape(cs.shape)  # [M cos; M sin] * sigma2
+    P /= pm.variance
     grad = [
         -0.5 * np.sum((P.reshape(flat) @ dK).reshape(cs.shape) * P, axis=(0, -1))
         for dK in model.derivatives.values()
@@ -624,6 +635,8 @@ def cd_gradient(
     """
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
+    if burn_sweeps < 0 or sweeps_between < 1:
+        raise ValueError("need burn_sweeps >= 0 and sweeps_between >= 1")
     if repeats < 0:
         raise ValueError("repeats must be >= 0")
     rng = as_generator(rng)

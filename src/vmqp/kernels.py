@@ -1,7 +1,14 @@
-"""Covariance kernels and Gram-matrix construction.
+"""Covariance kernels, Gram-matrix construction and its factorization.
 
 Distances are taken in raw coordinate units (degrees of longitude/latitude,
 degrees of joint angle, percent of gradient); no geodesic correction.
+
+``build_gram`` factors K by Cholesky, not by eigenpairs: K = L L', the
+precision M = L^-T L^-1, and the lower Cholesky factor of lam*I - M for
+the augmented Gibbs sampler, at lam just above a power-iteration estimate
+of lambda_max(M). That second Cholesky succeeds only if lam is above
+lambda_max(M), so the factor is exact whatever the estimate, and it
+certifies the smallest eigenvalue of K for the jitter policy.
 """
 
 from __future__ import annotations
@@ -28,11 +35,23 @@ FAMILY_TERMS = {
 }
 
 # Jitter policy: the first rung of 1e-8*variance * 10**k, capped at
-# 1e-2*variance, that lifts the smallest eigenvalue of the raw kernel matrix
-# above n * machine epsilon times its largest.
+# 1e-2*variance, whose K = K0 + jitter*I is certified to have its smallest
+# eigenvalue above n * machine epsilon times its largest. The smallest is
+# at least 1/lam for the lam at which lam*I - K^-1 has a Cholesky factor,
+# and the largest at most the largest row sum of K, whose entries are
+# positive.
 JITTER_START = 1e-8
 JITTER_FACTOR = 10.0
 JITTER_CAP = 1e-2
+
+# The default slack of the rule lam = (1 + slack) * lambda_max; ``gibbs``
+# re-exports it for the sampler.
+DEFAULT_SLACK = 0.01
+# ``lower_inverse`` inverts blocks of at most this size with np.linalg.inv.
+INVERSE_BLOCK = 32
+# The power iteration for lambda_max(K^-1) stops when its estimate rises by
+# less than a hundredth of the slack in one step, or after this many steps.
+POWER_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -69,20 +88,40 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric positive-definite kernel matrix with its jitter on record.
+    """Kernel matrix K with its jitter, its precision and a certified factor.
 
-    ``matrix`` includes ``jitter`` on the diagonal and equals V diag(s) V'
-    for V = ``eigenvectors`` and s = ``eigenvalues``, in ascending order.
+    K = K0 + ``jitter``*I for the kernel ``spec`` over ``locations``; it is
+    not kept, so ``matrix`` forms it anew on each read. ``precision`` is
+    M = K^-1 = L^-T L^-1 for the Cholesky factor K = L L', exactly
+    symmetric. ``factor`` is the lower Cholesky factor C of lam*I - M, so
+    A = C' has A'A = lam*I - M; that it exists certifies lam >
+    lambda_max(M). lam = (1 + slack) * ``lam_max_estimate``, an estimate
+    of lambda_max(M) from below that power iteration reached at the unit
+    vector ``top``.
     """
 
-    matrix: np.ndarray
+    spec: KernelSpec
+    locations: np.ndarray
     jitter: float
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    precision: np.ndarray
+    factor: np.ndarray
+    lam: float
+    lam_max_estimate: float
+    top: np.ndarray
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return self.precision.shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """K, formed anew on each read, with the bits of the K that was factored; only tests and the benchmark tracer read it."""
+        return _jittered(self.spec, self.locations, self.jitter)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of ``matrix``, one ``eigvalsh`` per read; no package path reads them."""
+        return np.linalg.eigvalsh(self.matrix)
 
 
 def _sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -157,8 +196,106 @@ def kernel_derivatives(spec: KernelSpec, X: np.ndarray) -> dict:
     return {"sigma2": K, **out}
 
 
-def build_gram(spec: KernelSpec, locations) -> GramMatrix:
-    """Kernel matrix over ``locations``; one ``eigh`` sets its jitter (see above)."""
+def lower_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of the lower-triangular L, formed in place in L, which it returns.
+
+    Blocked recursion: with L = [[A, 0], [B, D]], L^-1 = [[A^-1, 0],
+    [-D^-1 B A^-1, D^-1]], so past the base blocks every step is a matrix
+    product; numpy has no triangular solve.
+    """
+    n = L.shape[0]
+    if n <= INVERSE_BLOCK:
+        L[...] = np.tril(np.linalg.inv(L))
+        return L
+    h = n // 2
+    A, D = lower_inverse(L[:h, :h]), lower_inverse(L[h:, h:])
+    L[h:, :h] = D @ (L[h:, :h] @ A)
+    np.negative(L[h:, :h], out=L[h:, :h])
+    return L
+
+
+def _top_eigenvalue(M: np.ndarray, v, rtol: float) -> tuple:
+    """Power iteration on the positive-definite M from the unit vector v.
+
+    Returns |M v| at the last unit vector v, which rises with every step
+    and stays below lambda_max(M), and the next unit vector M v / |M v|.
+    Without v it starts at a fixed Gaussian vector, which meets every
+    eigenvector of M.
+    """
+    if v is None:
+        v = np.random.default_rng(0).standard_normal(M.shape[0])
+        v /= np.linalg.norm(v)
+    x = M @ v
+    est = np.linalg.norm(x)
+    for _ in range(POWER_STEPS):
+        v = x / est
+        x = M @ v
+        previous, est = est, np.linalg.norm(x)
+        if est <= (1.0 + rtol) * previous:
+            break
+    return float(est), x / est
+
+
+def _jittered(spec: KernelSpec, X: np.ndarray, jitter: float) -> np.ndarray:
+    """K0 + jitter*I over the locations X, exactly symmetric for every family."""
+    K = kernel_matrix(spec, X, X)
+    K.flat[:: len(K) + 1] += jitter
+    return K
+
+
+def _certified_gram(spec: KernelSpec, X: np.ndarray, jitter: float, slack: float, start) -> GramMatrix:
+    """The ``GramMatrix`` at one jitter rung; ``np.linalg.LinAlgError`` if the rung fails.
+
+    M = L^-T L^-1 (``Li.T @ Li`` is one symmetric rank-k product), and K
+    is freed once L is known. A Cholesky of lam*I - M that fails
+    multiplies lam by (1 + slack) and retries, taking the failed lam as
+    the estimate; after the first failure from a ``start`` vector, the
+    power iteration also runs once from the cold start, and a larger
+    estimate replaces it. Past (1 + slack) times the largest absolute row
+    sum of M, a bound on lambda_max(M), the rung fails. So does a rung whose K
+    has no Cholesky factor, or whose 1/lam, a lower bound on the smallest
+    eigenvalue of K, is not above n * eps times the largest row sum of K.
+    """
+    K = _jittered(spec, X, jitter)
+    floor = len(K) * np.finfo(float).eps * K.sum(axis=1).max()  # K's entries are positive
+    Li = lower_inverse(np.linalg.cholesky(K))
+    del K
+    M = Li.T @ Li
+    est, top = _top_eigenvalue(M, start, slack / 100.0)
+    bound = None
+    G = Li  # its buffer now holds lam*I - M
+    while True:
+        lam = (1.0 + slack) * est
+        np.negative(M, out=G)
+        G.flat[:: len(G) + 1] += lam
+        try:
+            C = np.linalg.cholesky(G)
+            break
+        except np.linalg.LinAlgError:
+            bound = np.abs(M).sum(axis=1).max() if bound is None else bound
+            if not lam <= (1.0 + slack) * bound:
+                raise
+            est = lam
+            if start is not None:  # it may sit near a vector that is no longer the top one
+                start = None
+                cold, cold_top = _top_eigenvalue(M, None, slack / 100.0)
+                if cold > est:
+                    est, top = cold, cold_top
+    if not 1.0 / lam > floor:
+        raise np.linalg.LinAlgError("kernel matrix ill-conditioned at this jitter")
+    return GramMatrix(spec, X, jitter, M, C, lam, est, top)
+
+
+def build_gram(spec: KernelSpec, locations, slack: float = DEFAULT_SLACK, start=None) -> GramMatrix:
+    """Kernel matrix over ``locations`` with the jitter of the policy above.
+
+    Each rung runs a Cholesky of K, ``lower_inverse`` and another Cholesky
+    (see ``GramMatrix``) at the slack rule lam = (1 + slack) * estimate; a
+    rung whose K fails a Cholesky, or whose certificate is too weak, moves
+    to the next, with K formed anew. ``start`` is a unit vector where the
+    power iteration starts, such as the ``top`` of a nearby kernel's Gram
+    matrix.
+    """
     X = np.asarray(locations, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
@@ -166,18 +303,14 @@ def build_gram(spec: KernelSpec, locations) -> GramMatrix:
         raise ValueError("need at least one location")
     if not np.all(np.isfinite(X)):
         raise ValueError("locations must be finite")
-    K0 = kernel_matrix(spec, X, X)  # exactly symmetric for every family
-    n = X.shape[0]
-    try:
-        s0, V = np.linalg.eigh(K0)  # ascending
-    except np.linalg.LinAlgError:
-        raise NumericalError("kernel matrix numerically singular") from None
-    floor = n * np.finfo(float).eps * s0[-1]
+    if not (np.isfinite(slack) and slack > 0):
+        raise ValueError("slack must be positive")
     jitter = JITTER_START * spec.variance
     cap = JITTER_CAP * spec.variance
-    while not s0[0] + jitter > floor:
-        if jitter >= cap:
-            raise NumericalError("kernel matrix numerically singular")
-        jitter = min(jitter * JITTER_FACTOR, cap)
-    K0.flat[:: n + 1] += jitter  # in place: the eigh above has read the raw K0
-    return GramMatrix(K0, jitter, s0 + jitter, V)
+    while True:
+        try:
+            return _certified_gram(spec, X, jitter, slack, start)
+        except np.linalg.LinAlgError:
+            if jitter >= cap:
+                raise NumericalError("kernel matrix numerically singular") from None
+            jitter = min(jitter * JITTER_FACTOR, cap)

@@ -51,19 +51,19 @@ class ParamVector:
 
 @dataclass(frozen=True)
 class PrecisionModel:
-    """Precision M = K^-1 = V diag(1/s) V', kept as the eigenpairs of K.
+    """Precision M = K^-1 = unit_matrix / variance, with the latent/observed split.
 
-    ``eigenvalues`` s and ``eigenvectors`` V are those of the Gram matrix
-    K = V diag(s) V', with the latent/observed split of its rows. Every
-    product with M reads (s, V) alone: the quadratic forms of ``energy``,
-    the m x m ``latent_block``, the pull of ``conditional_params`` and the
-    products of ``energy_gradient``; none forms M itself. The eigenpairs
-    of the latent block, ``latent_eigenpairs``, cost one ``eigh`` on first
-    read, shared by every model that holds this precision.
+    ``unit_matrix`` is the precision of the Gram matrix at variance 1, so
+    models that differ only in the variance share it and no product forms
+    M itself. Every product with M reads it and divides by ``variance``:
+    the quadratic forms of ``energy``, the m x m ``latent_block``, the pull
+    of ``conditional_params`` and the products of ``energy_gradient``. The
+    eigenpairs of the latent block, ``latent_eigenpairs``, cost one
+    ``eigh`` of size m on first read.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    unit_matrix: np.ndarray
+    variance: float
     n_latent: int
     n_observed: int
 
@@ -71,19 +71,16 @@ class PrecisionModel:
     def size(self) -> int:
         return self.n_latent + self.n_observed
 
-    @cached_property
+    @property
     def matrix(self) -> np.ndarray:
-        """The whole d x d M, exactly symmetric; only tests and the benchmark tracer read it."""
-        V = self.eigenvectors
-        M = (V / self.eigenvalues) @ V.T
-        return 0.5 * (M + M.T)
+        """The whole d x d M, a fresh array per read; only tests and the benchmark tracer read it."""
+        return self.unit_matrix / self.variance
 
     @property
     def latent_block(self) -> np.ndarray:
-        """M[:m, :m] = (V[:m] / s) V[:m]', exactly symmetric; O(m^2 d)."""
-        Vm = self.eigenvectors[: self.n_latent]
-        L = (Vm / self.eigenvalues) @ Vm.T
-        return 0.5 * (L + L.T)
+        """M[:m, :m], a fresh array, exactly symmetric."""
+        m = self.n_latent
+        return self.unit_matrix[:m, :m] / self.variance
 
     @cached_property
     def latent_eigenpairs(self) -> tuple:
@@ -125,17 +122,14 @@ class ConditionalParams:
 
 
 def build_precision(gram: GramMatrix, m: int, n: int) -> PrecisionModel:
-    """Precision of ``gram`` from its eigenpairs, with the split m + n.
+    """Precision of ``gram``, which ``build_gram`` formed, with the split m + n.
 
-    Checks the partition and that K is positive definite; forms no product.
+    Checks the partition; forms nothing.
     """
     d = gram.size
     if m < 0 or n < 0 or m + n != d:
         raise ValueError(f"partition {m}+{n} does not match matrix size {d}")
-    s = gram.eigenvalues  # ascending
-    if not s[0] > 0:
-        raise NumericalError("kernel matrix is not positive definite")
-    return PrecisionModel(s, gram.eigenvectors, m, n)
+    return PrecisionModel(gram.precision, 1.0, m, n)
 
 
 def conditional_params(
@@ -147,10 +141,11 @@ def conditional_params(
         raise ValueError(
             f"expected {pm.n_observed} observed angles, got {theta.shape}"
         )
-    m, V = pm.n_latent, pm.eigenvectors
+    m = pm.n_latent
     kappa, nu = w.concentration, w.mean_direction
-    # the pull M[:m, m:] [cos; sin](theta), as ((cs V[m:]) / s) V[:m]'
-    pull = ((cos_sin(theta) @ V[m:]) / pm.eigenvalues) @ V[:m].T
+    # the pull M[:m, m:] [cos; sin](theta), as [cos; sin](theta) M[m:, :m]
+    pull = cos_sin(theta) @ pm.unit_matrix[m:, :m]
+    pull /= pm.variance
     rho_c = -pull[0] + kappa * np.cos(nu) * np.ones(m)
     rho_s = -pull[1] + kappa * np.sin(nu) * np.ones(m)
     return ConditionalParams(rho_c, rho_s)
@@ -172,15 +167,15 @@ def energy(phi, w: ParamVector, pm: PrecisionModel) -> float:
     """U(varphi|w): quadratic spin coupling minus the concentration pull.
 
     Uses cos(a - b) = cos a cos b + sin a sin b to reduce the double sum
-    over precision entries to cos' M cos + sin' M sin, which with
-    M = V diag(1/s) V' is sum((V' cos)^2 + (V' sin)^2) / s: one product of
-    the (2, d) cos/sin block with V, and M itself is never formed.
+    over precision entries to cos' M cos + sin' M sin: one product of the
+    (2, d) cos/sin block with the unit-variance precision, divided by the
+    variance.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (pm.size,):
         raise ValueError(f"expected {pm.size} angles, got {phi.shape}")
-    p = cos_sin(phi) @ pm.eigenvectors
-    quad = 0.5 * np.sum(p * p / pm.eigenvalues)
+    cs = cos_sin(phi)
+    quad = 0.5 * np.sum((cs @ pm.unit_matrix) * cs) / pm.variance
     return float(quad - mean_pull(phi, w))
 
 

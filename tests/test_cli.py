@@ -370,11 +370,11 @@ def test_cli_fit_reports_numerical_rejections(tmp_path, monkeypatch):
     build_gram = inference.build_gram
     built = []
 
-    def fail_after_first(spec, X):
+    def fail_after_first(spec, X, *args):
         if built:
             raise NumericalError("kernel matrix numerically singular")
         built.append(spec)
-        return build_gram(spec, X)
+        return build_gram(spec, X, *args)
 
     monkeypatch.setattr(inference, "build_gram", fail_after_first)
     cfg = write(tmp_path / "run.cfg", FIT_CONFIG)
@@ -404,6 +404,7 @@ CONFIG_ERRORS = [
     ("diagnose", "sweep_seeds = 0\n"),
     ("diagnose", "lambda_multipliers = 2.0, 0.5\n"),
     ("diagnose", "lambda_multipliers = 1.01, nan\n"),
+    ("diagnose", "chi = 4.0\nslack = 0.5\nlambda_multipliers = 1.2, 2.0\n"),
     ("sample", "seed = -1\n"),
     ("fit", "kernel_family = gaussian\nkernel_gradient_lengthscale = 0.7\n"),
     ("fit", "kernel_family = exponential\nkernel_gradient_lengthscale = 0.7\n"),
@@ -472,6 +473,23 @@ def test_cli_runs_never_form_the_whole_precision(tmp_path, monkeypatch, chi):
         out = tmp_path / command
         assert run([command, "--config", cfg, "--data", data, "--out", str(out)]) == 0
         assert read_kv(out / ("summary.txt" if command == "fit" else "report.txt"))
+
+
+@pytest.mark.parametrize("chi", ["", "chi = 4.0\n"], ids=["plain", "chi"])
+def test_cli_runs_call_no_eigh_of_size_d(tmp_path, monkeypatch, chi):
+    # fit, sample and diagnose factor every full-space matrix by Cholesky:
+    # the only eigh calls are of latent blocks (size 2 here), none under chi
+    eighs = recording_eighs(monkeypatch)
+    data = make_generic(tmp_path / "d.csv", n_obs=6, n_pred=2)
+    configs = (("fit", FIT_CONFIG + "bridge_levels = 1\n"),
+               ("sample", BASE_CONFIG), ("diagnose", DIAG_CONFIG))
+    for command, config in configs:
+        del eighs[:]
+        cfg = write(tmp_path / f"{command}.cfg", config + chi)
+        assert run([command, "--config", cfg, "--data", data,
+                    "--out", str(tmp_path / command)]) == 0
+        sizes = {n for n, _ in eighs}
+        assert sizes == (set() if chi else {2}), command
 
 
 @pytest.mark.parametrize("levels", [0, 2])
@@ -664,15 +682,15 @@ def test_cli_diagnose_factors_once_per_multiplier(tmp_path, monkeypatch):
     assert run(["diagnose", "--config", cfg, "--data", data,
                 "--out", str(tmp_path / "o")]) == 0
     latent = [(Q, result) for Q, result in eighs if Q.shape == (2, 2)]
-    assert len(latent) == 1 and len(eighs) == 2  # the other one is the Gram matrix's
+    assert len(latent) == 1 and len(eighs) == 1  # and none of the Gram matrix
     Q, (e, U) = latent[0]
     assert len(factors) == 2
     for aug, mult in zip(factors, (1.5, 3.0)):
-        assert aug.eigenvectors is U
+        assert aug.basis is U
         assert aug.lam == mult * e[-1]
         assert aug.lam == pytest.approx(mult * np.linalg.eigvalsh(Q)[-1], rel=1e-12)
     cd_factors = [aug for aug in sweeps if aug.size == 2]  # the other is the full-space one
-    assert len(sweeps) == 2 and len(cd_factors) == 1 and cd_factors[0].eigenvectors is U
+    assert len(sweeps) == 2 and len(cd_factors) == 1 and cd_factors[0].basis is U
     assert cd_factors[0].lam == pytest.approx(1.01 * e[-1], rel=1e-15)
 
 
@@ -716,8 +734,9 @@ def test_cli_anisotropic_fit_writes_the_scales_of_its_trace(tmp_path, monkeypatc
 
 def test_cli_noisy_sample_runs_on_the_model_factor(tmp_path, monkeypatch):
     # under noisy observations the latent chain spans all d angles and its
-    # factor is the spectral one the model already holds: sample's chain,
-    # and in diagnose the lambda sweep (a rescale of it) and the CD chains
+    # factor is the triangular one the model already holds: sample's chain
+    # and diagnose's CD chains; diagnose's lambda sweep factors
+    # lam*I - M at each multiplier by one Cholesky of the same unit precision
     import vmqp.cli as cli
     import vmqp.gibbs as gibbs
     import vmqp.inference as inference
@@ -748,14 +767,17 @@ def test_cli_noisy_sample_runs_on_the_model_factor(tmp_path, monkeypatch):
         out = tmp_path / command
         assert run([command, "--config", cfg, "--data", data, "--out", str(out)]) == 0
         assert len(models) == 1 and len(factors) == 1
-        assert [n for n, _ in eighs] == [8]  # the Gram matrix's, and no latent block's
+        assert eighs == []  # none of the Gram matrix, and no latent block's
         full_aug = models[0].full_aug
         if command == "sample":
             assert factors[0] is full_aug and not sweeps
             assert read_samples_csv(out / "phi_samples.csv").shape == (100, 2)
         else:
-            assert factors[0].eigenvectors is full_aug.eigenvectors
-            assert factors[0].lam == 1.5 * full_aug.lam_max_estimate
+            aug = factors[0]
+            assert aug.unit is full_aug.unit and aug.variance == full_aug.variance
+            assert aug.lam == 1.5 * full_aug.lam_max_estimate
+            gap = aug.lam * np.eye(8) - models[0].precision.matrix
+            assert np.max(np.abs(aug.factor.T @ aug.factor - gap)) <= 1e-12 * aug.lam
             # the full-space CD chains, then the latent ones, on the one factor
             assert len(sweeps) == 2 and all(aug is full_aug for aug in sweeps)
             assert read_table(out / "cd_gradient.csv")[0] == ["sigma2", "lengthscale", "kappa", "nu"]

@@ -5,6 +5,7 @@ from scipy.stats import kstest
 
 from vmqp.errors import NumericalError
 from vmqp.gibbs import (
+    TriangularAugmentation,
     augmentation_at,
     gibbs_sweep,
     make_augmentation,
@@ -84,7 +85,7 @@ def test_rescaled_factor_shares_the_eigenpairs(rng, mult):
     Q = B @ B.T / 30 + np.eye(30)
     aug = make_augmentation(Q)
     moved = aug.at(mult * aug.lam_max_estimate)
-    assert moved.eigenvectors is aug.eigenvectors and moved.eigenvalues is aug.eigenvalues
+    assert moved.basis is aug.basis and moved.eigenvalues is aug.eigenvalues
     assert moved.lam == mult * aug.lam_max_estimate
     assert moved.lam_max_estimate == aug.lam_max_estimate
     ref = augmentation_at(Q, moved.lam)
@@ -97,9 +98,27 @@ def test_rescaled_factor_shares_the_eigenpairs(rng, mult):
 def test_factor_is_formed_from_scale_and_eigenvectors():
     aug = make_augmentation(np.diag([1.0, 3.0]), slack=1.0)  # lam = 6
     assert np.array_equal(aug.scale, np.sqrt([5.0, 3.0]))
-    assert np.array_equal(aug.factor, aug.scale[:, None] * aug.eigenvectors.T)
+    assert np.array_equal(aug.factor, aug.scale[:, None] * aug.basis.T)
     assert aug.factor is not aug.factor  # a fresh array per read, never kept
     assert aug.size == 2
+
+
+@pytest.mark.parametrize("variance", [1.0, 0.3])
+def test_triangular_factor_of_a_scaled_coupling(rng, variance):
+    # Q = unit / variance: A = C' / sqrt(variance) with C C' = lam*variance*I - unit;
+    # at() runs one Cholesky and refuses a lam below the top eigenvalue
+    B = rng.standard_normal((20, 20))
+    unit = B @ B.T / 20
+    Q, top = unit / variance, np.linalg.eigvalsh(unit)[-1] / variance
+    ref = TriangularAugmentation(np.nan, None, 1.0 / np.sqrt(variance), top, unit, variance, None)
+    for mult in (1.01, 3.0):
+        aug = ref.at(mult * top)
+        assert aug.lam == mult * top and aug.lam_max_estimate == top and aug.unit is unit
+        assert aug.scale == 1.0 / np.sqrt(variance)
+        assert np.array_equal(aug.factor, aug.basis.T * aug.scale)
+        assert np.max(np.abs(aug.factor.T @ aug.factor + Q - aug.lam * np.eye(20))) < 1e-12 * aug.lam
+    with pytest.raises(NumericalError, match="not above the top eigenvalue"):
+        ref.at(0.99 * top)
 
 
 def test_exact_top_eigenvalue_above_512():
@@ -189,7 +208,7 @@ def test_sweep_halves_compose_to_gibbs_sweep(shape, reflect):
     phi = gen.uniform(-np.pi, np.pi, shape)
     got_rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
     for _ in range(5):
-        b = sweep_coefficients(phi, ((aug.eigenvectors, aug.scale),), cp.rho_c, cp.rho_s, got_rng)
+        b = sweep_coefficients(phi, ((aug.basis, aug.scale),), cp.rho_c, cp.rho_s, got_rng)
         assert b.shape == (2,) + shape
         got = redraw(phi, b, got_rng, reflect)
         phi = gibbs_sweep(phi, aug, cp, ref_rng, reflect=reflect)

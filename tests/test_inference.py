@@ -235,7 +235,8 @@ def plain_double_mh(model, phi_full, priors, proposals, inner_sweeps, rng, xi_in
     if wp.kernel is model.w.kernel:
         model_wp = replace(model, w=wp)
     else:
-        model_wp = build_param_model(wp, model.locations, model.precision.n_latent, model.slack)
+        model_wp = build_param_model(wp, model.locations, model.precision.n_latent, model.slack,
+                                     model.unit_aug.top)
     xi0 = sample_fictitious(model_wp, inner_sweeps, xi_init, rng)
     log_acc = (
         (priors.log_density(wp) - priors.log_density(model.w))
@@ -415,6 +416,27 @@ def test_cd_gradient_shape_and_validation(rng):
         cd_gradient(np.array([0.5]), model, 0, rng)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(first=0), dict(n_kept=0), dict(thin=0), dict(first=-2),
+     dict(burn_sweeps=-1), dict(sweeps_between=0), dict(burn_sweeps=0, sweeps_between=0)],
+    ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()),
+)
+def test_chain_lengths_are_checked(kwargs, rng):
+    # run_sweeps refuses a chain that keeps no state or runs no sweep (it
+    # used to return np.empty garbage), and cd_gradient a burn-in below 0
+    # or a spacing below 1 (a ZeroDivisionError or uninitialized memory)
+    model = simple_model(kappa=1.0)
+    if "burn_sweeps" in kwargs or "sweeps_between" in kwargs:
+        with pytest.raises(ValueError, match="burn_sweeps >= 0 and sweeps_between >= 1"):
+            cd_gradient(np.array([0.5]), model, 2, rng, **kwargs)
+        return
+    args = {**dict(first=1, n_kept=1, thin=1), **kwargs}
+    cp = full_state_params(model.precision, model.w)
+    with pytest.raises(ValueError, match="first, n_kept and thin must be >= 1"):
+        inference.run_sweeps(np.zeros(1), model.full_aug, cp, rng, **args)
+
+
 def test_cd_gradient_factors_its_latent_chain_at_the_model_slack(monkeypatch, rng):
     # one eigh of the 2 x 2 latent block; the latent chain runs on its
     # eigenpairs at the slack of the model, after the full-space chain
@@ -425,7 +447,7 @@ def test_cd_gradient_factors_its_latent_chain_at_the_model_slack(monkeypatch, rn
     assert [n for n, _ in eighs] == [2]
     full, aug = factors
     assert full is model.full_aug
-    assert aug.size == 2 and aug.eigenvectors is eighs[0][1][1]
+    assert aug.size == 2 and aug.basis is eighs[0][1][1]
     assert aug.lam == pytest.approx(1.5 * aug.lam_max_estimate)
     assert aug.lam_max_estimate == pytest.approx(
         np.linalg.eigvalsh(model.precision.latent_block)[-1]
@@ -446,7 +468,7 @@ def test_cd_gradient_runs_on_a_given_latent_factor(monkeypatch, rng):
     got = cd_gradient(theta, model, 3, np.random.default_rng(8), burn_sweeps=2)
     assert eighs == []
     assert np.array_equal(got, expected)
-    assert factors[1].eigenvectors is aug.eigenvectors
+    assert factors[1].basis is aug.basis
     assert np.array_equal(factors[1].scale, aug.scale) and factors[1].lam == aug.lam
 
 
@@ -486,8 +508,9 @@ def test_fit_reports_the_jitter_range_of_its_kernels(rng):
 
 @pytest.mark.parametrize("d", [5, 600])
 def test_spectral_param_model_identities(d):
-    # one eigendecomposition gives the precision, the exact top eigenvalue
-    # and a factor A with A'A = lam*I - M
+    # two Cholesky factorizations give the precision and a factor A with
+    # A'A = lam*I - M, whose lam the power-iteration estimate sets within
+    # the slack rule
     w = ParamVector(KernelSpec("exponential", 1.3, 1.0), 0.5, 0.2)
     locations = np.linspace(0.0, 0.5 * d, d)[:, None]
     slack = 0.05
@@ -495,12 +518,12 @@ def test_spectral_param_model_identities(d):
     K = kernel_matrix(w.kernel, locations, locations) + model.jitter * np.eye(d)
     M = model.precision.matrix
     aug = model.full_aug
-    s_min = np.linalg.eigvalsh(K)[0]
+    lam_max = 1.0 / np.linalg.eigvalsh(K)[0]
     assert np.max(np.abs(M @ K - np.eye(d))) < 1e-9
     assert np.array_equal(M, M.T)
     gap = aug.lam * np.eye(d) - M
-    assert np.max(np.abs(aug.factor.T @ aug.factor - gap)) < 1e-9 * aug.lam
-    assert aug.lam_max_estimate == pytest.approx(1.0 / s_min, rel=1e-12)
+    assert np.max(np.abs(aug.factor.T @ aug.factor - gap)) < 1e-12 * aug.lam
+    assert lam_max * (1 - 1e-9) <= aug.lam <= (1.0 + slack) ** 2 * lam_max
     assert aug.lam == (1.0 + slack) * aug.lam_max_estimate
     assert model.precision.n_latent == 2 and model.precision.n_observed == d - 2
 
@@ -508,7 +531,8 @@ def test_spectral_param_model_identities(d):
 @pytest.mark.parametrize("sigma2", [0.01, 1.0, 20.0])
 def test_model_is_sigma2_times_the_unit_variance_model(sigma2, rng):
     # against the model of the Gram matrix built at sigma2 directly: the
-    # same jitter rung, eigenvalues, energies and latent factors
+    # same jitter rung, precision, energies and latent factors, and an
+    # exact full-space factor
     d, m, slack = 30, 5, 0.05
     X = np.linspace(0.0, 12.0, d)[:, None]
     w = ParamVector(KernelSpec("exponential", sigma2, 1.3), 0.5, 0.2)
@@ -516,7 +540,11 @@ def test_model_is_sigma2_times_the_unit_variance_model(sigma2, rng):
     gram = build_gram(w.kernel, X)
     direct = build_precision(gram, m, d - m)
     assert model.jitter == pytest.approx(gram.jitter, rel=1e-12)
-    assert np.allclose(model.precision.eigenvalues, direct.eigenvalues, rtol=1e-12, atol=0)
+    M = model.precision.matrix
+    assert np.max(np.abs(M - direct.matrix)) <= 1e-12 * np.abs(M).max()
+    aug = model.full_aug
+    assert aug.lam == (1.0 + slack) * aug.lam_max_estimate
+    assert np.max(np.abs(aug.factor.T @ aug.factor + M - aug.lam * np.eye(d))) <= 1e-12 * aug.lam
     for phi in rng.uniform(-np.pi, np.pi, (5, d)):
         assert model.energy(phi) == pytest.approx(energy(phi, w, direct), rel=1e-12)
     theta = rng.uniform(-np.pi, np.pi, d - m)
@@ -530,14 +558,15 @@ def test_model_is_sigma2_times_the_unit_variance_model(sigma2, rng):
 
 def test_variance_move_rescales_the_model_with_no_eigh(monkeypatch, rng):
     # a sigma2-only exchange move keeps the lengthscale bits, the unit
-    # precision and its latent eigenpairs, and decomposes nothing
+    # precision, its Cholesky factor and latent eigenpairs, and factors nothing
     d, m = 12, 3
     w = ParamVector(KernelSpec("anisotropic_gaussian", 1.0, 1.1, 0.7), 0.5, 0.3)
     X = np.column_stack([np.linspace(0.0, 6.0, d), np.arange(d) % 3])
     model = build_param_model(w, X, m)
     theta = rng.uniform(-np.pi, np.pi, d - m)
     model.latent(theta)  # the one latent eigh, before recording
-    eighs = recording_eighs(monkeypatch)
+    eighs, cholesky = recording_eighs(monkeypatch), []
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a, _c=np.linalg.cholesky: cholesky.append(a) or _c(a))
     results = [
         dmh_step(model, rng.uniform(-np.pi, np.pi, d), PriorSpec(), ProposalSpec(sigma2_step=0.3),
                  BridgeConfig(2, inner_sweeps=2), rng, np.zeros(d), block=inference.VARIANCE_BLOCK)
@@ -551,14 +580,20 @@ def test_variance_move_rescales_the_model_with_no_eigh(monkeypatch, rng):
         assert k.variance != k0.variance
         assert (k.lengthscale, k.gradient_lengthscale) == (k0.lengthscale, k0.gradient_lengthscale)
         assert moved.unit is model.unit and moved.unit_jitter == model.unit_jitter
-        assert moved.precision.eigenvectors is model.precision.eigenvectors
-        assert np.array_equal(moved.precision.eigenvalues, k.variance * model.unit.eigenvalues)
-    assert eighs == []
+        assert moved.unit_aug is model.unit_aug
+        assert moved.precision.unit_matrix is model.unit.unit_matrix
+        assert moved.precision.variance == k.variance
+        assert moved.full_aug.basis is model.unit_aug.basis
+        assert moved.full_aug.scale == 1.0 / math.sqrt(k.variance)
+        assert moved.full_aug.lam_max_estimate == model.unit_aug.lam_max_estimate / k.variance
+    assert eighs == [] and cholesky == []
 
 
 def test_build_param_model_rejects_indefinite_gram(monkeypatch):
-    K = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
-    monkeypatch.setattr(inference, "build_gram", lambda spec, X: GramMatrix(K, 0.0, *np.linalg.eigh(K)))
+    import vmqp.kernels as kernels
+
+    K = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1: no jitter rung lifts it
+    monkeypatch.setattr(kernels, "kernel_matrix", lambda spec, X, Y: K.copy())
     w = ParamVector(KernelSpec("gaussian", 1.0, 1.0), 0.5, 0.0)
     with pytest.raises(NumericalError):
         build_param_model(w, np.array([[0.0], [1.0]]), 1)
@@ -591,7 +626,6 @@ def test_mean_block_dmh_reuses_the_current_model(monkeypatch, rng):
     for model_wp in proposed:
         assert model_wp.w.kernel is w.kernel
         assert model_wp.w != w
-        assert model_wp.precision.eigenvectors is model.precision.eigenvectors
         assert model_wp.precision is model.precision
         assert model_wp.full_aug is model.full_aug
 
@@ -638,7 +672,7 @@ def test_latent_eigenpairs_are_one_eigh_per_kernel_value(monkeypatch, rng):
     eighs, sweeps = recording_eighs(monkeypatch), recording_sweeps(monkeypatch)
     moved = replace(model, w=ParamVector(w.kernel, 1.3, -0.8))
     (_, moved_aug), (_, aug) = moved.latent(theta), model.latent(theta)
-    assert moved_aug.eigenvectors is aug.eigenvectors
+    assert moved_aug.basis is aug.basis
     assert moved.unit.latent_eigenpairs is model.unit.latent_eigenpairs
     assert np.array_equal(moved_aug.scale, aug.scale)
     assert [n for n, _ in eighs] == [2]
@@ -652,8 +686,8 @@ def test_latent_eigenpairs_are_one_eigh_per_kernel_value(monkeypatch, rng):
     latent_eighs = [U for n, (_, U) in eighs if n == 2]
     swept_on = []
     for aug in sweeps:
-        if aug.size == 2 and not any(aug.eigenvectors is U for U in swept_on):
-            swept_on.append(aug.eigenvectors)
+        if aug.size == 2 and not any(aug.basis is U for U in swept_on):
+            swept_on.append(aug.basis)
     assert len(latent_eighs) == len(swept_on) > 2
     assert all(U is V for U, V in zip(latent_eighs, swept_on))
     # the chain swept on more latent factors than eigenvector arrays
@@ -684,10 +718,11 @@ def reachable_arrays(obj):
     return list(found.values())
 
 
-def test_a_model_owns_one_d_by_d_array(monkeypatch):
-    # the eigenvectors V of K, shared by the precision and the full-space
-    # factor; no Gram matrix, factor matrix or whole precision is kept,
-    # before or after an exchange move of either block
+def test_a_model_owns_two_d_by_d_arrays_per_lengthscale_value(monkeypatch):
+    # the unit precision M1 and the Cholesky factor C1 of lam1*I - M1,
+    # shared by the precision and the full-space factor at every sigma2; no
+    # Gram matrix or whole precision is kept, and a sigma2 or a mean move
+    # allocates no d x d array
     d, m = 50, 5
     w = ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3)
     model = build_param_model(w, np.linspace(0.0, 25.0, d)[:, None], m)
@@ -699,17 +734,22 @@ def test_a_model_owns_one_d_by_d_array(monkeypatch):
 
     monkeypatch.setattr(inference, "sample_fictitious", fictitious)
     rng = np.random.default_rng(4)
+    blocks = (inference.LENGTHSCALE_BLOCK, inference.VARIANCE_BLOCK, MEAN_BLOCK)
     results = [
         dmh_step(model, np.zeros(d), PriorSpec(), ProposalSpec(), BridgeConfig(1, inner_sweeps=2),
                  rng, np.zeros(d), block=block)
-        for block in (inference.KERNEL_BLOCK, MEAN_BLOCK)
+        for block in blocks
     ]
-    assert len(proposed) == 2 and proposed[0].precision is not model.precision
+    assert len(proposed) == 3 and proposed[0].precision is not model.precision
     for each in [model, *proposed, *(res.model for res in results)]:
         square = [a for a in reachable_arrays(each) if a.size == d * d]
-        assert len(square) == 1
-        assert square[0] is each.precision.eigenvectors
-        assert each.full_aug.eigenvectors is each.precision.eigenvectors
+        assert len(square) == 2
+        assert square[0] is each.unit.unit_matrix or square[1] is each.unit.unit_matrix
+        assert each.precision.unit_matrix is each.unit.unit_matrix is each.full_aug.unit
+        assert each.full_aug.basis is each.unit_aug.basis
+    assert proposed[0].unit_aug.basis is not model.unit_aug.basis
+    for moved in proposed[1:]:
+        assert moved.unit is model.unit and moved.full_aug.basis is model.unit_aug.basis
 
 
 def test_fit_counts_every_outcome_by_block(rng):
@@ -810,10 +850,10 @@ def test_exchange_moves_form_no_whole_precision(monkeypatch, rng):
         xi = res.xi
         if res.accepted:
             # the latent chain of the fit reads the m x m latent block and the
-            # pull of theta, both from the eigenpairs; check them against
-            # blocks of a dense (V / s) V' built here
+            # pull of theta, both from the unit precision; check them against
+            # blocks of the whole M = unit / sigma2 formed here
             pm = res.model.precision
-            M = (pm.eigenvectors / pm.eigenvalues) @ pm.eigenvectors.T
+            M = pm.unit_matrix / pm.variance
             tol = 1e-12 * np.abs(M).max()
             assert np.max(np.abs(pm.latent_block - M[:m, :m])) <= tol
             cp, aug = res.model.latent(theta)
@@ -826,11 +866,12 @@ def test_exchange_moves_form_no_whole_precision(monkeypatch, rng):
     assert "accepted" in outcomes and "mh" in outcomes
 
 
-def test_kernel_proposal_runs_one_eigh_and_forms_no_whole_precision(monkeypatch, rng):
-    # chi unset: a kernel proposal factors nothing of size d but its one eigh,
-    # and the whole precision M, the d x d x d product this path used to form,
-    # is never read; the m x m latent block is formed, and factored by one
-    # eigh of size m, once per lengthscale value the latent chain sweeps on
+def test_kernel_proposal_factors_by_cholesky_and_forms_no_whole_precision(monkeypatch, rng):
+    # chi unset: a kernel proposal runs no eigh of size d, only Cholesky
+    # factorizations and the blocked inverse (one np.linalg.inv at this d),
+    # and the whole precision M is never formed; the m x m latent block is
+    # formed, and factored by one eigh of size m, once per lengthscale
+    # value the latent chain sweeps on
     d, m = 12, 3
     sizes = {"eigh": [], "eigvalsh": [], "cholesky": [], "inv": [], "solve": []}
     for name in sizes:
@@ -852,13 +893,14 @@ def test_kernel_proposal_runs_one_eigh_and_forms_no_whole_precision(monkeypatch,
     lengthscale = out.outcomes["lengthscale"]
     assert lengthscale["accepted"] > 0 and lengthscale["mh"] > 0
     assert out.outcomes["variance"]["accepted"] > 0
-    # sigma2 moves are a rescale: only the lengthscale ones decompose
-    assert sizes["eigh"].count(d) == 1 + sum(lengthscale.values()) - lengthscale["support"]
-    swept_on = {id(aug.eigenvectors) for aug in sweeps if aug.size == m}
-    assert sizes["eigh"].count(m) == len(swept_on)
+    # sigma2 moves are a rescale: only the lengthscale ones factor
+    builds = 1 + sum(lengthscale.values()) - lengthscale["support"]
+    assert sizes["inv"] == [d] * builds
+    assert sizes["cholesky"].count(d) == len(sizes["cholesky"]) >= 2 * builds
+    swept_on = {id(aug.basis) for aug in sweeps if aug.size == m}
+    assert sizes["eigh"] == [m] * len(swept_on)
     assert lengthscale["accepted"] <= len(swept_on) <= 1 + lengthscale["accepted"]
-    assert len(sizes["eigh"]) == sizes["eigh"].count(d) + sizes["eigh"].count(m)
-    assert sizes["inv"] == sizes["solve"] == sizes["eigvalsh"] == sizes["cholesky"] == []
+    assert sizes["solve"] == sizes["eigvalsh"] == []
 
 
 def test_cd_gradient_repeats_evaluate_kernel_derivatives_once(monkeypatch, rng):

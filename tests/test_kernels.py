@@ -66,9 +66,8 @@ def test_gram_coincident_locations():
     off = g.matrix[0, 1]
     assert off == pytest.approx(1.0)
     assert g.matrix[0, 0] == pytest.approx(1.0 + g.jitter)
-    s, V = g.eigenvalues, g.eigenvectors
-    assert np.all(s > 0)
-    assert np.allclose((V * s) @ V.T, g.matrix, atol=1e-12)
+    assert np.all(g.eigenvalues > 0)
+    assert np.allclose(g.precision @ g.matrix, np.eye(2), rtol=0, atol=1e-6)
 
 
 def test_gram_collinear_entry():
@@ -110,31 +109,37 @@ def test_anisotropic_reduces_to_gaussian(rng):
     assert np.max(np.abs(aniso.matrix - iso.matrix)) < 1e-12
 
 
-def patch_smallest_eigenvalue(monkeypatch, s_min):
-    """Make eigh report ``s_min`` as the smallest eigenvalue of every matrix."""
-    real = np.linalg.eigh
+def patch_smallest_eigenvalue(monkeypatch, spec, X, s_min):
+    """Make cholesky factor every K0 + j*I over ``X`` as if the smallest
+    eigenvalue of K0 were ``s_min``; other matrices factor as they are."""
+    real = np.linalg.cholesky
+    K0 = kernel_matrix(spec, X, X)
+    off = K0 - np.diag(K0.diagonal())
+    shift = (s_min - np.linalg.eigvalsh(K0)[0]) * np.eye(len(K0))
 
-    def patched(mat):
-        s, V = real(mat)
-        s[0] = s_min
-        return s, V
+    def patched(a):
+        gram = a.shape == K0.shape and np.array_equal(a - np.diag(a.diagonal()), off)
+        return real(a + shift if gram else a)
 
-    monkeypatch.setattr(np.linalg, "eigh", patched)
+    monkeypatch.setattr(np.linalg, "cholesky", patched)
 
 
 def test_gram_singular_error(monkeypatch):
     sigma2 = 2.0
-    patch_smallest_eigenvalue(monkeypatch, -1.5 * kernels_mod.JITTER_CAP * sigma2)
+    spec, X = KernelSpec("gaussian", sigma2, 1.0), np.array([[0.0], [0.1]])
+    patch_smallest_eigenvalue(monkeypatch, spec, X, -1.5 * kernels_mod.JITTER_CAP * sigma2)
     with pytest.raises(NumericalError, match="numerically singular"):
-        build_gram(KernelSpec("gaussian", sigma2, 1.0), [[0.0], [0.1]])
+        build_gram(spec, X)
 
 
 def test_gram_jitter_escalates(monkeypatch):
     sigma2 = 2.0
-    patch_smallest_eigenvalue(monkeypatch, -5e-7 * sigma2)
-    g = build_gram(KernelSpec("gaussian", sigma2, 1.0), [[0.0], [1.0]])
+    spec, X = KernelSpec("gaussian", sigma2, 1.0), np.array([[0.0], [1.0]])
+    patch_smallest_eigenvalue(monkeypatch, spec, X, -5e-7 * sigma2)
+    g = build_gram(spec, X)
     assert g.jitter == pytest.approx(1e-6 * sigma2)
-    assert g.eigenvalues[0] == pytest.approx(5e-7 * sigma2)
+    # the certified bound s_min >= 1/lam of the factored K, whose s_min is 5e-7 * sigma2
+    assert 5e-7 * sigma2 / 1.01**2 <= 1.0 / g.lam <= 5e-7 * sigma2 * (1 + 1e-6)
 
 
 def test_gram_near_singular_keeps_the_first_jitter():
@@ -148,11 +153,11 @@ def test_gram_near_singular_keeps_the_first_jitter():
     assert g.eigenvalues[0] > 0
 
 
-def test_gram_eigh_failure_is_numerical(monkeypatch):
+def test_gram_cholesky_failure_is_numerical(monkeypatch):
     def fail(_):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
 
-    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
     with pytest.raises(NumericalError, match="numerically singular"):
         build_gram(KernelSpec("gaussian", 1.0, 1.0), [[0.0], [0.1]])
 
@@ -255,3 +260,92 @@ def test_kernel_matrix_allocates_little_beyond_its_result(family, rng):
         finally:
             tracemalloc.stop()
         assert peak <= bound * n * n * 8, build.__name__
+
+
+def assert_certified_factor(g, slack=0.01):
+    """C C' = lam*I - M to 1e-12 * lam, lam in [lambda_max, (1 + slack)^2 lambda_max]
+    of M by eigvalsh, and the jitter policy's certificate holds."""
+    n, M, C = g.size, g.precision, g.factor
+    assert np.array_equal(M, M.T) and np.array_equal(C, np.tril(C))
+    assert np.max(np.abs(C @ C.T - (g.lam * np.eye(n) - M))) <= 1e-12 * g.lam
+    lam_max = np.linalg.eigvalsh(M)[-1]
+    assert lam_max <= g.lam <= (1 + slack) ** 2 * lam_max
+    assert g.lam == (1 + slack) * g.lam_max_estimate
+    assert np.linalg.eigvalsh(g.matrix)[0] >= (1 - 1e-6) / g.lam
+    assert 1.0 / g.lam > n * np.finfo(float).eps * (np.abs(g.matrix).sum(axis=1).max())
+
+
+@pytest.mark.parametrize("family", list(FAMILY_SPECS))
+def test_gram_factor_is_exact_and_its_lambda_certified(family, rng):
+    X = rng.uniform(-3.0, 3.0, size=(120, 3))
+    g = build_gram(FAMILY_SPECS[family], X)
+    assert_certified_factor(g)
+    assert np.max(np.abs(g.precision @ g.matrix - np.eye(120))) < 1e-6
+
+
+def test_near_singular_gram_factor_is_exact():
+    # the 300-point case of test_gram_near_singular_keeps_the_first_jitter
+    g = build_gram(KernelSpec("gaussian", 2.0, 1.0), np.linspace(0.0, 1.0, 300)[:, None])
+    assert g.jitter == 2e-8
+    assert_certified_factor(g)
+
+
+def test_a_low_estimate_costs_retries_not_exactness(monkeypatch, rng):
+    # an estimate of lambda_max(M) that is 1.5 times too low: each failed
+    # Cholesky of lam*I - M multiplies lam by 1 + slack, and the factor is exact
+    slack = 0.1
+    top = kernels_mod._top_eigenvalue
+    monkeypatch.setattr(kernels_mod, "_top_eigenvalue",
+                        lambda M, v, rtol: (np.linalg.eigvalsh(M)[-1] / 1.5, top(M, v, rtol)[1]))
+    calls, cholesky = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
+    g = build_gram(FAMILY_SPECS["exponential"], rng.uniform(-3.0, 3.0, size=(60, 3)), slack)
+    assert_certified_factor(g, slack)
+    # the K factor, four failures (1.1^4 < 1.5 < 1.1^5) and the success
+    assert len(calls) == 1 + 4 + 1
+
+
+def test_power_iteration_from_the_top_vector_stops_at_once(rng):
+    B = rng.standard_normal((50, 50))
+    M = B @ B.T
+    e, U = np.linalg.eigh(M)
+    est, v = kernels_mod._top_eigenvalue(M, U[:, -1], 1e-4)
+    assert est == pytest.approx(e[-1], rel=1e-12)
+    assert abs(v @ U[:, -1]) == pytest.approx(1.0, rel=1e-12)
+    est, v = kernels_mod._top_eigenvalue(M, None, 1e-4)  # cold: from below
+    assert 0.99 * e[-1] < est <= e[-1] * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 100])
+def test_lower_inverse_matches_inv(n, rng):
+    assert kernels_mod.INVERSE_BLOCK == 32
+    B = rng.standard_normal((n, n))
+    L = np.linalg.cholesky(B @ B.T + n * np.eye(n))
+    ref = np.linalg.inv(L)
+    got = kernels_mod.lower_inverse(L.copy())
+    assert np.array_equal(got, np.tril(got))
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.abs(ref).max()
+
+
+def test_a_stale_start_vector_costs_one_failed_cholesky(monkeypatch, rng):
+    # power iteration from the second eigenvector of M stalls below
+    # lambda_max; after the failed Cholesky it runs once from its cold
+    # start, and the next Cholesky succeeds
+    spec, X = KernelSpec("gaussian", 1.0, 1.3), rng.uniform(0.0, 8.0, size=(150, 3))
+    e, U = np.linalg.eigh(build_gram(spec, X).precision)
+    assert 1.01 * e[-2] < e[-1]
+    calls, cholesky = [], np.linalg.cholesky
+
+    def recording(a):
+        try:
+            result = cholesky(a)
+        except np.linalg.LinAlgError:
+            calls.append("fail")
+            raise
+        calls.append("ok")
+        return result
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    g = build_gram(spec, X, 0.01, U[:, -2])
+    assert calls == ["ok", "fail", "ok"]
+    assert_certified_factor(g)

@@ -14,14 +14,14 @@ from vmqp.model import (
 
 
 def gram_from_matrix(K):
-    K = np.asarray(K, dtype=float)
-    return GramMatrix(K, 0.0, *np.linalg.eigh(K))
+    """GramMatrix whose precision is K^-1; it has no kernel, factor or lam."""
+    M = np.linalg.inv(np.asarray(K, dtype=float))
+    return GramMatrix(None, None, 0.0, 0.5 * (M + M.T), None, np.nan, np.nan, None)
 
 
 def precision_from_matrix(M, m, n):
-    """PrecisionModel whose matrix is M, from the eigenpairs of K = M^-1."""
-    t, V = np.linalg.eigh(np.asarray(M, dtype=float))
-    return PrecisionModel(1.0 / t, V, m, n)
+    """PrecisionModel whose matrix is M."""
+    return PrecisionModel(np.asarray(M, dtype=float), 1.0, m, n)
 
 
 def pv(kappa=0.0, nu=0.0, chi=None):
@@ -29,10 +29,9 @@ def pv(kappa=0.0, nu=0.0, chi=None):
 
 
 def assert_blocks_of_dense_precision(pm, theta):
-    """latent_block and the pull of conditional_params against blocks of a
-    dense (V / s) V' built here, to 1e-12 relative to its largest entry."""
-    V, m = pm.eigenvectors, pm.n_latent
-    M = (V / pm.eigenvalues) @ V.T
+    """latent_block and the pull of conditional_params against blocks of the
+    whole M, to 1e-12 relative to its largest entry."""
+    M, m = pm.matrix, pm.n_latent
     tol = 1e-12 * np.abs(M).max()
     L = pm.latent_block
     assert L.shape == (m, m)
@@ -99,7 +98,7 @@ def test_conditional_zero_kappa(rng):
     pm = build_precision(gram_from_matrix(K), 2, 2)
     theta = rng.uniform(-np.pi, np.pi, 2)
     assert_blocks_of_dense_precision(pm, theta)
-    # the same block of M = K^-1, taken by a solve instead of the eigenpairs
+    # the same block of M = K^-1, taken by a solve
     cross = np.linalg.solve(K, np.eye(4))[:2, 2:]
     cp = conditional_params(pm, theta, pv(kappa=0.0))
     assert np.allclose(cp.rho_c, -cross @ np.cos(theta), rtol=0, atol=1e-12)
@@ -197,7 +196,7 @@ def test_full_state_params_prior_mode():
 def test_full_state_params_noisy_tail():
     pm = precision_from_matrix(np.eye(3), 1, 2)
     theta = np.array([0.0, np.pi / 2])
-    model = ParamModel(pv(kappa=0.0, chi=3.0), np.zeros((3, 1)), 0.0, pm, None, 0.01, pm)
+    model = ParamModel(pv(kappa=0.0, chi=3.0), np.zeros((3, 1)), 0.0, pm, None, 0.01, pm, None)
     cp, _ = model.latent(theta)
     assert np.allclose(cp.rho_c, [0.0, 3.0, 0.0], atol=1e-12)
     assert np.allclose(cp.rho_s, [0.0, 0.0, 3.0], atol=1e-12)
@@ -226,6 +225,19 @@ def test_precision_forms_only_what_is_read(rng):
     theta = rng.uniform(-np.pi, np.pi, 4)
     conditional_params(pm, theta, pv())
     pm.latent_block
-    # nothing is cached: every read is a product with the eigenpairs
-    assert set(vars(pm)) == {"eigenvalues", "eigenvectors", "n_latent", "n_observed"}
+    # nothing is cached: every read is a product with the unit precision
+    assert set(vars(pm)) == {"unit_matrix", "variance", "n_latent", "n_observed"}
     assert_blocks_of_dense_precision(pm, theta)
+
+
+def test_precision_at_another_variance_divides_the_unit_matrix(rng):
+    # M = unit_matrix / variance in every product, with no copy of the unit matrix
+    spec = KernelSpec("gaussian", 1.0, 0.5)
+    unit = build_precision(build_gram(spec, rng.uniform(size=(7, 2))), 3, 4)
+    pm = PrecisionModel(unit.unit_matrix, 2.5, 3, 4)
+    assert np.array_equal(pm.matrix, unit.unit_matrix / 2.5)
+    assert np.array_equal(pm.latent_block, unit.latent_block / 2.5)
+    theta = rng.uniform(-np.pi, np.pi, 4)
+    assert_blocks_of_dense_precision(pm, theta)
+    phi = rng.uniform(-np.pi, np.pi, 7)
+    assert energy(phi, pv(), pm) == pytest.approx(energy(phi, pv(), unit) / 2.5, rel=1e-13)
