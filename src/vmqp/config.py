@@ -69,7 +69,7 @@ class RunConfig:
     step_lengthscale2: float = ProposalSpec.lengthscale2_step
     step_gradient2: float = ProposalSpec.gradient2_step
     step_kappa: float = ProposalSpec.kappa_step
-    step_nu: float = ProposalSpec.nu_step
+    step_nu: float = ProposalSpec.nu_step  # checked; fit draws nu exactly and reads no step
     # diagnostics
     lambda_multipliers: tuple = (1.01, 2.0, 5.0, 10.0)
     sweep_seeds: int = 20

@@ -25,7 +25,14 @@ block with M1. Without observation noise the latent chain's factor reads
 the eigenpairs of the m x m latent block of M1, from one ``eigh`` when a
 chain first sweeps on that lengthscale value; every sigma2 divides them.
 Moves of the mean parameters alone reuse the current precision and their
-energy differences need only the pull.
+energy differences need only the pull; moves that keep M1 need one
+product with it.
+
+The normalizer does not depend on the mean direction nu: rotating every
+angle leaves the coupling unchanged. So the fit draws nu exactly from its
+von Mises conditional given the full state and kappa
+(``draw_mean_direction``), with no fictitious chain, and moves kappa in
+the exchange move together with sigma2.
 
 The fit, ``sample`` and the CD diagnostic share one latent chain given
 the data: the target and factor that ``ParamModel.latent(theta)``
@@ -50,7 +57,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circular import as_generator, cos_sin, sample_von_mises
+from .circular import as_generator, cos_sin, normalize_angle, sample_von_mises
 from .errors import NumericalError
 from .gibbs import Augmentation, TriangularAugmentation, redraw, run_sweeps, sweep_coefficients
 from .gibbs import slack_augmentation, DEFAULT_SLACK
@@ -70,7 +77,8 @@ _LOG_HALF_NORMAL = 0.5 * math.log(2.0 / math.pi)
 
 # The parameter table: the exchange move walks (sigma2, lengthscale^2,
 # [gradient_lengthscale^2], kappa, nu), in this order. The fit moves the
-# kernel entries in two halves, in turn: sigma2 alone, then the lengthscales.
+# kernel entries in two halves, in turn: sigma2 (with kappa), then the
+# lengthscales; it draws nu from its exact conditional.
 KERNEL_BLOCK = ("sigma2", "lengthscale2", "gradient2")
 VARIANCE_BLOCK = KERNEL_BLOCK[:1]
 LENGTHSCALE_BLOCK = KERNEL_BLOCK[1:]
@@ -139,6 +147,8 @@ class ProposalSpec:
     """Random-walk step standard deviations, ``<p>_step`` for every table entry p.
 
     nu proposals are wrapped so the kernel is symmetric on the circle.
+    ``block_gibbs_fit`` draws nu from its exact conditional instead, so
+    ``nu_step`` serves only exchange moves whose block names nu.
     """
 
     sigma2_step: float = 0.1
@@ -241,10 +251,19 @@ def energy_change(model_w: ParamModel, model_wp: ParamModel, phi) -> float:
 
     Models that share their precision, as a mean-block proposal does with
     the current model, differ only in the pull, so their difference costs
-    O(d) and no product with the precision.
+    O(d) and no product with the precision. Models that share the unit
+    precision M1, as a variance move does, differ by
+    q * (1/sigma2' - 1/sigma2) / 2 in the coupling, q = cs M1 cs for the
+    cos/sin block cs of phi: one product with M1, not two.
     """
+    pull = mean_pull(phi, model_w.w) - mean_pull(phi, model_wp.w)
     if model_wp.precision is model_w.precision:
-        return float(mean_pull(phi, model_w.w) - mean_pull(phi, model_wp.w))
+        return float(pull)
+    if model_wp.unit is model_w.unit:
+        cs = cos_sin(phi)
+        q = np.sum((cs @ model_w.unit.unit_matrix) * cs)
+        inverse_change = 1.0 / model_wp.precision.variance - 1.0 / model_w.precision.variance
+        return float(0.5 * q * inverse_change + pull)
     return model_wp.energy(phi) - model_w.energy(phi)
 
 
@@ -360,7 +379,10 @@ def bridge_ladder(
     interpolated pull. Its transition is the z half ``sweep_coefficients``
     on the two cached factors (A'A = lam*I - M) scaled by sqrt(beta_k) and
     sqrt(1 - beta_k), then the phi half ``redraw``, so no level needs a
-    factorization. The estimate is
+    factorization. Factors on one basis U with scales g, g' (a variance
+    move, or a mean move) are one factor on U with scale
+    sqrt(beta_k g^2 + (1 - beta_k) g'^2): b has the same law, as its mean
+    and covariance add over factors, at half the products. The estimate is
     sum_k [log f_{k+1}(xi_k) - log f_k(xi_k)], endpoints included, which
     telescopes to (1/(K+1)) * sum_k [U(xi_k|w') - U(xi_k|w)]. With K = 0
     it is plain double-MH: states [xi0], ratio U(xi0|w') - U(xi0|w), and
@@ -380,10 +402,14 @@ def bridge_ladder(
     log_ratio = energy_change(model_w, model_wp, xi) / denom
     for k in range(1, levels + 1):
         beta = k / denom
-        factors = (
-            (aug_w.basis, math.sqrt(beta) * aug_w.scale),
-            (aug_wp.basis, math.sqrt(1.0 - beta) * aug_wp.scale),
-        )
+        if aug_wp.basis is aug_w.basis:
+            scale = np.sqrt(beta * aug_w.scale**2 + (1.0 - beta) * aug_wp.scale**2)
+            factors = ((aug_w.basis, scale),)
+        else:
+            factors = (
+                (aug_w.basis, math.sqrt(beta) * aug_w.scale),
+                (aug_wp.basis, math.sqrt(1.0 - beta) * aug_wp.scale),
+            )
         alpha_c, alpha_s = (
             beta * w.concentration * f(w.mean_direction)
             + (1.0 - beta) * wp.concentration * f(wp.mean_direction)
@@ -494,19 +520,34 @@ class FitConfig:
 class FitOutput:
     param_names: tuple  # table entries, KERNEL_BLOCK + MEAN_BLOCK order
     param_trace: np.ndarray  # (n_retained, len(param_names))
-    accepted_trace: np.ndarray  # (n_retained,) 0/1: any block accepted
+    accepted_trace: np.ndarray  # (n_retained,) 0/1: any exchange move accepted
     phi_samples: np.ndarray  # (n_retained, m) latent angles at test locations
     outcomes: dict  # move -> {reason in DMH_REASONS: count}; moves as in FIT_MOVES
     jitter_range: tuple  # (min, max) Gram jitter over every kernel value the chain held
 
 
-# The fit's exchange moves, by the name its outcomes and summary.txt use:
-# the kernel moves alternate between the first two, and "mean" follows each.
-FIT_MOVES = (("variance", VARIANCE_BLOCK), ("lengthscale", LENGTHSCALE_BLOCK), ("mean", MEAN_BLOCK))
+# The fit's exchange moves, by the name its outcomes and summary.txt use;
+# they alternate. With ``learn_mean`` the variance move also moves kappa,
+# and an exact draw of nu (``draw_mean_direction``) follows each move.
+FIT_MOVES = (("variance", VARIANCE_BLOCK), ("lengthscale", LENGTHSCALE_BLOCK))
+
+
+def draw_mean_direction(model: ParamModel, phi_full, rng) -> ParamModel:
+    """``model`` at a draw of nu from its conditional given the full state and kappa.
+
+    Rotating every angle leaves the coupling unchanged, so the normalizer
+    does not depend on nu, and under its uniform prior nu is von Mises
+    with mean atan2(S, C) and concentration kappa * hypot(C, S), C and S
+    the sums of cos and sin of ``phi_full``. The precision and factors
+    are shared.
+    """
+    c, s = cos_sin(phi_full).sum(axis=-1)
+    nu = sample_von_mises(math.atan2(s, c), model.w.concentration * math.hypot(c, s), rng)
+    return replace(model, w=replace(model.w, mean_direction=nu))
 
 
 def block_gibbs_fit(theta, model: ParamModel, config: FitConfig, rng) -> FitOutput:
-    """Alternate latent-angle sweeps with exchange moves on the parameters.
+    """Alternate latent-angle sweeps with parameter moves.
 
     Transductive: the fit starts at ``model``, built over the prediction
     locations (first) and training locations (last) together, and builds
@@ -515,17 +556,22 @@ def block_gibbs_fit(theta, model: ParamModel, config: FitConfig, rng) -> FitOutp
     ``model.latent(theta)`` of the model it starts with (under noisy
     observations that chain spans all locations) and are over-relaxed:
     every second one is a reflection. Each of the ``dmh_steps`` rounds
-    then runs one kernel move and, with ``learn_mean``, one mean move.
-    The k-th kernel move of the fit, counted from 0, moves sigma2 alone
-    when k is even, a rescale with no factorization, and the lengthscales
-    when k is odd, so only every second kernel move factors a Gram matrix.
+    then runs one kernel exchange move. The k-th one of the fit, counted
+    from 0, moves sigma2 (and kappa with ``learn_mean``) when k is even,
+    a rescale with no factorization, and the lengthscales when k is odd,
+    so only every second move factors a Gram matrix. No move proposes nu:
+    with ``learn_mean`` each is followed by ``draw_mean_direction``, and
+    the persistent fictitious state turns by the change of nu, which maps
+    a draw at the old nu to one at the new.
     """
     rng = as_generator(rng)
     theta = np.asarray(theta, dtype=float)
     m = model.precision.n_latent
 
-    moves = FIT_MOVES if config.learn_mean else FIT_MOVES[:2]
-    kernel_moves = itertools.cycle(moves[:2])
+    moves = FIT_MOVES
+    if config.learn_mean:
+        moves = (("variance", VARIANCE_BLOCK + ("kappa",)), *FIT_MOVES[1:])
+    kernel_moves = itertools.cycle(moves)
 
     n = model.latent(theta)[0].size
     phi = sample_von_mises(model.w.mean_direction, model.w.concentration * np.ones(n), rng)
@@ -542,23 +588,19 @@ def block_gibbs_fit(theta, model: ParamModel, config: FitConfig, rng) -> FitOutp
         phi_full = full_states(model, phi, theta)
         accepted_any = False
         for _ in range(config.dmh_steps):
-            for name, block in (next(kernel_moves), *moves[2:]):
-                res = dmh_step(
-                    model,
-                    phi_full,
-                    config.priors,
-                    config.proposals,
-                    config.bridge,
-                    rng,
-                    xi,
-                    block=block,
-                )
-                outcomes[name][res.reason] += 1
-                xi = res.xi
-                if res.accepted:
-                    accepted_any = True
-                    model = res.model
-                    jitters.append(model.jitter)
+            name, block = next(kernel_moves)
+            res = dmh_step(model, phi_full, config.priors, config.proposals, config.bridge,
+                           rng, xi, block=block)
+            outcomes[name][res.reason] += 1
+            xi = res.xi
+            if res.accepted:
+                accepted_any = True
+                model = res.model
+                jitters.append(model.jitter)
+            if config.learn_mean:
+                nu = model.w.mean_direction
+                model = draw_mean_direction(model, phi_full, rng)
+                xi = normalize_angle(xi + (model.w.mean_direction - nu))
         if t >= config.burn_in and (t - config.burn_in) % config.thin == 0:
             rows.append(list(_param_dict(model.w).values()))
             accepted_rows.append(int(accepted_any))

@@ -10,7 +10,8 @@ import time
 
 import numpy as np
 import pytest
-from scipy.special import i0e
+from scipy.integrate import quad
+from scipy.special import i0e, i1e
 from scipy.stats import kstest
 
 from conftest import QUAD_GRID, bessel_ratio, synthetic_prior_draw
@@ -360,6 +361,49 @@ def test_variance_exchange_move_matches_exact_posterior_at_d2():
         ok,
         f"mean {a.mean():.3f} vs {b.mean():.3f}, diff {mean_diff:.4f} < {mean_tol:.4f}, "
         f"var diff {var_diff:.4f} < {var_tol:.4f} ({elapsed:.0f}s)",
+    )
+
+
+def test_fit_matches_exact_posterior_at_d1():
+    # one location, observed: U = M11/2 - kappa cos(theta - nu), whose
+    # normalizer (2 pi) exp(-M11/2) I0(kappa) cancels every kernel term, and
+    # integrating nu out leaves 1/(2 pi) for every kappa. So the posterior
+    # keeps the half-normal prior of kappa, and nu | kappa is von
+    # Mises(theta, kappa): E[kappa] = scale sqrt(2/pi) and
+    # E[cos(nu - theta)] = E[I1/I0(kappa)] under that prior. The whole fit
+    # (sigma2-and-kappa exchange moves, lengthscale moves, exact nu draws)
+    # runs against both, judged by the rule of c05
+    t0 = time.time()
+    theta = np.array([0.4])
+    w0 = ParamVector(KernelSpec("gaussian", 1.0, 1.0), 1.0, 0.0)
+    priors = PriorSpec()
+    cfg = FitConfig(
+        n_iter=10**4,
+        burn_in=500,
+        priors=priors,
+        proposals=ProposalSpec(sigma2_step=0.5, lengthscale2_step=0.5, kappa_step=0.6),
+        bridge=BridgeConfig(0, inner_sweeps=10),
+    )
+    model = build_param_model(w0, np.array([[0.0]]), 0)
+    fit = block_gibbs_fit(theta, model, cfg, np.random.default_rng(81))
+    kappa = fit.param_trace[:, fit.param_names.index("kappa")]
+    along = np.cos(fit.param_trace[:, fit.param_names.index("nu")] - theta[0])
+
+    scale = priors.kappa_scale
+    density = lambda k: math.exp(_half_normal_logpdf(k, scale))
+    exact_kappa = scale * math.sqrt(2.0 / math.pi)
+    exact_along = quad(lambda k: i1e(k) / i0e(k) * density(k), 0.0, math.inf)[0]
+
+    kappa_diff, kappa_tol = abs(kappa.mean() - exact_kappa), 3 * batch_se(kappa)
+    along_diff, along_tol = abs(along.mean() - exact_along), 3 * batch_se(along)
+    elapsed = time.time() - t0
+    ok = kappa_diff < kappa_tol and along_diff < along_tol and elapsed < 60
+    report(
+        "fit vs exact posterior at d = 1",
+        ok,
+        f"E[kappa] {kappa.mean():.4f} vs {exact_kappa:.4f}, diff {kappa_diff:.4f} < "
+        f"{kappa_tol:.4f}; E[cos(nu - theta)] {along.mean():.4f} vs {exact_along:.4f}, "
+        f"diff {along_diff:.4f} < {along_tol:.4f} ({elapsed:.1f}s)",
     )
 
 

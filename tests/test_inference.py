@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import i0
+from scipy.special import i0, i0e, i1e
 
 import vmqp.inference as inference
 from vmqp.errors import NumericalError
@@ -20,6 +20,7 @@ from vmqp.inference import (
     block_gibbs_fit,
     cd_gradient,
     dmh_step,
+    draw_mean_direction,
     energy_change,
     energy_gradient,
     gradient_names,
@@ -29,7 +30,7 @@ from vmqp.inference import (
 )
 from vmqp.gibbs import slack_augmentation
 from vmqp.kernels import GramMatrix, KernelSpec, build_gram, kernel_derivatives, kernel_matrix
-from vmqp.circular import sample_von_mises
+from vmqp.circular import circular_summary, sample_von_mises
 from vmqp.model import ParamVector, PrecisionModel, build_precision, energy, full_state_params
 
 from test_kernels import FAMILY_SPECS
@@ -336,15 +337,58 @@ def test_fit_learns_and_reports_rates(rng):
     # no test locations, on column and on flat training locations
     for locations in (train, train[:, 0]):
         out = block_gibbs_fit(theta, build_param_model(w, locations, 0), cfg, rng)
-        assert set(out.outcomes) == {"variance", "lengthscale", "mean"}
+        assert set(out.outcomes) == {"variance", "lengthscale"}
         assert out.param_trace.shape == (30, 4)
         assert out.param_names == ("sigma2", "lengthscale2", "kappa", "nu")
+        # nu is drawn from its conditional every round, so it always moves
+        assert np.all(np.diff(out.param_trace[:, -1]) != 0)
     # the anisotropic kernel adds gradient2, in table order
     w = ParamVector(KernelSpec("anisotropic_gaussian", 1.0, 1.0, 1.0), 0.5, 0.3)
     train = np.column_stack([np.arange(4.0), np.arange(4.0) % 2])
     out = block_gibbs_fit(theta, build_param_model(w, train, 0), cfg, rng)
     assert out.param_names == inference.KERNEL_BLOCK + MEAN_BLOCK
     assert out.param_trace.shape == (30, 5)
+
+
+def test_fit_without_learn_mean_keeps_kappa_and_nu(monkeypatch, rng):
+    # the moves alternate between sigma2 alone and the lengthscales, and no
+    # nu draw runs
+    blocks = []
+    dmh = inference.dmh_step
+
+    def stepping(*args, **kwargs):
+        blocks.append(kwargs["block"])
+        return dmh(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "dmh_step", stepping)
+    monkeypatch.setattr(inference, "draw_mean_direction", None)
+    w = ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3)
+    theta = np.array([0.2, -0.4, 0.9, 0.1])
+    cfg = FitConfig(n_iter=20, burn_in=5, phi_sweeps=1, learn_mean=False,
+                    bridge=BridgeConfig(1, inner_sweeps=2))
+    out = block_gibbs_fit(theta, build_param_model(w, np.arange(5.0)[:, None], 1), cfg, rng)
+    assert blocks == [inference.VARIANCE_BLOCK, inference.LENGTHSCALE_BLOCK] * 10
+    assert set(out.outcomes) == {"variance", "lengthscale"}
+    assert np.all(out.param_trace[:, -2:] == [0.5, 0.3])
+    assert out.outcomes["variance"]["accepted"] > 0
+
+
+def test_fit_reads_no_nu_step():
+    # nu is drawn from its exact conditional, so its step changes nothing
+    w = ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3)
+    theta = np.array([0.2, -0.4, 0.9, 0.1])
+    locations = np.array([[0.5], [0.0], [1.0], [2.0], [3.0]])
+    fits = [
+        block_gibbs_fit(
+            theta, build_param_model(w, locations, 1),
+            FitConfig(n_iter=20, burn_in=5, phi_sweeps=2, proposals=ProposalSpec(nu_step=step),
+                      bridge=BridgeConfig(1, inner_sweeps=3)),
+            np.random.default_rng(3),
+        )
+        for step in (0.3, 2.0)
+    ]
+    assert np.array_equal(fits[0].param_trace, fits[1].param_trace)
+    assert np.array_equal(fits[0].phi_samples, fits[1].phi_samples)
 
 
 def test_fit_reads_1d_locations_as_one_coordinate_each():
@@ -632,10 +676,11 @@ def test_mean_block_dmh_reuses_the_current_model(monkeypatch, rng):
 
 def test_fit_keeps_latent_augmentation_after_mean_moves(monkeypatch, rng):
     # only lengthscale moves change the eigenpairs of the unit-variance
-    # latent block (a sigma2 move divides them), so it is decomposed once
-    # plus once per accepted lengthscale move that the latent chain sweeps
-    # on: each iteration sweeps before its exchange moves, so a move
-    # accepted in the last one is never decomposed
+    # latent block (a sigma2 or kappa move divides them, a nu draw keeps
+    # them), so it is decomposed once plus once per accepted lengthscale
+    # move that the latent chain sweeps on: each iteration sweeps before
+    # its exchange move, so a move accepted in the last one is never
+    # decomposed
     eighs, steps = recording_eighs(monkeypatch), []
     dmh = inference.dmh_step
 
@@ -650,11 +695,11 @@ def test_fit_keeps_latent_augmentation_after_mean_moves(monkeypatch, rng):
     cfg = FitConfig(n_iter=40, burn_in=10, phi_sweeps=1, bridge=BridgeConfig(0, inner_sweeps=2))
     model = build_param_model(w, np.vstack([[[0.5], [2.5]], train]), 2)
     out = block_gibbs_fit(theta, model, cfg, rng)
-    assert out.outcomes["mean"]["accepted"] > 0 and out.outcomes["variance"]["accepted"] > 0
-    assert len(steps) == 2 * 40  # a kernel then a mean move per iteration
-    halves = (inference.VARIANCE_BLOCK, inference.LENGTHSCALE_BLOCK)
-    assert [block for block, _ in steps[::2]] == list(halves) * 20
-    assert all(block == MEAN_BLOCK for block, _ in steps[1::2])
+    assert out.outcomes["variance"]["accepted"] > 0
+    assert len(steps) == 40  # one exchange move per iteration, then a nu draw
+    halves = (inference.VARIANCE_BLOCK + ("kappa",), inference.LENGTHSCALE_BLOCK)
+    assert [block for block, _ in steps] == list(halves) * 20
+    assert len(set(out.param_trace[:, -1])) == len(out.param_trace)
     lengthscale = [res.accepted for block, res in steps if block == halves[1]]
     assert sum(lengthscale) == out.outcomes["lengthscale"]["accepted"]
     assert [n for n, _ in eighs].count(2) == 1 + sum(lengthscale[:-1])
@@ -682,7 +727,7 @@ def test_latent_eigenpairs_are_one_eigh_per_kernel_value(monkeypatch, rng):
                     bridge=BridgeConfig(0, inner_sweeps=2))
     out = block_gibbs_fit(theta, build_param_model(w, locations, 2), cfg, rng)
     accepted = {name: counts["accepted"] for name, counts in out.outcomes.items()}
-    assert accepted["lengthscale"] > 1 and accepted["variance"] > 0 and accepted["mean"] > 0
+    assert accepted["lengthscale"] > 1 and accepted["variance"] > 0
     latent_eighs = [U for n, (_, U) in eighs if n == 2]
     swept_on = []
     for aug in sweeps:
@@ -762,14 +807,14 @@ def test_fit_counts_every_outcome_by_block(rng):
         bridge=BridgeConfig(0, inner_sweeps=2),
     )
     out = block_gibbs_fit(theta, build_param_model(w, np.vstack([[[0.5]], train]), 1), cfg, rng)
-    # 120 rounds: one mean move each, and kernel moves that alternate
-    # between sigma2 and the lengthscales
-    expected = {"variance": 60, "lengthscale": 60, "mean": 120}
+    # 120 rounds, one exchange move each: the moves alternate between
+    # (sigma2, kappa) and the lengthscales
+    expected = {"variance": 60, "lengthscale": 60}
     assert {name: sum(counts.values()) for name, counts in out.outcomes.items()} == expected
     for name, counts in out.outcomes.items():
         assert tuple(counts) == inference.DMH_REASONS
     # kappa starts near zero with a wide step, so some moves leave the support
-    assert out.outcomes["mean"]["support"] > 0
+    assert out.outcomes["variance"]["support"] > 0
     assert out.outcomes["variance"]["numerical"] == out.outcomes["lengthscale"]["numerical"] == 0
 
 
@@ -937,6 +982,103 @@ def test_energy_change_of_a_shared_precision_is_the_pull_alone(monkeypatch, rng)
     monkeypatch.setattr(inference, "energy", no_quadratic_form)
     assert energy_change(model, mean_moved, phi) == pytest.approx(full, rel=0, abs=1e-12)
     assert energy_change(mean_moved, model, phi) == pytest.approx(-full, rel=0, abs=1e-12)
+
+
+def test_energy_change_of_a_shared_unit_precision_is_one_product(monkeypatch, rng):
+    # a variance move (with kappa and nu moved too) shares M1: the change is
+    # q * (1/sigma2' - 1/sigma2) / 2 minus the change of the pull
+    locations = np.linspace(0.0, 4.0, 8)[:, None]
+    model = build_param_model(
+        ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3), locations, 2)
+    wp = ParamVector(KernelSpec("exponential", 1.7, 1.0), 0.9, -1.1)
+    moved = inference._at_variance(model, wp)
+    assert moved.unit is model.unit and moved.precision is not model.precision
+    phis = rng.uniform(-np.pi, np.pi, (20, 8))
+    full = [(moved.energy(phi) - model.energy(phi), model.energy(phi) - moved.energy(phi))
+            for phi in phis]
+    monkeypatch.setattr(inference, "energy", None)  # no two-energy difference on this path
+    for phi, (forward, backward) in zip(phis, full):
+        assert energy_change(model, moved, phi) == pytest.approx(forward, rel=1e-12, abs=0)
+        assert energy_change(moved, model, phi) == pytest.approx(backward, rel=1e-12, abs=0)
+
+
+def test_bridge_level_on_a_shared_basis_runs_one_factor(monkeypatch):
+    # a sigma2 move shares C1: each level runs the z half on one factor with
+    # scale sqrt(beta g^2 + (1 - beta) g'^2), and its states have the law of
+    # the two-factor level, run here on a copy of the basis
+    locations = np.linspace(0.0, 1.5, 3)[:, None]
+    model = build_param_model(
+        ParamVector(KernelSpec("gaussian", 1.0, 1.0), 0.4, 0.3), locations, 0)
+    moved = inference._at_variance(model, ParamVector(KernelSpec("gaussian", 0.3, 1.0), 0.8, 0.3))
+    copied = replace(moved, full_aug=replace(moved.full_aug, basis=moved.full_aug.basis.copy()))
+    calls = []
+    coefficients = inference.sweep_coefficients
+
+    def recording(phi, factors, *args):
+        calls.append(factors)
+        return coefficients(phi, factors, *args)
+
+    monkeypatch.setattr(inference, "sweep_coefficients", recording)
+    xi0 = np.array([0.3, -2.0, 1.0])
+    bridge_ladder(xi0, model, moved, 3, np.random.default_rng(0))
+    assert [len(factors) for factors in calls] == [1, 1, 1]
+    for k, ((basis, scale),) in enumerate(calls, start=1):
+        beta = k / 4
+        assert basis is model.full_aug.basis
+        assert scale**2 == pytest.approx(beta / 1.0 + (1 - beta) / 0.3, rel=1e-14)
+    del calls[:]
+    bridge_ladder(xi0, model, copied, 3, np.random.default_rng(0))
+    assert [len(factors) for factors in calls] == [2, 2, 2]
+    n = 20000
+    states = {}
+    for name, other in (("shared", moved), ("copied", copied)):
+        gen = np.random.default_rng(1)
+        states[name] = np.array([bridge_ladder(xi0, model, other, 1, gen)[0][1] for _ in range(n)])
+    for f in (np.cos, np.sin):
+        a, b = f(states["shared"]), f(states["copied"])
+        se = np.sqrt((a.var(axis=0) + b.var(axis=0)) / n)
+        assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) < 4 * se)
+
+
+def test_nu_draw_matches_its_von_mises_conditional():
+    # nu | phi, kappa is von Mises(atan2(S, C), kappa R) with R = hypot(C, S):
+    # its circular mean is atan2(S, C) and its mean resultant I1/I0(kappa R)
+    kappa = 0.35
+    model = build_param_model(
+        ParamVector(KernelSpec("exponential", 1.0, 1.0), kappa, 2.0), np.arange(5.0)[:, None], 0)
+    phi = np.array([0.4, 1.1, -0.3, 2.5, 0.9])
+    C, S = np.cos(phi).sum(), np.sin(phi).sum()
+    R = math.hypot(C, S)
+    gen = np.random.default_rng(3)
+    n = 2 * 10**4
+    draws = np.empty(n)
+    for i in range(n):
+        moved = draw_mean_direction(model, phi, gen)
+        assert moved.precision is model.precision and moved.full_aug is model.full_aug
+        assert moved.w.concentration == kappa and moved.w.kernel is model.w.kernel
+        draws[i] = moved.w.mean_direction
+    summary = circular_summary(draws)
+    resultant = i1e(kappa * R) / i0e(kappa * R)
+    along, across = np.cos(draws - math.atan2(S, C)), np.sin(draws - math.atan2(S, C))
+    assert abs(summary.resultant_length - resultant) < 4 * along.std() / math.sqrt(n)
+    gap = np.angle(np.exp(1j * (summary.mean_direction - math.atan2(S, C))))
+    assert abs(gap) < 4 * across.std() / math.sqrt(n) / resultant
+
+
+def test_energy_is_invariant_under_a_joint_rotation(rng):
+    # U(phi + c | kappa, nu + c) = U(phi | kappa, nu): the coupling sees only
+    # differences of angles, so the normalizer does not depend on nu
+    locs = rng.uniform(0, 3, size=(5, 1))
+    spec = KernelSpec("exponential", 1.0, 1.0)
+    pm = build_param_model(ParamVector(spec), locs, 0).precision
+    worst = 0.0
+    for _ in range(1000):
+        phi = rng.uniform(-np.pi, np.pi, 5)
+        kappa, nu, c = rng.uniform(0.0, 3.0), rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi)
+        u1 = energy(phi, ParamVector(spec, kappa, nu), pm)
+        u2 = energy(phi + c, ParamVector(spec, kappa, nu + c), pm)
+        worst = max(worst, abs(u1 - u2))
+    assert worst < 1e-12
 
 
 @pytest.mark.parametrize("family", ["exponential", "gaussian", "anisotropic_gaussian"])
