@@ -18,15 +18,15 @@ triangular inverse of size d, and a few power-iteration products started
 from the current model's top vector. They give the jitter, the unit
 precision M1 = K1^-1 and the lower Cholesky factor C1 of lam1*I - M1: the
 two d x d arrays a model owns, and the Gram matrix itself is dropped. A
-model at sigma2 reads M1 / sigma2 and the factor (C1, 1/sigma), so a
-move of sigma2 alone allocates no d x d array. The exchange move reads
-the precision only through energies, products of the (2, d) cos/sin
-block with M1. Without observation noise the latent chain's factor reads
-the eigenpairs of the m x m latent block of M1, from one ``eigh`` when a
-chain first sweeps on that lengthscale value; every sigma2 divides them.
-Moves of the mean parameters alone reuse the current precision and their
-energy differences need only the pull; moves that keep M1 need one
-product with it.
+``ParamModel`` is those factorizations plus w: it reads M1 / sigma2 and
+the factor (C1, 1/sigma) from w, so every move that keeps the
+lengthscales is ``replace(model, w=w')``, with no factorization and no
+new d x d array. The exchange move reads the precision only through
+energies, products of the (2, d) cos/sin block with M1, and the energy
+difference of two models on one M1 takes one such product. Without
+observation noise the latent chain's factor reads the eigenpairs of the
+m x m latent block of M1, from one ``eigh`` when a chain first sweeps on
+that lengthscale value; every sigma2 divides them.
 
 The normalizer does not depend on the mean direction nu: rotating every
 angle leaves the coupling unchanged. So the fit draws nu exactly from its
@@ -59,7 +59,7 @@ import numpy as np
 
 from .circular import as_generator, cos_sin, normalize_angle, sample_von_mises
 from .errors import NumericalError
-from .gibbs import Augmentation, TriangularAugmentation, redraw, run_sweeps, sweep_coefficients
+from .gibbs import TriangularAugmentation, redraw, run_sweeps, sweep_coefficients
 from .gibbs import slack_augmentation, DEFAULT_SLACK
 from .gibbs import gibbs_sweep  # noqa: F401  perfbench/test_perfbench.py reads this binding
 from .kernels import build_gram, kernel_derivatives
@@ -179,35 +179,46 @@ class BridgeConfig:
 class ParamModel:
     """Everything the samplers need for one parameter value.
 
-    The Gram matrix is sigma2 times the unit-variance one, K1, whose
+    A model is the factorizations of its lengthscales plus ``w``. The
+    Gram matrix is sigma2 times the unit-variance one, K1, whose
     precision ``unit`` holds M1 = K1^-1 and whose jitter is
     ``unit_jitter``. ``unit_aug`` factors lam1*I - M1 by its lower
-    Cholesky factor C1. ``precision`` is M1 / sigma2, and the full-space
-    augmentation factor ``full_aug`` (any A with A'A = lam*I - M) is
-    (C1, 1/sigma) at lam = lam1 / sigma2, so M1 and C1 are the only d x d
-    arrays the model owns; repeated fictitious-sample chains and bridging
-    ladders reuse them. The Gram matrix itself is not kept, only its
-    diagonal ``jitter``. Models that differ only in the mean parameters
-    share precision and full_aug, and models that differ only in sigma2
-    share ``unit``, ``unit_aug`` and the latent eigenpairs of ``unit``.
-    ``slack`` is the rule lam = (1 + slack) * estimate of full_aug and of
-    the factor of the latent chain, which ``latent`` gives.
-    ``derivatives`` (dK/dp for ``energy_gradient``, d x d each) is
-    computed on first read and kept.
+    Cholesky factor C1. Every part that depends on sigma2 is derived
+    from ``w`` on first read and kept: ``precision`` is M1 / sigma2, and
+    the full-space augmentation factor ``full_aug`` (any A with
+    A'A = lam*I - M) is (C1, 1/sigma) at lam = lam1 / sigma2. So M1 and
+    C1 are the only d x d arrays the model owns; repeated
+    fictitious-sample chains and bridging ladders reuse them, and
+    ``replace(model, w=w')`` is the model at any w' with the same
+    lengthscales, sharing ``unit``, ``unit_aug`` and the latent
+    eigenpairs of ``unit``. The Gram matrix itself is not kept, only its
+    diagonal ``jitter``. ``slack`` is the rule lam = (1 + slack) *
+    estimate of full_aug and of the factor of the latent chain, which
+    ``latent`` gives. ``derivatives`` (dK/dp for ``energy_gradient``,
+    d x d each) is computed on first read and kept.
     """
 
     w: ParamVector
     locations: np.ndarray
     unit_jitter: float
-    precision: PrecisionModel
-    full_aug: Augmentation
     slack: float
     unit: PrecisionModel
     unit_aug: TriangularAugmentation
 
     @property
     def size(self) -> int:
-        return self.precision.size
+        return self.unit.size
+
+    @cached_property
+    def precision(self) -> PrecisionModel:
+        return replace(self.unit, variance=self.w.kernel.variance)
+
+    @cached_property
+    def full_aug(self) -> TriangularAugmentation:
+        v = self.w.kernel.variance
+        est = self.unit_aug.lam_max_estimate / v
+        return replace(self.unit_aug, lam=(1.0 + self.slack) * est, scale=1.0 / math.sqrt(v),
+                       lam_max_estimate=est, variance=v)
 
     @property
     def jitter(self) -> float:
@@ -249,17 +260,13 @@ class ParamModel:
 def energy_change(model_w: ParamModel, model_wp: ParamModel, phi) -> float:
     """U(phi|w') - U(phi|w).
 
-    Models that share their precision, as a mean-block proposal does with
-    the current model, differ only in the pull, so their difference costs
-    O(d) and no product with the precision. Models that share the unit
-    precision M1, as a variance move does, differ by
-    q * (1/sigma2' - 1/sigma2) / 2 in the coupling, q = cs M1 cs for the
-    cos/sin block cs of phi: one product with M1, not two.
+    Models that share the unit precision M1, as every move that keeps the
+    lengthscales does, differ by q * (1/sigma2' - 1/sigma2) / 2 in the
+    coupling, q = cs M1 cs for the cos/sin block cs of phi, and by the
+    pull: one product with M1, not two.
     """
-    pull = mean_pull(phi, model_w.w) - mean_pull(phi, model_wp.w)
-    if model_wp.precision is model_w.precision:
-        return float(pull)
     if model_wp.unit is model_w.unit:
+        pull = mean_pull(phi, model_w.w) - mean_pull(phi, model_wp.w)
         cs = cos_sin(phi)
         q = np.sum((cs @ model_w.unit.unit_matrix) * cs)
         inverse_change = 1.0 / model_wp.precision.variance - 1.0 / model_w.precision.variance
@@ -274,35 +281,18 @@ def build_param_model(
 
     ``build_gram`` runs on the kernel at variance 1, its power iteration
     starting at the unit vector ``start`` when one is given (the current
-    model's ``unit_aug.top`` in a fit); the model divides by sigma2
-    (``_at_variance``), and K itself is dropped.
+    model's ``unit_aug.top`` in a fit); the model divides by sigma2 on
+    read, and K itself is dropped.
     """
     X = np.asarray(locations, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
-    unit_kernel = replace(w.kernel, variance=1.0)
-    gram = build_gram(unit_kernel, X, slack, start)
+    gram = build_gram(replace(w.kernel, variance=1.0), X, slack, start)
     unit = build_precision(gram, n_latent, X.shape[0] - n_latent)
     unit_aug = TriangularAugmentation(
         gram.lam, gram.factor, 1.0, gram.lam_max_estimate, gram.precision, 1.0, gram.top
     )
-    unit_model = ParamModel(
-        replace(w, kernel=unit_kernel), X, gram.jitter, unit, unit_aug, slack, unit, unit_aug
-    )
-    return _at_variance(unit_model, w)
-
-
-def _at_variance(model: ParamModel, w: ParamVector) -> ParamModel:
-    """``model`` moved to ``w``, whose kernel differs from its own in sigma2 alone.
-
-    The precision divides the unit one by sigma2, and the factor is
-    (C1, 1/sigma) at the slack rule: O(1), no factorization.
-    """
-    v = w.kernel.variance
-    est = model.unit_aug.lam_max_estimate / v
-    aug = replace(model.unit_aug, lam=(1.0 + model.slack) * est, scale=1.0 / math.sqrt(v),
-                  lam_max_estimate=est, variance=v)
-    return replace(model, w=w, precision=replace(model.unit, variance=v), full_aug=aug)
+    return ParamModel(w, X, gram.jitter, slack, unit, unit_aug)
 
 
 def full_states(model: ParamModel, latent, theta) -> np.ndarray:
@@ -325,10 +315,7 @@ def propose(
     Each table entry p of ``block`` present in ``w`` moves by
     ``<p>_step`` times a standard normal, in block order. The support is
     that of the ``KernelSpec`` and ``ParamVector`` constructors. Kernel
-    fields that ``block`` does not move keep their bits, and a block that
-    moves no kernel parameter keeps the ``KernelSpec`` object of ``w``:
-    that tells the exchange step that the Gram matrix is unchanged, or
-    changed only in its variance.
+    fields that ``block`` does not move keep their bits.
     """
     rng = as_generator(rng)
     values = _param_dict(w)
@@ -379,8 +366,8 @@ def bridge_ladder(
     interpolated pull. Its transition is the z half ``sweep_coefficients``
     on the two cached factors (A'A = lam*I - M) scaled by sqrt(beta_k) and
     sqrt(1 - beta_k), then the phi half ``redraw``, so no level needs a
-    factorization. Factors on one basis U with scales g, g' (a variance
-    move, or a mean move) are one factor on U with scale
+    factorization. Factors on one basis U with scales g, g' (any move
+    that keeps the lengthscales) are one factor on U with scale
     sqrt(beta_k g^2 + (1 - beta_k) g'^2): b has the same law, as its mean
     and covariance add over factors, at half the products. The estimate is
     sum_k [log f_{k+1}(xi_k) - log f_k(xi_k)], endpoints included, which
@@ -454,14 +441,11 @@ def dmh_step(
     ``bridge.levels`` = 0); normalizing constants never appear. The move
     proposes the table entries that ``block`` names.
     Proposals outside the prior support are rejected without touching the
-    kernel. A proposal that keeps the kernel reuses the current
-    precision and augmentation factor, and its energy differences
-    are differences of the pull alone. One that moves sigma2 alone, its
-    lengthscales bit for bit the current ones, divides the current
-    model's unit-variance precision and factor by the new sigma2, with no
-    factorization of either size; one that moves a lengthscale is built
-    by ``build_param_model``, its power iteration started from the
-    current model's top vector. Both are at the slack of ``model``. The inner chain starts from
+    kernel. A proposal whose lengthscales are bit for bit the current
+    ones is the current model at the new w, with no factorization; one
+    that moves a lengthscale is built by ``build_param_model`` at the
+    slack of ``model``, its power iteration started from the current
+    model's top vector. The inner chain starts from
     ``xi_init`` (persistent across outer iterations), and the accepted
     move hands back the final ladder state for the next step.
     """
@@ -472,10 +456,8 @@ def dmh_step(
         return DmhResult(model, False, xi_init, -math.inf, "support")
     lp_w = priors.log_density(w)
     lp_wp = priors.log_density(wp)
-    if wp.kernel is w.kernel:
+    if replace(wp.kernel, variance=1.0) == replace(w.kernel, variance=1.0):
         model_wp = replace(model, w=wp)
-    elif replace(wp.kernel, variance=1.0) == replace(w.kernel, variance=1.0):
-        model_wp = _at_variance(model, wp)
     else:
         try:
             model_wp = build_param_model(
@@ -538,8 +520,8 @@ def draw_mean_direction(model: ParamModel, phi_full, rng) -> ParamModel:
     Rotating every angle leaves the coupling unchanged, so the normalizer
     does not depend on nu, and under its uniform prior nu is von Mises
     with mean atan2(S, C) and concentration kappa * hypot(C, S), C and S
-    the sums of cos and sin of ``phi_full``. The precision and factors
-    are shared.
+    the sums of cos and sin of ``phi_full``. The unit-variance
+    precision and factor are shared.
     """
     c, s = cos_sin(phi_full).sum(axis=-1)
     nu = sample_von_mises(math.atan2(s, c), model.w.concentration * math.hypot(c, s), rng)

@@ -118,11 +118,6 @@ class GramMatrix:
         """K, formed anew on each read, with the bits of the K that was factored; only tests and the benchmark tracer read it."""
         return _jittered(self.spec, self.locations, self.jitter)
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of ``matrix``, one ``eigvalsh`` per read; no package path reads them."""
-        return np.linalg.eigvalsh(self.matrix)
-
 
 def _sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances, summed over coordinates in order.

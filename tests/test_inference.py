@@ -633,6 +633,32 @@ def test_variance_move_rescales_the_model_with_no_eigh(monkeypatch, rng):
     assert eighs == [] and cholesky == []
 
 
+@pytest.mark.parametrize("chi", [None, 3.0])
+@pytest.mark.parametrize("moved", ["sigma2", "mean", "both"])
+def test_a_model_at_another_w_with_the_same_lengthscales_is_the_built_one(moved, chi, rng):
+    # a model is the factorization of its lengthscales plus w: replace(model,
+    # w=w') has the bits of the model built at w' in every sigma2-dependent part
+    d, m = 9, 3
+    X = np.linspace(0.0, 4.0, d)[:, None]
+    w = ParamVector(KernelSpec("gaussian", 1.0, 0.8), 0.5, 0.3, chi)
+    variance = 2.0 if moved in ("sigma2", "both") else 1.0
+    kappa, nu = (1.3, -2.1) if moved in ("mean", "both") else (0.5, 0.3)
+    wp = ParamVector(replace(w.kernel, variance=variance), kappa, nu, chi)
+    model = build_param_model(w, X, m)
+    model.latent(np.zeros(d - m))  # reads every derived part at w
+    model.energy(np.zeros(d))
+    replaced, built = replace(model, w=wp), build_param_model(wp, X, m)
+    phi, theta = rng.uniform(-np.pi, np.pi, d), rng.uniform(-np.pi, np.pi, d - m)
+    assert replaced.energy(phi) == built.energy(phi)
+    assert replaced.precision.variance == built.precision.variance == variance
+    for name in ("lam", "scale", "lam_max_estimate"):
+        assert getattr(replaced.full_aug, name) == getattr(built.full_aug, name)
+    assert replaced.jitter == built.jitter
+    aug, built_aug = replaced.latent(theta)[1], built.latent(theta)[1]
+    assert aug.lam == built_aug.lam
+    assert np.array_equal(aug.scale, built_aug.scale)
+
+
 def test_build_param_model_rejects_indefinite_gram(monkeypatch):
     import vmqp.kernels as kernels
 
@@ -644,8 +670,11 @@ def test_build_param_model_rejects_indefinite_gram(monkeypatch):
 
 
 def test_mean_block_dmh_reuses_the_current_model(monkeypatch, rng):
+    # a mean move keeps the lengthscales: the proposal is the current model
+    # at the new w, on its unit precision and factor, with no factorization
     w = ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3)
     model = build_param_model(w, np.linspace(0.0, 3.0, 6)[:, None], 2)
+    model.latent(np.zeros(4))  # the one latent eigh, before recording
 
     def no_build(*args, **kwargs):
         raise AssertionError("a mean-block move rebuilt the model")
@@ -658,6 +687,8 @@ def test_mean_block_dmh_reuses_the_current_model(monkeypatch, rng):
 
     monkeypatch.setattr(inference, "build_param_model", no_build)
     monkeypatch.setattr(inference, "sample_fictitious", fictitious)
+    eighs, cholesky = recording_eighs(monkeypatch), []
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a, _c=np.linalg.cholesky: cholesky.append(a) or _c(a))
     accepted = 0
     for _ in range(20):
         res = dmh_step(
@@ -668,10 +699,13 @@ def test_mean_block_dmh_reuses_the_current_model(monkeypatch, rng):
     assert accepted > 0
     assert len(proposed) == 20
     for model_wp in proposed:
+        model_wp.latent(np.zeros(4))
         assert model_wp.w.kernel is w.kernel
         assert model_wp.w != w
-        assert model_wp.precision is model.precision
-        assert model_wp.full_aug is model.full_aug
+        assert model_wp.unit is model.unit and model_wp.unit_aug is model.unit_aug
+        assert model_wp.precision.unit_matrix is model.unit.unit_matrix
+        assert model_wp.full_aug.basis is model.unit_aug.basis
+    assert eighs == [] and cholesky == []
 
 
 def test_fit_keeps_latent_augmentation_after_mean_moves(monkeypatch, rng):
@@ -991,7 +1025,7 @@ def test_energy_change_of_a_shared_unit_precision_is_one_product(monkeypatch, rn
     model = build_param_model(
         ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3), locations, 2)
     wp = ParamVector(KernelSpec("exponential", 1.7, 1.0), 0.9, -1.1)
-    moved = inference._at_variance(model, wp)
+    moved = replace(model, w=wp)
     assert moved.unit is model.unit and moved.precision is not model.precision
     phis = rng.uniform(-np.pi, np.pi, (20, 8))
     full = [(moved.energy(phi) - model.energy(phi), model.energy(phi) - moved.energy(phi))
@@ -1009,8 +1043,9 @@ def test_bridge_level_on_a_shared_basis_runs_one_factor(monkeypatch):
     locations = np.linspace(0.0, 1.5, 3)[:, None]
     model = build_param_model(
         ParamVector(KernelSpec("gaussian", 1.0, 1.0), 0.4, 0.3), locations, 0)
-    moved = inference._at_variance(model, ParamVector(KernelSpec("gaussian", 0.3, 1.0), 0.8, 0.3))
-    copied = replace(moved, full_aug=replace(moved.full_aug, basis=moved.full_aug.basis.copy()))
+    moved = replace(model, w=ParamVector(KernelSpec("gaussian", 0.3, 1.0), 0.8, 0.3))
+    copied = replace(moved, unit_aug=replace(moved.unit_aug, basis=moved.unit_aug.basis.copy()))
+    assert copied.full_aug.basis is not moved.full_aug.basis
     calls = []
     coefficients = inference.sweep_coefficients
 
@@ -1054,7 +1089,7 @@ def test_nu_draw_matches_its_von_mises_conditional():
     draws = np.empty(n)
     for i in range(n):
         moved = draw_mean_direction(model, phi, gen)
-        assert moved.precision is model.precision and moved.full_aug is model.full_aug
+        assert moved.unit is model.unit and moved.unit_aug is model.unit_aug
         assert moved.w.concentration == kappa and moved.w.kernel is model.w.kernel
         draws[i] = moved.w.mean_direction
     summary = circular_summary(draws)

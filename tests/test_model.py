@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vmqp.gibbs import TriangularAugmentation
 from vmqp.inference import ParamModel
 from vmqp.kernels import KernelSpec, build_gram, GramMatrix
 from vmqp.model import (
@@ -196,8 +197,12 @@ def test_full_state_params_prior_mode():
 def test_full_state_params_noisy_tail():
     pm = precision_from_matrix(np.eye(3), 1, 2)
     theta = np.array([0.0, np.pi / 2])
-    model = ParamModel(pv(kappa=0.0, chi=3.0), np.zeros((3, 1)), 0.0, pm, None, 0.01, pm, None)
-    cp, _ = model.latent(theta)
+    # the factor of lam*I - I at the slack rule, lam = 1.01: C = 0.1 * I
+    unit_aug = TriangularAugmentation(1.01, 0.1 * np.eye(3), 1.0, 1.0, pm.unit_matrix, 1.0,
+                                      np.ones(3) / np.sqrt(3.0))
+    model = ParamModel(pv(kappa=0.0, chi=3.0), np.zeros((3, 1)), 0.0, 0.01, pm, unit_aug)
+    cp, aug = model.latent(theta)
+    assert aug is model.full_aug and aug.basis is unit_aug.basis
     assert np.allclose(cp.rho_c, [0.0, 3.0, 0.0], atol=1e-12)
     assert np.allclose(cp.rho_s, [0.0, 0.0, 3.0], atol=1e-12)
 

@@ -7,7 +7,8 @@ checkout's ``src``). Each case runs one CLI command under both trees, with
 one BLAS thread, on inputs from ``perfbench/workloads.generate(w, s, 0,
 dir)`` for data seeds s in {7, 13} and chain seed 11:
 
-- fit-wind-d400 ``fit``: plain, ``chi = 5`` and ``bridge_levels = 0``;
+- fit-wind-d400 ``fit``: plain, ``chi = 5``, ``bridge_levels = 0`` and
+  ``learn_mean = false`` (the sigma2-only move schedule);
 - diagnose-gait-d40 ``diagnose`` and ``sample``: plain and ``chi = 5``;
 - an ``anisotropic_gaussian`` ``fit`` on the gait inputs with the fit-wind
   settings (``n_iter = 30``, ``burn_in = 5``, ``bridge_levels = 1``):
@@ -15,7 +16,8 @@ dir)`` for data seeds s in {7, 13} and chain seed 11:
 
 It prints one line per output file: ``same`` when the bytes are equal,
 else the largest absolute difference of its numeric values, or what
-differs when the files do not hold the same cells. It exits 0 when every
+differs when the files do not hold the same cells or a cell changes
+between NaN and a number. It exits 0 when every
 file is ``same`` and 1 otherwise, so a byte-identity gate is one command.
 """
 
@@ -49,6 +51,7 @@ CASES = (
     ("fit-wind", WIND, "fit", WIND_FIT),
     ("fit-wind-chi", WIND, "fit", dict(WIND_FIT, **CHI)),
     ("fit-wind-levels0", WIND, "fit", dict(WIND_FIT, bridge_levels=0)),
+    ("fit-wind-fixed-mean", WIND, "fit", dict(WIND_FIT, learn_mean=False)),
     ("diagnose-gait", GAIT, "diagnose", GAIT_DIAGNOSE),
     ("diagnose-gait-chi", GAIT, "diagnose", dict(GAIT_DIAGNOSE, **CHI)),
     ("sample-gait", GAIT, "sample", GAIT_SAMPLE),
@@ -96,10 +99,10 @@ def compare(old: Path, new: Path) -> str:
     largest = 0.0
     for x, y in zip(a, b):
         fx, fy = _number(x), _number(y)
-        if fx is None or fy is None:
+        if fx is None or fy is None or math.isnan(fx) != math.isnan(fy):
             if x != y:
                 return f"differs: {x!r} -> {y!r}"
-        elif fx != fy and not (math.isnan(fx) and math.isnan(fy)):
+        elif fx != fy and not math.isnan(fx):
             largest = max(largest, abs(fx - fy))
     return f"{largest:.3g}"
 
