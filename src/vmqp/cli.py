@@ -196,10 +196,6 @@ def _finite_median(values) -> float:
 
 
 def cmd_diagnose(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
-    if cfg.chi is not None and min(cfg.lambda_multipliers) < 1.0 + cfg.slack:
-        # the full-space lambda_max is only known within a factor 1 + slack,
-        # and a factor exists only above it
-        raise ConfigError("with chi set, lambda_multipliers must be >= 1 + slack")
     model = _assemble(cfg, dataset)
     cp, latent_aug = model.latent(dataset.observed_angles)
     w = model.w
@@ -209,7 +205,7 @@ def cmd_diagnose(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
     lam_max = latent_aug.lam_max_estimate
     for mult, batch in zip(cfg.lambda_multipliers, batches):
         # all sweep seeds of one multiplier run as one stack on one factor,
-        # a rescale of the latent factor's eigenpairs
+        # one Cholesky of the latent coupling at multiplier * lambda_max
         rng = np.random.default_rng(batch)
         aug = latent_aug.at(mult * lam_max)
         init = sample_von_mises(w.mean_direction, init_conc, rng)

@@ -96,8 +96,10 @@ class RunConfig:
             raise ConfigError("sweep_seeds must be >= 1")
         if self.cd_repeats < 0:
             raise ConfigError("cd_repeats must be >= 0")
-        if not all(math.isfinite(c) and c >= 1 for c in self.lambda_multipliers):
-            raise ConfigError("lambda_multipliers must be finite and >= 1")
+        # lambda_max is an estimate from below, within a factor 1 + slack,
+        # and a factor exists only above the true one
+        if not all(math.isfinite(c) and c >= 1.0 + self.slack for c in self.lambda_multipliers):
+            raise ConfigError("lambda_multipliers must be finite and >= 1 + slack")
         try:
             self.param_vector()
             self.fit_config()

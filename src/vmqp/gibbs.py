@@ -9,24 +9,20 @@ conditionals gives the sweep implemented here.
 
 Small lambda mixes best: in the large-lambda limit the conditional mean
 of each coordinate collapses onto its previous value. The default rule is
-lambda = (1 + slack) * lambda_max with slack = 0.01.
+lambda = (1 + slack) * lambda_max with slack = 0.01, where lambda_max is
+a power-iteration estimate from below.
 
-A factor A is kept as a basis U and a scale g, A = diag(g) U', never as
-one matrix, and a sweep applies it as one product with U and a scaling.
-There are two kinds. A ``SpectralAugmentation`` comes from eigenpairs
-(e, U) of Q: g = sqrt(lambda - e), lambda_max = max(e) is exact, and
-``at`` moves it to another lambda by a rescale, with no ``eigh``. The
-latent chains run on one, ``slack_augmentation`` of the
-``latent_eigenpairs`` of a unit-variance ``model.PrecisionModel``,
-divided by sigma2. A ``TriangularAugmentation`` factors a full-space
-precision Q = unit / variance: U is the lower Cholesky factor C of
-lam*variance*I - unit and g = 1/sqrt(variance), so one C serves every
-sigma2. ``kernels.build_gram`` takes its lam from a power-iteration
-estimate of lambda_max, and the Cholesky that succeeds certifies it; its
-``at`` runs one new Cholesky. A latent chain takes its target and factor
-together from ``inference.ParamModel.latent``. No package path calls
-``make_augmentation`` or ``augmentation_at``, which factor a given Q by
-its eigenpairs.
+A factor A is kept as a basis C and a scale g, A = g C', never as one
+matrix, and a sweep applies it as one product with C and a scaling. Every
+factor is an ``Augmentation`` of some Q = unit / variance: C is the lower
+Cholesky factor of lam*variance*I - unit and g = 1/sqrt(variance), so one
+C serves every sigma2. ``kernels.certified_factor`` builds each C: it
+takes lam from a power-iteration estimate of lambda_max, and the Cholesky
+that succeeds certifies that lam is above it. ``kernels.build_gram`` runs
+it on a whole unit-variance precision M1, ``make_augmentation`` on any Q,
+such as the m x m latent block of M1; ``at`` moves a factor to another
+lam by one new Cholesky. No path runs an ``eigh``. A latent chain takes
+its target and factor together from ``inference.ParamModel.latent``.
 Every chain advances through ``run_sweeps``. Every transition is the two
 exact conditionals in turn: the z half, ``sweep_coefficients``, draws z
 given phi on a sequence of factors and returns the von Mises coefficients
@@ -63,8 +59,8 @@ import numpy as np
 
 from .circular import as_generator, cos_sin, normalize_angle, sample_von_mises
 from .errors import NumericalError
-from .kernels import DEFAULT_SLACK
-from .model import ConditionalParams, spectrum
+from .kernels import DEFAULT_SLACK, certified_factor
+from .model import ConditionalParams
 from . import evaluation
 
 # Only the perfbench tracer's flop model reads these; ROADMAP item 1 deletes them.
@@ -74,23 +70,27 @@ _POWER_ITERATIONS = 200
 
 @dataclass(frozen=True)
 class Augmentation:
-    """Augmentation factor: any A with A'A = lam*I - Q, as A = diag(scale) basis'.
+    """Factor A = C' / sqrt(variance) of lam*I - Q, Q = unit / variance.
 
-    The sweep sees A only through A'z ~ N(A'A cos(phi), A'A), so every
-    such factor gives the same Markov kernel. ``scale`` is an array with
-    one entry per column of ``basis``, or one number for all of them. A
-    sweep applies A as one product with the basis and one scaling, so A is
-    never stored. ``lam_max_estimate`` estimates the top eigenvalue of Q:
-    exact for a ``SpectralAugmentation``, from below for a
-    ``TriangularAugmentation``. ``at(lam)`` is the factor of lam*I - Q for
-    another lam. A chain takes its factor from the caller and never
-    refactors Q itself.
+    C is the lower Cholesky factor of lam*variance*I - unit, kept as
+    ``basis``, and ``scale`` is 1/sqrt(variance). The sweep sees A only
+    through A'z ~ N(A'A cos(phi), A'A), so every A with A'A = lam*I - Q
+    gives the same Markov kernel. A sweep applies A as one product with
+    the basis and one scaling, so A is never stored. ``lam_max_estimate``
+    estimates the top eigenvalue of Q, from below when Q is positive
+    semidefinite; that C exists certifies lam above the top eigenvalue.
+    ``top`` is the unit vector of the power iteration that gave the
+    estimate. A chain takes its factor from the caller and never refactors
+    Q itself.
     """
 
     lam: float
     basis: np.ndarray
-    scale: np.ndarray | float
+    scale: float
     lam_max_estimate: float
+    unit: np.ndarray
+    variance: float
+    top: np.ndarray
 
     @property
     def size(self) -> int:
@@ -98,35 +98,10 @@ class Augmentation:
 
     @property
     def factor(self) -> np.ndarray:
-        """The matrix A = diag(scale) basis', formed anew on every read."""
+        """The matrix A = scale * basis', formed anew on every read."""
         return (self.basis * self.scale).T
 
-
-@dataclass(frozen=True)
-class SpectralAugmentation(Augmentation):
-    """A = diag(sqrt(lam - e)) U' from the eigenpairs (e, U) of Q; ``basis`` is U."""
-
-    eigenvalues: np.ndarray
-
-    def at(self, lam: float) -> "SpectralAugmentation":
-        """The factor of lam*I - Q on the same eigenpairs: a rescale, no ``eigh``."""
-        return spectral_augmentation(self.eigenvalues, self.basis, lam)
-
-
-@dataclass(frozen=True)
-class TriangularAugmentation(Augmentation):
-    """A = C' / sqrt(variance) with C C' = lam*variance*I - unit: Q = unit / variance.
-
-    ``basis`` is the lower-triangular C and ``scale`` 1/sqrt(variance).
-    ``top`` is the unit vector of the power iteration that gave
-    ``lam_max_estimate``; the next kernel value's iteration starts there.
-    """
-
-    unit: np.ndarray
-    variance: float
-    top: np.ndarray
-
-    def at(self, lam: float) -> "TriangularAugmentation":
+    def at(self, lam: float) -> "Augmentation":
         """The factor of lam*I - Q: one Cholesky of lam*variance*I - unit.
 
         Raises ``NumericalError`` when that Cholesky fails, as it does
@@ -143,51 +118,37 @@ class TriangularAugmentation(Augmentation):
         return replace(self, lam=float(lam), basis=C)
 
 
-def spectral_augmentation(e: np.ndarray, U: np.ndarray, lam: float) -> SpectralAugmentation:
-    """Factor A = diag(sqrt(lam - e)) U' of lam*I - U diag(e) U'.
+def make_augmentation(Q, slack: float = DEFAULT_SLACK) -> Augmentation:
+    """Factor lam*I - Q for the symmetric Q at lam = (1 + slack) * estimate.
 
-    ``e`` holds the eigenvalues in any order and ``U`` the eigenvectors as
-    columns; both are kept as given, not copied. At lam = max(e) the top
-    scale is exactly zero. A lam below max(e) by no more than the
-    eigensolver's roundoff, len(e) * eps * |max(e)|, counts as max(e): a
-    lambda_max taken from another decomposition of the same matrix may
-    differ from max(e) by that much.
+    ``kernels.certified_factor`` sets lam and runs the Cholesky; Q is kept
+    as the factor's ``unit``, not copied. An empty Q gives an empty factor.
+    Raises ``NumericalError`` when Q has no positive eigenvalue, or when
+    no lam up to (1 + slack) times its largest absolute row sum factors.
     """
-    if not np.isfinite(lam):
-        raise ValueError("lambda must be finite")
-    lam_max = float(e.max()) if len(e) else 0.0
-    if lam < lam_max - len(e) * np.finfo(float).eps * abs(lam_max):
-        raise NumericalError(f"lambda {lam} is below the top eigenvalue {lam_max}")
-    scale = np.sqrt(np.maximum(lam - e, 0.0))
-    return SpectralAugmentation(float(lam), U, scale, lam_max, e)
-
-
-def slack_augmentation(e: np.ndarray, U: np.ndarray, slack: float) -> SpectralAugmentation:
-    """Factor of the eigenpairs (e, U) at the slack rule lam = (1 + slack) * max(e).
-
-    An empty ``e`` gives an empty factor; otherwise max(e) must be positive.
-    """
+    Q = np.asarray(Q, dtype=float)
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+        raise ValueError("Q must be a square matrix")
+    if not np.isfinite(Q).all():
+        raise NumericalError("Q has a non-finite entry")
     if not (np.isfinite(slack) and slack > 0):
         raise ValueError("slack must be positive")
-    lam_max = e.max() if len(e) else 0.0
-    if len(e) and not lam_max > 0:
-        raise NumericalError("Q has no positive eigenvalue")
-    return spectral_augmentation(e, U, (1.0 + slack) * lam_max)
+    if not len(Q):
+        return Augmentation(0.0, Q, 1.0, 0.0, Q, 1.0, np.zeros(0))
+    try:
+        C, lam, est, top = certified_factor(Q, np.empty_like(Q), slack)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"cannot factor lam*I - Q: {exc}") from None
+    return Augmentation(lam, C, 1.0, est, Q, 1.0, top)
 
 
-def make_augmentation(Q: np.ndarray, slack: float = DEFAULT_SLACK) -> SpectralAugmentation:
-    """Factor lam*I - Q at lam = (1 + slack) * lambda_max(Q), from one ``eigh`` of Q."""
-    return slack_augmentation(*spectrum(Q), slack)
+def augmentation_at(Q, lam: float) -> Augmentation:
+    """Factor lam*I - Q at an explicitly chosen lam above lambda_max(Q).
 
-
-def augmentation_at(Q: np.ndarray, lam: float) -> SpectralAugmentation:
-    """Factor lam*I - Q at an explicitly chosen lam >= lambda_max(Q).
-
-    One ``eigh`` of Q, as in ``make_augmentation``; a factor already built
-    for Q moves to another lambda with ``Augmentation.at`` and no ``eigh``.
+    The same as ``make_augmentation(Q).at(lam)``; a factor already built
+    for Q moves to another lambda with ``Augmentation.at`` alone.
     """
-    e, U = spectrum(Q)
-    return spectral_augmentation(e, U, lam)
+    return make_augmentation(Q).at(lam)
 
 
 def sweep_coefficients(phi: np.ndarray, factors, rho_c, rho_s, rng) -> np.ndarray:

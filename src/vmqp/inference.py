@@ -24,9 +24,9 @@ lengthscales is ``replace(model, w=w')``, with no factorization and no
 new d x d array. The exchange move reads the precision only through
 energies, products of the (2, d) cos/sin block with M1, and the energy
 difference of two models on one M1 takes one such product. Without
-observation noise the latent chain's factor reads the eigenpairs of the
-m x m latent block of M1, from one ``eigh`` when a chain first sweeps on
-that lengthscale value; every sigma2 divides them.
+observation noise the latent chain runs on the factor of the m x m latent
+block of M1, which ``build_param_model`` certifies by Cholesky as it does
+C1, and which every sigma2 divides in the same way.
 
 The normalizer does not depend on the mean direction nu: rotating every
 angle leaves the coupling unchanged. So the fit draws nu exactly from its
@@ -59,8 +59,8 @@ import numpy as np
 
 from .circular import as_generator, cos_sin, normalize_angle, sample_von_mises
 from .errors import NumericalError
-from .gibbs import TriangularAugmentation, redraw, run_sweeps, sweep_coefficients
-from .gibbs import slack_augmentation, DEFAULT_SLACK
+from .gibbs import Augmentation, make_augmentation, redraw, run_sweeps, sweep_coefficients
+from .gibbs import DEFAULT_SLACK
 from .gibbs import gibbs_sweep  # noqa: F401  perfbench/test_perfbench.py reads this binding
 from .kernels import build_gram, kernel_derivatives
 from .model import (
@@ -183,18 +183,19 @@ class ParamModel:
     Gram matrix is sigma2 times the unit-variance one, K1, whose
     precision ``unit`` holds M1 = K1^-1 and whose jitter is
     ``unit_jitter``. ``unit_aug`` factors lam1*I - M1 by its lower
-    Cholesky factor C1. Every part that depends on sigma2 is derived
-    from ``w`` on first read and kept: ``precision`` is M1 / sigma2, and
-    the full-space augmentation factor ``full_aug`` (any A with
-    A'A = lam*I - M) is (C1, 1/sigma) at lam = lam1 / sigma2. So M1 and
+    Cholesky factor C1, and ``unit_latent_aug`` the m x m latent block
+    of M1 in the same way. Every part that depends on sigma2 is derived
+    from ``w``: ``precision`` is M1 / sigma2, and the full-space
+    augmentation factor ``full_aug`` (any A with A'A = lam*I - M) is
+    (C1, 1/sigma) at lam = (1 + slack) * estimate / sigma2, both read
+    once and kept; the latent chain's factor, which ``latent`` gives,
+    divides ``unit_latent_aug`` by the same rule on each call. So M1 and
     C1 are the only d x d arrays the model owns; repeated
     fictitious-sample chains and bridging ladders reuse them, and
     ``replace(model, w=w')`` is the model at any w' with the same
-    lengthscales, sharing ``unit``, ``unit_aug`` and the latent
-    eigenpairs of ``unit``. The Gram matrix itself is not kept, only its
-    diagonal ``jitter``. ``slack`` is the rule lam = (1 + slack) *
-    estimate of full_aug and of the factor of the latent chain, which
-    ``latent`` gives. ``derivatives`` (dK/dp for ``energy_gradient``,
+    lengthscales, sharing ``unit``, ``unit_aug`` and ``unit_latent_aug``
+    and factoring nothing. The Gram matrix itself is not kept, only its
+    diagonal ``jitter``. ``derivatives`` (dK/dp for ``energy_gradient``,
     d x d each) is computed on first read and kept.
     """
 
@@ -203,7 +204,8 @@ class ParamModel:
     unit_jitter: float
     slack: float
     unit: PrecisionModel
-    unit_aug: TriangularAugmentation
+    unit_aug: Augmentation
+    unit_latent_aug: Augmentation
 
     @property
     def size(self) -> int:
@@ -214,10 +216,18 @@ class ParamModel:
         return replace(self.unit, variance=self.w.kernel.variance)
 
     @cached_property
-    def full_aug(self) -> TriangularAugmentation:
+    def full_aug(self) -> Augmentation:
+        return self._at_sigma2(self.unit_aug)
+
+    def _at_sigma2(self, unit_aug: Augmentation) -> Augmentation:
+        """The factor of a unit-variance factor's Q / sigma2: no factorization.
+
+        The basis is shared, the scale is 1/sigma and lam = (1 + slack) *
+        estimate / sigma2, the estimate of Q / sigma2.
+        """
         v = self.w.kernel.variance
-        est = self.unit_aug.lam_max_estimate / v
-        return replace(self.unit_aug, lam=(1.0 + self.slack) * est, scale=1.0 / math.sqrt(v),
+        est = unit_aug.lam_max_estimate / v
+        return replace(unit_aug, lam=(1.0 + self.slack) * est, scale=1.0 / math.sqrt(v),
                        lam_max_estimate=est, variance=v)
 
     @property
@@ -231,19 +241,16 @@ class ParamModel:
         """Target and factor (cp, aug) of the latent chain given the observed angles.
 
         Without observation noise the chain runs over the m prediction
-        angles: ``conditional_params`` given theta, on the eigenpairs
-        (e1 / sigma2, U1) of the latent block of M, with (e1, U1) the
-        ``latent_eigenpairs`` of ``unit``, at the model's slack (a rescale
-        per call, one ``eigh`` per lengthscale value). With noisy
+        angles: ``conditional_params`` given theta, on ``unit_latent_aug``
+        divided by sigma2 as ``full_aug`` divides ``unit_aug``, so a call
+        factors nothing. With noisy
         observations (chi present) it runs over all d angles on
         ``full_aug``: the prior terms of ``full_state_params`` plus
         chi * (cos theta, sin theta) on the observed coordinates.
         """
         pm, chi = self.precision, self.w.noise_concentration
         if chi is None:
-            e, U = self.unit.latent_eigenpairs
-            aug = slack_augmentation(e / self.w.kernel.variance, U, self.slack)
-            return conditional_params(pm, theta, self.w), aug
+            return conditional_params(pm, theta, self.w), self._at_sigma2(self.unit_latent_aug)
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (pm.n_observed,):
             raise ValueError(f"expected {pm.n_observed} observed angles, got {theta.shape}")
@@ -282,17 +289,20 @@ def build_param_model(
     ``build_gram`` runs on the kernel at variance 1, its power iteration
     starting at the unit vector ``start`` when one is given (the current
     model's ``unit_aug.top`` in a fit); the model divides by sigma2 on
-    read, and K itself is dropped.
+    read, and K itself is dropped. The latent block of the unit precision
+    is factored here too, by ``make_augmentation`` at ``slack``; with no
+    latent angle that factor is empty.
     """
     X = np.asarray(locations, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     gram = build_gram(replace(w.kernel, variance=1.0), X, slack, start)
     unit = build_precision(gram, n_latent, X.shape[0] - n_latent)
-    unit_aug = TriangularAugmentation(
+    unit_aug = Augmentation(
         gram.lam, gram.factor, 1.0, gram.lam_max_estimate, gram.precision, 1.0, gram.top
     )
-    return ParamModel(w, X, gram.jitter, slack, unit, unit_aug)
+    latent_aug = make_augmentation(unit.latent_block, slack)
+    return ParamModel(w, X, gram.jitter, slack, unit, unit_aug, latent_aug)
 
 
 def full_states(model: ParamModel, latent, theta) -> np.ndarray:

@@ -8,7 +8,10 @@ precision M = L^-T L^-1, and the lower Cholesky factor of lam*I - M for
 the augmented Gibbs sampler, at lam just above a power-iteration estimate
 of lambda_max(M). That second Cholesky succeeds only if lam is above
 lambda_max(M), so the factor is exact whatever the estimate, and it
-certifies the smallest eigenvalue of K for the jitter policy.
+certifies the smallest eigenvalue of K for the jitter policy. The loop
+that sets lam and runs that Cholesky, ``certified_factor``, builds every
+augmentation factor of the package: ``gibbs.make_augmentation`` runs it on
+a latent block.
 """
 
 from __future__ import annotations
@@ -210,18 +213,21 @@ def lower_inverse(L: np.ndarray) -> np.ndarray:
 
 
 def _top_eigenvalue(M: np.ndarray, v, rtol: float) -> tuple:
-    """Power iteration on the positive-definite M from the unit vector v.
+    """Power iteration on the symmetric M from the unit vector v.
 
-    Returns |M v| at the last unit vector v, which rises with every step
-    and stays below lambda_max(M), and the next unit vector M v / |M v|.
-    Without v it starts at a fixed Gaussian vector, which meets every
-    eigenvector of M.
+    Returns |M v| at the last unit vector v and the next unit vector
+    M v / |M v|. For a positive semidefinite M the estimate rises with
+    every step and stays below lambda_max(M). Without v it starts at a
+    fixed Gaussian vector, which meets every eigenvector of M. A v with
+    M v = 0 returns (0, v).
     """
     if v is None:
         v = np.random.default_rng(0).standard_normal(M.shape[0])
         v /= np.linalg.norm(v)
     x = M @ v
     est = np.linalg.norm(x)
+    if not est > 0:  # for a symmetric M no later iterate is zero
+        return 0.0, v
     for _ in range(POWER_STEPS):
         v = x / est
         x = M @ v
@@ -238,44 +244,66 @@ def _jittered(spec: KernelSpec, X: np.ndarray, jitter: float) -> np.ndarray:
     return K
 
 
-def _certified_gram(spec: KernelSpec, X: np.ndarray, jitter: float, slack: float, start) -> GramMatrix:
-    """The ``GramMatrix`` at one jitter rung; ``np.linalg.LinAlgError`` if the rung fails.
+def certified_factor(M: np.ndarray, G: np.ndarray, slack: float, start=None) -> tuple:
+    """Lower Cholesky factor C of lam*I - M at the slack rule, and its certificate.
 
-    M = L^-T L^-1 (``Li.T @ Li`` is one symmetric rank-k product), and K
-    is freed once L is known. A Cholesky of lam*I - M that fails
-    multiplies lam by (1 + slack) and retries, taking the failed lam as
-    the estimate; after the first failure from a ``start`` vector, the
-    power iteration also runs once from the cold start, and a larger
-    estimate replaces it. Past (1 + slack) times the largest absolute row
-    sum of M, a bound on lambda_max(M), the rung fails. So does a rung whose K
-    has no Cholesky factor, or whose 1/lam, a lower bound on the smallest
-    eigenvalue of K, is not above n * eps times the largest row sum of K.
+    lam = (1 + slack) * est, with est the power-iteration estimate of
+    lambda_max(M) from the unit vector ``start`` (a fixed cold start
+    without one). ``G``, a buffer of M's shape that shares no memory with
+    M, ends up holding lam*I - M. A Cholesky that fails multiplies lam by
+    (1 + slack) and retries, taking the failed lam as the estimate; after
+    the first failure from a ``start`` vector, the power iteration also
+    runs once from the cold start, and a larger estimate replaces it. The
+    Cholesky that succeeds certifies lam > lambda_max(M), so C is exact
+    whatever the estimate. Returns (C, lam, est, top), ``top`` the unit
+    vector the iteration reached.
+
+    Raises ``np.linalg.LinAlgError`` when M shows no positive eigenvalue,
+    a Rayleigh quotient at ``top`` that is not positive (exact for a
+    positive or a negative semidefinite M; it also rules out a zero
+    estimate). So lam starts positive and every retry raises it; past
+    (1 + slack) times the largest absolute row sum of M, a bound on
+    lambda_max(M), the Cholesky has failed for a reason lam cannot mend,
+    and it raises too.
     """
-    K = _jittered(spec, X, jitter)
-    floor = len(K) * np.finfo(float).eps * K.sum(axis=1).max()  # K's entries are positive
-    Li = lower_inverse(np.linalg.cholesky(K))
-    del K
-    M = Li.T @ Li
     est, top = _top_eigenvalue(M, start, slack / 100.0)
+    if not top @ (M @ top) > 0:
+        raise np.linalg.LinAlgError("no positive eigenvalue")
     bound = None
-    G = Li  # its buffer now holds lam*I - M
     while True:
         lam = (1.0 + slack) * est
         np.negative(M, out=G)
         G.flat[:: len(G) + 1] += lam
         try:
-            C = np.linalg.cholesky(G)
-            break
+            return np.linalg.cholesky(G), lam, est, top
         except np.linalg.LinAlgError:
             bound = np.abs(M).sum(axis=1).max() if bound is None else bound
             if not lam <= (1.0 + slack) * bound:
-                raise
+                raise np.linalg.LinAlgError(f"no Cholesky factor of lam*I - M up to lam = {lam}") from None
             est = lam
             if start is not None:  # it may sit near a vector that is no longer the top one
                 start = None
                 cold, cold_top = _top_eigenvalue(M, None, slack / 100.0)
                 if cold > est:
                     est, top = cold, cold_top
+
+
+def _certified_gram(spec: KernelSpec, X: np.ndarray, jitter: float, slack: float, start) -> GramMatrix:
+    """The ``GramMatrix`` at one jitter rung; ``np.linalg.LinAlgError`` if the rung fails.
+
+    M = L^-T L^-1 (``Li.T @ Li`` is one symmetric rank-k product), and K
+    is freed once L is known; ``certified_factor`` factors lam*I - M in
+    the buffer of L^-1. The rung fails when K has no Cholesky factor,
+    when ``certified_factor`` fails, or when 1/lam, a lower bound on the
+    smallest eigenvalue of K, is not above n * eps times the largest row
+    sum of K.
+    """
+    K = _jittered(spec, X, jitter)
+    floor = len(K) * np.finfo(float).eps * K.sum(axis=1).max()  # K's entries are positive
+    Li = lower_inverse(np.linalg.cholesky(K))
+    del K
+    M = Li.T @ Li
+    C, lam, est, top = certified_factor(M, Li, slack, start)
     if not 1.0 / lam > floor:
         raise np.linalg.LinAlgError("kernel matrix ill-conditioned at this jitter")
     return GramMatrix(spec, X, jitter, M, C, lam, est, top)

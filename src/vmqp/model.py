@@ -13,12 +13,10 @@ here: ``inference.ParamModel.latent`` adds its pulls to those prior terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .circular import cos_sin, normalize_angle
-from .errors import NumericalError
 from .kernels import GramMatrix, KernelSpec
 
 
@@ -57,9 +55,7 @@ class PrecisionModel:
     models that differ only in the variance share it and no product forms
     M itself. Every product with M reads it and divides by ``variance``:
     the quadratic forms of ``energy``, the m x m ``latent_block``, the pull
-    of ``conditional_params`` and the products of ``energy_gradient``. The
-    eigenpairs of the latent block, ``latent_eigenpairs``, cost one
-    ``eigh`` of size m on first read.
+    of ``conditional_params`` and the products of ``energy_gradient``.
     """
 
     unit_matrix: np.ndarray
@@ -82,24 +78,6 @@ class PrecisionModel:
         m = self.n_latent
         return self.unit_matrix[:m, :m] / self.variance
 
-    @cached_property
-    def latent_eigenpairs(self) -> tuple:
-        """Ascending eigenpairs (e, U) of ``latent_block``: one ``eigh``, on first read."""
-        return spectrum(self.latent_block)
-
-
-def spectrum(Q) -> tuple:
-    """Ascending eigenpairs (e, U) of the symmetric matrix Q."""
-    Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise ValueError("Q must be a square matrix")
-    if not np.isfinite(Q).all():
-        raise NumericalError("Q has a non-finite entry")
-    try:
-        return np.linalg.eigh(Q)
-    except np.linalg.LinAlgError:
-        raise NumericalError("eigendecomposition of Q failed") from None
-
 
 @dataclass(frozen=True)
 class ConditionalParams:
@@ -110,7 +88,7 @@ class ConditionalParams:
         - cos(phi)' Q cos(phi) / 2 - sin(phi)' Q sin(phi) / 2).
     Only the linear terms are kept here. The coupling Q lives in the
     augmentation factor of lam*I - Q that a chain runs on: that of the
-    ``latent_eigenpairs`` of a ``PrecisionModel``, or of its whole M.
+    ``latent_block`` of a ``PrecisionModel``, or of its whole M.
     """
 
     rho_c: np.ndarray

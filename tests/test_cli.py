@@ -404,6 +404,7 @@ CONFIG_ERRORS = [
     ("diagnose", "sweep_seeds = 0\n"),
     ("diagnose", "lambda_multipliers = 2.0, 0.5\n"),
     ("diagnose", "lambda_multipliers = 1.01, nan\n"),
+    ("diagnose", "lambda_multipliers = 1.0\n"),
     ("diagnose", "chi = 4.0\nslack = 0.5\nlambda_multipliers = 1.2, 2.0\n"),
     ("sample", "seed = -1\n"),
     ("fit", "kernel_family = gaussian\nkernel_gradient_lengthscale = 0.7\n"),
@@ -477,8 +478,8 @@ def test_cli_runs_never_form_the_whole_precision(tmp_path, monkeypatch, chi):
 
 @pytest.mark.parametrize("chi", ["", "chi = 4.0\n"], ids=["plain", "chi"])
 def test_cli_runs_call_no_eigh_of_size_d(tmp_path, monkeypatch, chi):
-    # fit, sample and diagnose factor every full-space matrix by Cholesky:
-    # the only eigh calls are of latent blocks (size 2 here), none under chi
+    # fit, sample and diagnose factor every matrix by Cholesky, the latent
+    # blocks too: no eigh at all, with chi unset or set
     eighs = recording_eighs(monkeypatch)
     data = make_generic(tmp_path / "d.csv", n_obs=6, n_pred=2)
     configs = (("fit", FIT_CONFIG + "bridge_levels = 1\n"),
@@ -488,8 +489,7 @@ def test_cli_runs_call_no_eigh_of_size_d(tmp_path, monkeypatch, chi):
         cfg = write(tmp_path / f"{command}.cfg", config + chi)
         assert run([command, "--config", cfg, "--data", data,
                     "--out", str(tmp_path / command)]) == 0
-        sizes = {n for n, _ in eighs}
-        assert sizes == (set() if chi else {2}), command
+        assert eighs == [], command
 
 
 @pytest.mark.parametrize("levels", [0, 2])
@@ -540,7 +540,8 @@ def test_cli_fit_runs_at_the_configured_slack(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "build_param_model", recording_build)
     monkeypatch.setattr(inference, "build_param_model", recording_build)
     factors = recording_sweeps(monkeypatch)
-    cfg = write(tmp_path / "run.cfg", FIT_CONFIG + "slack = 0.5\n")
+    # every lambda multiplier must be >= 1 + slack, whichever command reads the config
+    cfg = write(tmp_path / "run.cfg", FIT_CONFIG + "slack = 0.5\nlambda_multipliers = 1.5\n")
     data = make_generic(tmp_path / "d.csv", n_obs=6, n_pred=2)
     assert run(["fit", "--config", cfg, "--data", data, "--out", str(tmp_path / "o")]) == 0
     (model,) = given
@@ -659,40 +660,49 @@ def test_cli_split_keeps_the_angles_of_a_fixed_schema(tmp_path, schema):
 
 
 def test_cli_diagnose_factors_once_per_multiplier(tmp_path, monkeypatch):
-    # one eigh of the latent coupling in all of diagnose: each multiplier's
-    # factor, shared by every sweep seed, is a rescale of its eigenpairs to
-    # multiplier * lambda_max, and the CD chains run on the same eigenpairs
+    # one latent factorization in all of diagnose, at the slack rule; each
+    # multiplier's factor, shared by every sweep seed, is one Cholesky of
+    # the latent coupling at multiplier * estimate, and the CD chains run
+    # on the latent factor itself
     import vmqp.cli as cli
+    import vmqp.gibbs as gibbs
+    import vmqp.inference as inference
 
-    eighs, factors, sweeps = [], [], recording_sweeps(monkeypatch)
+    latent, moves, factors, sweeps = [], [], [], recording_sweeps(monkeypatch)
 
-    def recording_eigh(a, *args, **kwargs):
-        eighs.append((np.array(a), eigh(a, *args, **kwargs)))
-        return eighs[-1][1]
+    def factoring(Q, slack):
+        latent.append(make_augmentation(Q, slack))
+        return latent[-1]
+
+    def moving(aug, lam):
+        moves.append(at(aug, lam))
+        return moves[-1]
 
     def recording_chain(cp, aug, *args, **kwargs):
         factors.append(aug)
         return run_chain(cp, aug, *args, **kwargs)
 
-    eigh, run_chain = np.linalg.eigh, cli.run_chain
-    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    make_augmentation, at, run_chain = inference.make_augmentation, gibbs.Augmentation.at, cli.run_chain
+    monkeypatch.setattr(inference, "make_augmentation", factoring)
+    monkeypatch.setattr(gibbs.Augmentation, "at", moving)
     monkeypatch.setattr(cli, "run_chain", recording_chain)
     cfg = write(tmp_path / "run.cfg", DIAG_CONFIG.replace(
         "lambda_multipliers = 1.5", "lambda_multipliers = 1.5, 3.0"))
     data = make_generic(tmp_path / "d.csv", n_obs=5, n_pred=2)
     assert run(["diagnose", "--config", cfg, "--data", data,
                 "--out", str(tmp_path / "o")]) == 0
-    latent = [(Q, result) for Q, result in eighs if Q.shape == (2, 2)]
-    assert len(latent) == 1 and len(eighs) == 1  # and none of the Gram matrix
-    Q, (e, U) = latent[0]
-    assert len(factors) == 2
+    assert len(latent) == 1 and latent[0].size == 2
+    unit = latent[0]
+    Q = unit.unit  # the latent block at variance 1, the config's kernel_variance
+    assert unit.lam_max_estimate <= np.linalg.eigvalsh(Q)[-1] < unit.lam == 1.01 * unit.lam_max_estimate
+    # one Cholesky per multiplier, whose factor all its seeds share
+    assert len(factors) == len(moves) == 2 and all(f is g for f, g in zip(factors, moves))
     for aug, mult in zip(factors, (1.5, 3.0)):
-        assert aug.basis is U
-        assert aug.lam == mult * e[-1]
-        assert aug.lam == pytest.approx(mult * np.linalg.eigvalsh(Q)[-1], rel=1e-12)
+        assert aug.unit is Q and aug.lam == mult * unit.lam_max_estimate
+        assert np.max(np.abs(aug.factor.T @ aug.factor + Q - aug.lam * np.eye(2))) < 1e-12 * aug.lam
     cd_factors = [aug for aug in sweeps if aug.size == 2]  # the other is the full-space one
-    assert len(sweeps) == 2 and len(cd_factors) == 1 and cd_factors[0].basis is U
-    assert cd_factors[0].lam == pytest.approx(1.01 * e[-1], rel=1e-15)
+    assert len(sweeps) == 2 and len(cd_factors) == 1 and cd_factors[0].basis is unit.basis
+    assert cd_factors[0].lam == 1.01 * unit.lam_max_estimate
 
 
 def test_cli_anisotropic_fit_writes_the_scales_of_its_trace(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -5,7 +7,7 @@ from scipy.stats import kstest
 
 from vmqp.errors import NumericalError
 from vmqp.gibbs import (
-    TriangularAugmentation,
+    Augmentation,
     augmentation_at,
     gibbs_sweep,
     make_augmentation,
@@ -37,11 +39,10 @@ def test_make_augmentation_reconstruction(rng):
     Q = B @ B.T
     aug = make_augmentation(Q)
     gap = aug.factor.T @ aug.factor
-    assert np.max(np.abs(gap + Q - aug.lam * np.eye(6))) < 1e-8
-    # lambda_max is exact, not an estimate
+    assert np.max(np.abs(gap + Q - aug.lam * np.eye(6))) < 1e-12 * aug.lam
+    # lambda_max is estimated from below, and the Cholesky certifies lam above it
     top = np.linalg.eigvalsh(Q)[-1]
-    assert aug.lam_max_estimate == pytest.approx(top, rel=1e-12)
-    assert aug.lam == pytest.approx(1.01 * top, rel=1e-12)
+    assert aug.lam_max_estimate <= top < aug.lam == 1.01 * aug.lam_max_estimate
 
 
 def test_make_augmentation_validation():
@@ -51,54 +52,42 @@ def test_make_augmentation_validation():
         make_augmentation(np.eye(2), slack=0.0)
 
 
-def test_augmentation_at_exact_top_eigenvalue():
-    Q = np.diag([2.0, 1.0])
-    aug = augmentation_at(Q, 2.0)
-    assert aug.lam == pytest.approx(2.0)
-    gap = aug.factor.T @ aug.factor
-    assert np.max(np.abs(gap + Q - 2.0 * np.eye(2))) < 1e-10
-
-
 def test_augmentation_at_below_top_raises():
     with pytest.raises(NumericalError):
         augmentation_at(np.diag([2.0, 1.0]), 1.5)
 
 
-def test_augmentation_at_accepts_a_top_eigenvalue_within_roundoff(rng):
-    # a lambda_max from another decomposition of Q may undershoot the one
-    # eigh finds by roundoff; that still factors, with a zero top row
-    B = rng.standard_normal((40, 40))
-    Q = B @ B.T / 40
-    top = np.linalg.eigvalsh(Q)[-1]
-    aug = augmentation_at(Q, top * (1.0 - 1e-15))
-    assert np.min(np.linalg.norm(aug.factor, axis=1)) == 0.0
-    assert np.max(np.abs(aug.factor.T @ aug.factor + Q - aug.lam * np.eye(40))) < 1e-12 * top
-    with pytest.raises(NumericalError):
-        augmentation_at(Q, top * (1.0 - 1e-9))
-
-
 @pytest.mark.parametrize("mult", [1.0, 1.01, 5.0])
 def test_rescaled_factor_shares_the_eigenpairs(rng, mult):
-    # moving a factor to another lambda runs no eigh: the eigenpairs are
-    # the same objects, and the factor is the one augmentation_at builds
+    # moving a factor to mult times its lambda runs one Cholesky of the
+    # coupling it keeps (the same object), with no power iteration: the
+    # estimate and its vector carry over, and at the same lambda the
+    # factor keeps its bits; the factor is the one augmentation_at builds
     B = rng.standard_normal((30, 30))
     Q = B @ B.T / 30 + np.eye(30)
     aug = make_augmentation(Q)
-    moved = aug.at(mult * aug.lam_max_estimate)
-    assert moved.basis is aug.basis and moved.eigenvalues is aug.eigenvalues
-    assert moved.lam == mult * aug.lam_max_estimate
+    moved = aug.at(mult * aug.lam)
+    assert moved.unit is aug.unit is Q and moved.top is aug.top
+    assert moved.lam == mult * aug.lam
     assert moved.lam_max_estimate == aug.lam_max_estimate
+    if mult == 1.0:
+        assert np.array_equal(moved.basis, aug.basis)
     ref = augmentation_at(Q, moved.lam)
-    assert np.max(np.abs(moved.factor.T @ moved.factor - ref.factor.T @ ref.factor)) < 1e-12 * moved.lam
+    assert np.array_equal(moved.basis, ref.basis)
     assert np.max(np.abs(moved.factor.T @ moved.factor + Q - moved.lam * np.eye(30))) < 1e-12 * moved.lam
     with pytest.raises(NumericalError):
         aug.at(0.5 * aug.lam_max_estimate)
 
 
 def test_factor_is_formed_from_scale_and_eigenvectors():
-    aug = make_augmentation(np.diag([1.0, 3.0]), slack=1.0)  # lam = 6
-    assert np.array_equal(aug.scale, np.sqrt([5.0, 3.0]))
-    assert np.array_equal(aug.factor, aug.scale[:, None] * aug.basis.T)
+    # the factor is scale * basis', basis the lower Cholesky factor of
+    # lam*variance*I - unit; a diagonal Q gives a diagonal basis
+    aug = make_augmentation(np.diag([1.0, 3.0]), slack=1.0)  # lam = 2 * estimate
+    assert aug.lam == 2.0 * aug.lam_max_estimate and aug.lam_max_estimate <= 3.0 < aug.lam
+    assert np.array_equal(aug.basis, np.diag(np.sqrt(aug.lam - np.array([1.0, 3.0]))))
+    assert np.array_equal(aug.factor, aug.scale * aug.basis.T)
+    half = replace(aug, scale=0.5)
+    assert np.array_equal(half.factor, 0.5 * aug.basis.T)
     assert aug.factor is not aug.factor  # a fresh array per read, never kept
     assert aug.size == 2
 
@@ -110,7 +99,7 @@ def test_triangular_factor_of_a_scaled_coupling(rng, variance):
     B = rng.standard_normal((20, 20))
     unit = B @ B.T / 20
     Q, top = unit / variance, np.linalg.eigvalsh(unit)[-1] / variance
-    ref = TriangularAugmentation(np.nan, None, 1.0 / np.sqrt(variance), top, unit, variance, None)
+    ref = Augmentation(np.nan, None, 1.0 / np.sqrt(variance), top, unit, variance, None)
     for mult in (1.01, 3.0):
         aug = ref.at(mult * top)
         assert aug.lam == mult * top and aug.lam_max_estimate == top and aug.unit is unit
@@ -124,11 +113,16 @@ def test_triangular_factor_of_a_scaled_coupling(rng, variance):
 def test_exact_top_eigenvalue_above_512():
     # Q = I + 2uu' with u = (e1 - e2)/sqrt(2) has top eigenvalue 3; u is
     # orthogonal to the all-ones vector, so a power iteration started
-    # there never sees it
+    # there would never see it. The estimate is below 3, the certified
+    # lam above it, and the factor reconstructs lam*I - Q
     Q = np.eye(600)
     Q[:2, :2] += np.array([[1.0, -1.0], [-1.0, 1.0]])
-    assert make_augmentation(Q).lam == pytest.approx(1.01 * 3.0, rel=1e-12)
-    assert augmentation_at(Q, 3.0).lam_max_estimate == pytest.approx(3.0, rel=1e-12)
+    aug = make_augmentation(Q)
+    assert aug.lam_max_estimate <= 3.0 < aug.lam == 1.01 * aug.lam_max_estimate
+    assert aug.lam < 1.01 * 1.01 * 3.0
+    assert np.max(np.abs(aug.factor.T @ aug.factor + Q - aug.lam * np.eye(600))) < 1e-12 * aug.lam
+    with pytest.raises(NumericalError):
+        augmentation_at(Q, 3.0 * (1.0 - 1e-9))
 
 
 @pytest.mark.parametrize(
@@ -160,13 +154,19 @@ def test_augmentation_input_checks(build, error, match):
             build()
 
 
-def test_eigh_failure_is_a_numerical_error(monkeypatch):
-    def failing(a):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+def test_cholesky_failure_is_a_numerical_error(monkeypatch):
+    # a Cholesky that never succeeds ends the slack retries at the
+    # row-sum bound of Q
+    calls = []
 
-    monkeypatch.setattr(np.linalg, "eigh", failing)
-    with pytest.raises(NumericalError):
-        make_augmentation(np.eye(2))
+    def failing(a):
+        calls.append(a)
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    with pytest.raises(NumericalError, match="no Cholesky factor"):
+        make_augmentation(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    assert 1 < len(calls) < 100
 
 
 def test_redraw_examples(monkeypatch):
@@ -353,14 +353,14 @@ def test_reflection_sweep_reflects_about_the_conditional_mean(monkeypatch):
 
 
 def test_reflection_at_zero_concentration_maps_phi_to_minus_phi():
-    # no pull and lam = lam_max give b = 0: a = 0, gamma = 0
-    aug = augmentation_at(np.array([[2.0]]), 2.0)
-    assert aug.scale[0] == 0.0
-    cp = ConditionalParams(np.zeros(1), np.zeros(1))
+    # b = 0 gives a = 0 and gamma = 0, and reads no random state
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
     phi = np.array([[0.3], [-2.0], [np.pi], [0.0]])
-    got = gibbs_sweep(phi, aug, cp, 0, reflect=True)
+    got = redraw(phi, np.zeros((2,) + phi.shape), rng, reflect=True)
     assert np.array_equal(got, normalize_angle(-phi))
     assert got[2, 0] == np.pi  # -pi wraps to pi
+    assert rng.bit_generator.state == state
 
 
 def test_run_sweeps_keeps_the_requested_states(rng):

@@ -28,7 +28,7 @@ from vmqp.inference import (
     propose,
     sample_fictitious,
 )
-from vmqp.gibbs import slack_augmentation
+from vmqp.gibbs import make_augmentation
 from vmqp.kernels import GramMatrix, KernelSpec, build_gram, kernel_derivatives, kernel_matrix
 from vmqp.circular import circular_summary, sample_von_mises
 from vmqp.model import ParamVector, PrecisionModel, build_precision, energy, full_state_params
@@ -482,25 +482,26 @@ def test_chain_lengths_are_checked(kwargs, rng):
 
 
 def test_cd_gradient_factors_its_latent_chain_at_the_model_slack(monkeypatch, rng):
-    # one eigh of the 2 x 2 latent block; the latent chain runs on its
-    # eigenpairs at the slack of the model, after the full-space chain
+    # the latent chain runs on the model's factor of the 2 x 2 latent
+    # block, at the slack of the model, after the full-space chain; it
+    # factors nothing
     w = ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3)
     model = build_param_model(w, np.linspace(0.0, 3.0, 5)[:, None], 2, slack=0.5)
     eighs, factors = recording_eighs(monkeypatch), recording_sweeps(monkeypatch)
+    cholesky = []
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a, _c=np.linalg.cholesky: cholesky.append(a) or _c(a))
     cd_gradient(np.array([0.2, -0.4, 0.9]), model, 3, rng, burn_sweeps=2)
-    assert [n for n, _ in eighs] == [2]
+    assert eighs == [] and cholesky == []
     full, aug = factors
     assert full is model.full_aug
-    assert aug.size == 2 and aug.basis is eighs[0][1][1]
-    assert aug.lam == pytest.approx(1.5 * aug.lam_max_estimate)
-    assert aug.lam_max_estimate == pytest.approx(
-        np.linalg.eigvalsh(model.precision.latent_block)[-1]
-    )
+    assert aug.size == 2 and aug.basis is model.unit_latent_aug.basis
+    assert aug.lam == 1.5 * aug.lam_max_estimate
+    assert aug.lam_max_estimate <= np.linalg.eigvalsh(model.precision.latent_block)[-1] < aug.lam
 
 
 def test_cd_gradient_runs_on_a_given_latent_factor(monkeypatch, rng):
-    # the latent chain runs on the factor the model holds: once a caller has
-    # read it, cd_gradient runs no eigh, and gives the bits of a fresh model
+    # the latent chain runs on the factor the model holds: cd_gradient
+    # runs no eigh, and gives the bits of a fresh model
     w = ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3)
     locations = np.linspace(0.0, 3.0, 5)[:, None]
     model = build_param_model(w, locations, 2, slack=0.5)
@@ -593,22 +594,48 @@ def test_model_is_sigma2_times_the_unit_variance_model(sigma2, rng):
         assert model.energy(phi) == pytest.approx(energy(phi, w, direct), rel=1e-12)
     theta = rng.uniform(-np.pi, np.pi, d - m)
     aug = model.latent(theta)[1]
-    ref = slack_augmentation(*direct.latent_eigenpairs, slack)
-    assert np.allclose(aug.eigenvalues, ref.eigenvalues, rtol=1e-12, atol=0)
-    assert aug.lam == pytest.approx(ref.lam, rel=1e-12)
-    gap = aug.factor.T @ aug.factor
-    assert np.max(np.abs(gap - ref.factor.T @ ref.factor)) <= 1e-12 * ref.lam
+    Q = direct.latent_block
+    assert np.max(np.abs(aug.factor.T @ aug.factor + Q - aug.lam * np.eye(m))) <= 1e-12 * aug.lam
+    assert aug.lam_max_estimate <= np.linalg.eigvalsh(Q)[-1] < aug.lam
+    assert aug.lam == (1.0 + slack) * aug.lam_max_estimate
+    # the direct block's own factor reaches the same estimate
+    assert aug.lam == pytest.approx(make_augmentation(Q, slack).lam, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [4, 40, 300])
+def test_latent_factor_is_a_certified_cholesky_of_the_latent_block(d, monkeypatch, rng):
+    # without chi the latent chain's factor has A'A = lam*I - M[:m, :m] at
+    # sigma2 != 1; its estimate is below lambda_max and lam = (1 + slack) *
+    # estimate above it; a sigma2 move shares its basis and runs no Cholesky
+    m, slack = max(2, d // 5), 0.01
+    X = np.linspace(0.0, 0.3 * d, d)[:, None]
+    w = ParamVector(KernelSpec("exponential", 2.5, 1.2), 0.5, 0.2)
+    model = build_param_model(w, X, m, slack)
+    theta = rng.uniform(-np.pi, np.pi, d - m)
+    aug = model.latent(theta)[1]
+    Q = model.precision.matrix[:m, :m]
+    assert aug.size == m and aug.variance == 2.5
+    assert np.max(np.abs(aug.factor.T @ aug.factor + Q - aug.lam * np.eye(m))) <= 1e-12 * aug.lam
+    assert aug.lam_max_estimate <= np.linalg.eigvalsh(Q)[-1] < aug.lam
+    assert aug.lam == (1.0 + slack) * aug.lam_max_estimate
+    cholesky = []
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a, _c=np.linalg.cholesky: cholesky.append(a) or _c(a))
+    moved = replace(model, w=ParamVector(replace(w.kernel, variance=0.7), 0.5, 0.2)).latent(theta)[1]
+    assert moved.basis is aug.basis is model.unit_latent_aug.basis
+    assert moved.lam_max_estimate == model.unit_latent_aug.lam_max_estimate / 0.7
+    assert moved.scale == 1.0 / math.sqrt(0.7)
+    assert cholesky == []
 
 
 def test_variance_move_rescales_the_model_with_no_eigh(monkeypatch, rng):
     # a sigma2-only exchange move keeps the lengthscale bits, the unit
-    # precision, its Cholesky factor and latent eigenpairs, and factors nothing
+    # precision and the Cholesky factors of M1 and of its latent block, and
+    # factors nothing
     d, m = 12, 3
     w = ParamVector(KernelSpec("anisotropic_gaussian", 1.0, 1.1, 0.7), 0.5, 0.3)
     X = np.column_stack([np.linspace(0.0, 6.0, d), np.arange(d) % 3])
     model = build_param_model(w, X, m)
     theta = rng.uniform(-np.pi, np.pi, d - m)
-    model.latent(theta)  # the one latent eigh, before recording
     eighs, cholesky = recording_eighs(monkeypatch), []
     monkeypatch.setattr(np.linalg, "cholesky", lambda a, _c=np.linalg.cholesky: cholesky.append(a) or _c(a))
     results = [
@@ -619,7 +646,8 @@ def test_variance_move_rescales_the_model_with_no_eigh(monkeypatch, rng):
     accepted = [res.model for res in results if res.accepted]
     assert accepted
     for moved in accepted:
-        moved.latent(theta)
+        aug = moved.latent(theta)[1]
+        assert aug.basis is model.unit_latent_aug.basis and aug.variance == moved.w.kernel.variance
         k, k0 = moved.w.kernel, w.kernel
         assert k.variance != k0.variance
         assert (k.lengthscale, k.gradient_lengthscale) == (k0.lengthscale, k0.gradient_lengthscale)
@@ -674,7 +702,6 @@ def test_mean_block_dmh_reuses_the_current_model(monkeypatch, rng):
     # at the new w, on its unit precision and factor, with no factorization
     w = ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3)
     model = build_param_model(w, np.linspace(0.0, 3.0, 6)[:, None], 2)
-    model.latent(np.zeros(4))  # the one latent eigh, before recording
 
     def no_build(*args, **kwargs):
         raise AssertionError("a mean-block move rebuilt the model")
@@ -709,13 +736,12 @@ def test_mean_block_dmh_reuses_the_current_model(monkeypatch, rng):
 
 
 def test_fit_keeps_latent_augmentation_after_mean_moves(monkeypatch, rng):
-    # only lengthscale moves change the eigenpairs of the unit-variance
-    # latent block (a sigma2 or kappa move divides them, a nu draw keeps
-    # them), so it is decomposed once plus once per accepted lengthscale
-    # move that the latent chain sweeps on: each iteration sweeps before
-    # its exchange move, so a move accepted in the last one is never
-    # decomposed
-    eighs, steps = recording_eighs(monkeypatch), []
+    # only lengthscale moves change the factor of the unit-variance latent
+    # block (a sigma2 or kappa move divides it, a nu draw keeps it), so the
+    # latent chain sweeps on one basis plus one per accepted lengthscale
+    # move: each iteration sweeps before its exchange move, so a move
+    # accepted in the last one is never swept on
+    sweeps, steps = recording_sweeps(monkeypatch), []
     dmh = inference.dmh_step
 
     def stepping(*args, **kwargs):
@@ -736,40 +762,44 @@ def test_fit_keeps_latent_augmentation_after_mean_moves(monkeypatch, rng):
     assert len(set(out.param_trace[:, -1])) == len(out.param_trace)
     lengthscale = [res.accepted for block, res in steps if block == halves[1]]
     assert sum(lengthscale) == out.outcomes["lengthscale"]["accepted"]
-    assert [n for n, _ in eighs].count(2) == 1 + sum(lengthscale[:-1])
+    bases = {id(aug.basis) for aug in sweeps if aug.size == 2}
+    assert len(bases) == 1 + sum(lengthscale[:-1])
 
 
-def test_latent_eigenpairs_are_one_eigh_per_kernel_value(monkeypatch, rng):
-    # a mean-moved model shares the precision, and so the latent eigenpairs,
-    # of its parent; a fit runs one eigh of size m per lengthscale value its
-    # latent chain swept on, and sweeps on every one it runs: a sigma2 move
-    # keeps the unit-variance eigenpairs and rescales the factor
+def test_latent_factor_is_one_factorization_per_kernel_value(monkeypatch, rng):
+    # a mean-moved model shares the latent factor of its parent; a fit
+    # factors the latent block once per model it builds, one per
+    # lengthscale value, and its latent chain sweeps only on those factors:
+    # a sigma2 move keeps the unit-variance basis and rescales the factor
     w = ParamVector(KernelSpec("exponential", 1.0, 1.0), 0.5, 0.3)
     theta = np.array([0.2, -0.4, 0.9, 0.1])
     locations = np.vstack([[[0.5], [2.5]], np.arange(4, dtype=float).reshape(-1, 1)])
     model = build_param_model(w, locations, 2)
-    eighs, sweeps = recording_eighs(monkeypatch), recording_sweeps(monkeypatch)
+    factored, sweeps = [], recording_sweeps(monkeypatch)
+
+    def factoring(Q, slack):
+        factored.append(make_augmentation(Q, slack))
+        return factored[-1]
+
+    monkeypatch.setattr(inference, "make_augmentation", factoring)
     moved = replace(model, w=ParamVector(w.kernel, 1.3, -0.8))
     (_, moved_aug), (_, aug) = moved.latent(theta), model.latent(theta)
-    assert moved_aug.basis is aug.basis
-    assert moved.unit.latent_eigenpairs is model.unit.latent_eigenpairs
+    assert moved_aug.basis is aug.basis is model.unit_latent_aug.basis
+    assert moved.unit_latent_aug is model.unit_latent_aug
     assert np.array_equal(moved_aug.scale, aug.scale)
-    assert [n for n, _ in eighs] == [2]
-    del eighs[:]
+    assert factored == []
     cfg = FitConfig(n_iter=40, burn_in=0, phi_sweeps=1,
                     proposals=ProposalSpec(lengthscale2_step=0.5),
                     bridge=BridgeConfig(0, inner_sweeps=2))
     out = block_gibbs_fit(theta, build_param_model(w, locations, 2), cfg, rng)
     accepted = {name: counts["accepted"] for name, counts in out.outcomes.items()}
     assert accepted["lengthscale"] > 1 and accepted["variance"] > 0
-    latent_eighs = [U for n, (_, U) in eighs if n == 2]
-    swept_on = []
-    for aug in sweeps:
-        if aug.size == 2 and not any(aug.basis is U for U in swept_on):
-            swept_on.append(aug.basis)
-    assert len(latent_eighs) == len(swept_on) > 2
-    assert all(U is V for U, V in zip(latent_eighs, swept_on))
-    # the chain swept on more latent factors than eigenvector arrays
+    lengthscale = out.outcomes["lengthscale"]
+    assert len(factored) == 1 + sum(lengthscale.values()) - lengthscale["support"]
+    assert all(aug.size == 2 for aug in factored)
+    swept_on = {id(aug.basis) for aug in sweeps if aug.size == 2}
+    assert swept_on <= {id(aug.basis) for aug in factored} and len(swept_on) > 2
+    # the chain swept on more latent factors than bases
     assert len({aug.lam for aug in sweeps if aug.size == 2}) > len(swept_on)
 
 
@@ -939,18 +969,18 @@ def test_exchange_moves_form_no_whole_precision(monkeypatch, rng):
             kappa, nu = res.model.w.concentration, res.model.w.mean_direction
             for rho, f in ((cp.rho_c, np.cos), (cp.rho_s, np.sin)):
                 assert np.max(np.abs(rho - (kappa * f(nu) - M[:m, m:] @ f(theta)))) <= tol
-            assert np.max(np.abs(aug.eigenvalues - np.linalg.eigvalsh(M[:m, :m]))) <= tol
+            gap = aug.lam * np.eye(m) - M[:m, :m]
+            assert np.max(np.abs(aug.factor.T @ aug.factor - gap)) <= 1e-12 * aug.lam
             assert aug.size == m
             model = res.model
     assert "accepted" in outcomes and "mh" in outcomes
 
 
 def test_kernel_proposal_factors_by_cholesky_and_forms_no_whole_precision(monkeypatch, rng):
-    # chi unset: a kernel proposal runs no eigh of size d, only Cholesky
+    # chi unset: a kernel proposal runs no eigh, only Cholesky
     # factorizations and the blocked inverse (one np.linalg.inv at this d),
     # and the whole precision M is never formed; the m x m latent block is
-    # formed, and factored by one eigh of size m, once per lengthscale
-    # value the latent chain sweeps on
+    # formed, and factored by Cholesky, once per model built
     d, m = 12, 3
     sizes = {"eigh": [], "eigvalsh": [], "cholesky": [], "inv": [], "solve": []}
     for name in sizes:
@@ -975,11 +1005,12 @@ def test_kernel_proposal_factors_by_cholesky_and_forms_no_whole_precision(monkey
     # sigma2 moves are a rescale: only the lengthscale ones factor
     builds = 1 + sum(lengthscale.values()) - lengthscale["support"]
     assert sizes["inv"] == [d] * builds
-    assert sizes["cholesky"].count(d) == len(sizes["cholesky"]) >= 2 * builds
+    assert sizes["cholesky"].count(d) >= 2 * builds
+    assert sizes["cholesky"].count(m) >= builds
+    assert sizes["cholesky"].count(d) + sizes["cholesky"].count(m) == len(sizes["cholesky"])
     swept_on = {id(aug.basis) for aug in sweeps if aug.size == m}
-    assert sizes["eigh"] == [m] * len(swept_on)
     assert lengthscale["accepted"] <= len(swept_on) <= 1 + lengthscale["accepted"]
-    assert sizes["solve"] == sizes["eigvalsh"] == []
+    assert sizes["eigh"] == sizes["solve"] == sizes["eigvalsh"] == []
 
 
 def test_cd_gradient_repeats_evaluate_kernel_derivatives_once(monkeypatch, rng):

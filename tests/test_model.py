@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vmqp.gibbs import TriangularAugmentation
+from vmqp.gibbs import Augmentation, make_augmentation
 from vmqp.inference import ParamModel
 from vmqp.kernels import KernelSpec, build_gram, GramMatrix
 from vmqp.model import (
@@ -198,9 +198,10 @@ def test_full_state_params_noisy_tail():
     pm = precision_from_matrix(np.eye(3), 1, 2)
     theta = np.array([0.0, np.pi / 2])
     # the factor of lam*I - I at the slack rule, lam = 1.01: C = 0.1 * I
-    unit_aug = TriangularAugmentation(1.01, 0.1 * np.eye(3), 1.0, 1.0, pm.unit_matrix, 1.0,
-                                      np.ones(3) / np.sqrt(3.0))
-    model = ParamModel(pv(kappa=0.0, chi=3.0), np.zeros((3, 1)), 0.0, 0.01, pm, unit_aug)
+    unit_aug = Augmentation(1.01, 0.1 * np.eye(3), 1.0, 1.0, pm.unit_matrix, 1.0,
+                            np.ones(3) / np.sqrt(3.0))
+    model = ParamModel(pv(kappa=0.0, chi=3.0), np.zeros((3, 1)), 0.0, 0.01, pm, unit_aug,
+                       make_augmentation(pm.latent_block))
     cp, aug = model.latent(theta)
     assert aug is model.full_aug and aug.basis is unit_aug.basis
     assert np.allclose(cp.rho_c, [0.0, 3.0, 0.0], atol=1e-12)
