@@ -196,6 +196,10 @@ def _finite_median(values) -> float:
 
 
 def cmd_diagnose(cfg: RunConfig, dataset: Dataset, out: Path) -> None:
+    # lambda_max is an estimate from below, within a factor 1 + slack, and
+    # a factor exists only above the true one; no other command reads these
+    if not all(math.isfinite(c) and c >= 1.0 + cfg.slack for c in cfg.lambda_multipliers):
+        raise ConfigError("lambda_multipliers must be finite and >= 1 + slack")
     model = _assemble(cfg, dataset)
     cp, latent_aug = model.latent(dataset.observed_angles)
     w = model.w

@@ -82,7 +82,9 @@ class RunConfig:
         """Check every key by building the objects that use it.
 
         The library objects check their own fields; the keys that only the
-        CLI reads are checked here.
+        CLI reads are checked here, but for ``lambda_multipliers``, which
+        ``cli.cmd_diagnose``, the one command that reads them, checks
+        against ``slack``.
         """
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
@@ -96,10 +98,6 @@ class RunConfig:
             raise ConfigError("sweep_seeds must be >= 1")
         if self.cd_repeats < 0:
             raise ConfigError("cd_repeats must be >= 0")
-        # lambda_max is an estimate from below, within a factor 1 + slack,
-        # and a factor exists only above the true one
-        if not all(math.isfinite(c) and c >= 1.0 + self.slack for c in self.lambda_multipliers):
-            raise ConfigError("lambda_multipliers must be finite and >= 1 + slack")
         try:
             self.param_vector()
             self.fit_config()

@@ -59,7 +59,7 @@ import numpy as np
 
 from .circular import as_generator, cos_sin, normalize_angle, sample_von_mises
 from .errors import NumericalError
-from .kernels import DEFAULT_SLACK, certified_factor
+from .kernels import DEFAULT_SLACK, certified_factor, shifted_cholesky
 from .model import ConditionalParams
 from . import evaluation
 
@@ -104,15 +104,15 @@ class Augmentation:
     def at(self, lam: float) -> "Augmentation":
         """The factor of lam*I - Q: one Cholesky of lam*variance*I - unit.
 
-        Raises ``NumericalError`` when that Cholesky fails, as it does
-        when lam is below the top eigenvalue of Q.
+        ``kernels.shifted_cholesky``, the step of ``certified_factor``,
+        runs it on a copy of ``unit``, which keeps its bits. Raises
+        ``NumericalError`` when that Cholesky fails, as it does when lam
+        is below the top eigenvalue of Q.
         """
         if not np.isfinite(lam):
             raise ValueError("lambda must be finite")
-        G = np.negative(self.unit)
-        G.flat[:: len(G) + 1] += lam * self.variance
         try:
-            C = np.linalg.cholesky(G)
+            C = shifted_cholesky(self.unit.copy(), lam * self.variance)
         except np.linalg.LinAlgError:
             raise NumericalError(f"lambda {lam} is not above the top eigenvalue") from None
         return replace(self, lam=float(lam), basis=C)
@@ -121,8 +121,9 @@ class Augmentation:
 def make_augmentation(Q, slack: float = DEFAULT_SLACK) -> Augmentation:
     """Factor lam*I - Q for the symmetric Q at lam = (1 + slack) * estimate.
 
-    ``kernels.certified_factor`` sets lam and runs the Cholesky; Q is kept
-    as the factor's ``unit``, not copied. An empty Q gives an empty factor.
+    ``kernels.certified_factor`` sets lam and runs the Cholesky on a copy
+    of Q, so Q keeps its bits and may be read-only; Q itself is kept as
+    the factor's ``unit``. An empty Q gives an empty factor.
     Raises ``NumericalError`` when Q has no positive eigenvalue, or when
     no lam up to (1 + slack) times its largest absolute row sum factors.
     """
@@ -136,7 +137,7 @@ def make_augmentation(Q, slack: float = DEFAULT_SLACK) -> Augmentation:
     if not len(Q):
         return Augmentation(0.0, Q, 1.0, 0.0, Q, 1.0, np.zeros(0))
     try:
-        C, lam, est, top = certified_factor(Q, np.empty_like(Q), slack)
+        C, lam, est, top = certified_factor(Q.copy(), slack)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"cannot factor lam*I - Q: {exc}") from None
     return Augmentation(lam, C, 1.0, est, Q, 1.0, top)

@@ -244,19 +244,41 @@ def _jittered(spec: KernelSpec, X: np.ndarray, jitter: float) -> np.ndarray:
     return K
 
 
-def certified_factor(M: np.ndarray, G: np.ndarray, slack: float, start=None) -> tuple:
+def shifted_cholesky(M: np.ndarray, shift: float) -> np.ndarray:
+    """Lower Cholesky factor of shift*I - M, formed in M's own buffer.
+
+    M is negated in place and ``shift`` added to its diagonal, the
+    Cholesky runs there, and M is put back before the function returns
+    or raises: negated again, which is exact, and its diagonal rewritten
+    from a copy. So M keeps its bits, and the only d x d arrays besides
+    M are the factor and LAPACK's own copy of its input. Raises
+    ``np.linalg.LinAlgError`` when the Cholesky fails, as it does when
+    ``shift`` is not above lambda_max(M).
+    """
+    diagonal = M.diagonal().copy()
+    np.negative(M, out=M)
+    M.flat[:: len(M) + 1] += shift
+    try:
+        return np.linalg.cholesky(M)
+    finally:
+        np.negative(M, out=M)
+        M.flat[:: len(M) + 1] = diagonal
+
+
+def certified_factor(M: np.ndarray, slack: float, start=None) -> tuple:
     """Lower Cholesky factor C of lam*I - M at the slack rule, and its certificate.
 
     lam = (1 + slack) * est, with est the power-iteration estimate of
     lambda_max(M) from the unit vector ``start`` (a fixed cold start
-    without one). ``G``, a buffer of M's shape that shares no memory with
-    M, ends up holding lam*I - M. A Cholesky that fails multiplies lam by
-    (1 + slack) and retries, taking the failed lam as the estimate; after
-    the first failure from a ``start`` vector, the power iteration also
-    runs once from the cold start, and a larger estimate replaces it. The
-    Cholesky that succeeds certifies lam > lambda_max(M), so C is exact
-    whatever the estimate. Returns (C, lam, est, top), ``top`` the unit
-    vector the iteration reached.
+    without one). ``shifted_cholesky`` factors lam*I - M in M's own
+    buffer, so M must be writeable; it has its bits again whenever this
+    function reads it, returns or raises. A Cholesky that fails
+    multiplies lam by (1 + slack) and retries, taking the failed lam as
+    the estimate; after the first failure from a ``start`` vector, the
+    power iteration also runs once from the cold start, and a larger
+    estimate replaces it. The Cholesky that succeeds certifies lam >
+    lambda_max(M), so C is exact whatever the estimate. Returns (C, lam,
+    est, top), ``top`` the unit vector the iteration reached.
 
     Raises ``np.linalg.LinAlgError`` when M shows no positive eigenvalue,
     a Rayleigh quotient at ``top`` that is not positive (exact for a
@@ -272,10 +294,8 @@ def certified_factor(M: np.ndarray, G: np.ndarray, slack: float, start=None) -> 
     bound = None
     while True:
         lam = (1.0 + slack) * est
-        np.negative(M, out=G)
-        G.flat[:: len(G) + 1] += lam
         try:
-            return np.linalg.cholesky(G), lam, est, top
+            return shifted_cholesky(M, lam), lam, est, top
         except np.linalg.LinAlgError:
             bound = np.abs(M).sum(axis=1).max() if bound is None else bound
             if not lam <= (1.0 + slack) * bound:
@@ -291,19 +311,24 @@ def certified_factor(M: np.ndarray, G: np.ndarray, slack: float, start=None) -> 
 def _certified_gram(spec: KernelSpec, X: np.ndarray, jitter: float, slack: float, start) -> GramMatrix:
     """The ``GramMatrix`` at one jitter rung; ``np.linalg.LinAlgError`` if the rung fails.
 
-    M = L^-T L^-1 (``Li.T @ Li`` is one symmetric rank-k product), and K
-    is freed once L is known; ``certified_factor`` factors lam*I - M in
-    the buffer of L^-1. The rung fails when K has no Cholesky factor,
-    when ``certified_factor`` fails, or when 1/lam, a lower bound on the
+    K is freed once its Cholesky factor L exists, and L^-1, which
+    ``lower_inverse`` forms in L's buffer, once M = L^-T L^-1 is formed
+    (``Li.T @ Li`` is one symmetric rank-k product); ``certified_factor``
+    then factors lam*I - M in M's own buffer. So at most three n x n
+    arrays are alive at a time, LAPACK's copy inside a Cholesky among
+    them. The rung fails when K has no Cholesky factor, when
+    ``certified_factor`` fails, or when 1/lam, a lower bound on the
     smallest eigenvalue of K, is not above n * eps times the largest row
     sum of K.
     """
     K = _jittered(spec, X, jitter)
     floor = len(K) * np.finfo(float).eps * K.sum(axis=1).max()  # K's entries are positive
-    Li = lower_inverse(np.linalg.cholesky(K))
+    L = np.linalg.cholesky(K)
     del K
+    Li = lower_inverse(L)  # in L's buffer
     M = Li.T @ Li
-    C, lam, est, top = certified_factor(M, Li, slack, start)
+    del L, Li
+    C, lam, est, top = certified_factor(M, slack, start)
     if not 1.0 / lam > floor:
         raise np.linalg.LinAlgError("kernel matrix ill-conditioned at this jitter")
     return GramMatrix(spec, X, jitter, M, C, lam, est, top)

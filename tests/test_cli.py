@@ -406,6 +406,7 @@ CONFIG_ERRORS = [
     ("diagnose", "lambda_multipliers = 1.01, nan\n"),
     ("diagnose", "lambda_multipliers = 1.0\n"),
     ("diagnose", "chi = 4.0\nslack = 0.5\nlambda_multipliers = 1.2, 2.0\n"),
+    ("diagnose", "slack = 0.5\n"),
     ("sample", "seed = -1\n"),
     ("fit", "kernel_family = gaussian\nkernel_gradient_lengthscale = 0.7\n"),
     ("fit", "kernel_family = exponential\nkernel_gradient_lengthscale = 0.7\n"),
@@ -435,6 +436,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["split", "--data", data, "--fraction", "0.01", "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("data error: fraction 0.01 leaves an empty side")
     assert not out.exists()
+
+
+def test_only_diagnose_checks_the_lambda_multipliers(tmp_path):
+    # fit and sample never read the multipliers, so the default 1.01 stands
+    # next to a slack of 0.5; diagnose, which reads them, rejects it (the
+    # last row of CONFIG_ERRORS)
+    assert RunConfig(slack=0.5).validate().lambda_multipliers[0] < 1.5
+    cfg = write(tmp_path / "run.cfg", with_keys(BASE_CONFIG, "n_iter = 40\nburn_in = 10\nslack = 0.5\n"))
+    data = make_generic(tmp_path / "d.csv")
+    assert main(["sample", "--config", cfg, "--data", data, "--out", str(tmp_path / "o")]) == 0
+    assert float(read_kv(tmp_path / "o" / "report.txt")["lambda"]) > 0
 
 
 def test_cli_imports_no_scipy():
@@ -540,8 +552,7 @@ def test_cli_fit_runs_at_the_configured_slack(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "build_param_model", recording_build)
     monkeypatch.setattr(inference, "build_param_model", recording_build)
     factors = recording_sweeps(monkeypatch)
-    # every lambda multiplier must be >= 1 + slack, whichever command reads the config
-    cfg = write(tmp_path / "run.cfg", FIT_CONFIG + "slack = 0.5\nlambda_multipliers = 1.5\n")
+    cfg = write(tmp_path / "run.cfg", FIT_CONFIG + "slack = 0.5\n")
     data = make_generic(tmp_path / "d.csv", n_obs=6, n_pred=2)
     assert run(["fit", "--config", cfg, "--data", data, "--out", str(tmp_path / "o")]) == 0
     (model,) = given

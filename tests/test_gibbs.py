@@ -19,6 +19,8 @@ from vmqp.gibbs import (
 from vmqp.circular import normalize_angle, sample_von_mises
 from vmqp.model import ConditionalParams
 
+from test_kernels import low_estimate
+
 
 def test_make_augmentation_identity():
     aug = make_augmentation(np.eye(3))
@@ -527,3 +529,44 @@ def test_run_chain_on_a_stack_keeps_every_chain_and_its_ress():
         run_chain(cp, aug, 60, 20, init=np.zeros((2, 3, 4)))
     with pytest.raises(ValueError, match="init"):
         run_chain(cp, aug, 60, 20, init=np.zeros((3, 5)))
+
+
+@pytest.mark.parametrize("path", ["success", "retries", "raises"])
+def test_the_factor_step_leaves_q_and_unit_whole(monkeypatch, rng, path):
+    # make_augmentation's Q and at's unit belong to the caller: bit for bit
+    # the same after the call, whether it succeeds, retries or raises
+    B = rng.standard_normal((40, 40))
+    Q = B @ B.T / 40
+    Q[0, 1] = Q[1, 0] = -0.0
+    before = Q.copy()
+    aug = make_augmentation(Q)
+    if path == "retries":
+        low_estimate(monkeypatch)
+    elif path == "raises":
+        def failing(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+    if path == "raises":
+        with pytest.raises(NumericalError):
+            make_augmentation(Q)
+        with pytest.raises(NumericalError):
+            aug.at(2.0 * aug.lam)
+    else:
+        make_augmentation(Q)
+        aug.at(2.0 * aug.lam)
+    with pytest.raises(NumericalError):
+        aug.at(0.5 * aug.lam_max_estimate)
+    assert np.array_equal(Q, before) and np.array_equal(np.signbit(Q), np.signbit(before))
+    assert aug.unit is Q
+
+
+def test_a_read_only_q_still_factors(rng):
+    B = rng.standard_normal((20, 20))
+    Q = B @ B.T / 20
+    ref = make_augmentation(Q.copy())
+    Q.flags.writeable = False
+    aug = make_augmentation(Q)
+    assert np.array_equal(aug.basis, ref.basis) and aug.lam == ref.lam
+    assert np.array_equal(aug.at(3.0 * aug.lam).basis, ref.at(3.0 * ref.lam).basis)
+    assert np.array_equal(augmentation_at(Q, 2.0 * aug.lam).basis, ref.at(2.0 * ref.lam).basis)

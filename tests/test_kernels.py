@@ -262,6 +262,23 @@ def test_kernel_matrix_allocates_little_beyond_its_result(family, rng):
         assert peak <= bound * n * n * 8, build.__name__
 
 
+def test_gram_build_holds_two_traced_arrays_at_its_peak(rng):
+    # K is freed once L exists, L^-1 once M exists, and lam*I - M is
+    # factored in M's own buffer: at most two n x n arrays that tracemalloc
+    # sees are alive at once (K and L, or M and the factor). LAPACK's own
+    # copy inside np.linalg.cholesky is allocated outside numpy's tracked
+    # memory, so it is not traced
+    n = 400
+    X = rng.uniform(-3.0, 3.0, size=(n, 3))
+    tracemalloc.start()
+    try:
+        build_gram(FAMILY_SPECS["exponential"], X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * n * n * 8
+
+
 def assert_certified_factor(g, slack=0.01):
     """C C' = lam*I - M to 1e-12 * lam, lam in [lambda_max, (1 + slack)^2 lambda_max]
     of M by eigvalsh, and the jitter policy's certificate holds."""
@@ -290,13 +307,18 @@ def test_near_singular_gram_factor_is_exact():
     assert_certified_factor(g)
 
 
+def low_estimate(monkeypatch):
+    """Power iteration that reads lambda_max(M) / 1.5, at its own top vector."""
+    top = kernels_mod._top_eigenvalue
+    monkeypatch.setattr(kernels_mod, "_top_eigenvalue",
+                        lambda M, v, rtol: (np.linalg.eigvalsh(M)[-1] / 1.5, top(M, v, rtol)[1]))
+
+
 def test_a_low_estimate_costs_retries_not_exactness(monkeypatch, rng):
     # an estimate of lambda_max(M) that is 1.5 times too low: each failed
     # Cholesky of lam*I - M multiplies lam by 1 + slack, and the factor is exact
     slack = 0.1
-    top = kernels_mod._top_eigenvalue
-    monkeypatch.setattr(kernels_mod, "_top_eigenvalue",
-                        lambda M, v, rtol: (np.linalg.eigvalsh(M)[-1] / 1.5, top(M, v, rtol)[1]))
+    low_estimate(monkeypatch)
     calls, cholesky = [], np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
     g = build_gram(FAMILY_SPECS["exponential"], rng.uniform(-3.0, 3.0, size=(60, 3)), slack)
@@ -349,3 +371,61 @@ def test_a_stale_start_vector_costs_one_failed_cholesky(monkeypatch, rng):
     g = build_gram(spec, X, 0.01, U[:, -2])
     assert calls == ["ok", "fail", "ok"]
     assert_certified_factor(g)
+
+
+@pytest.mark.parametrize("path", ["success", "retries", "raises"])
+def test_the_factor_step_leaves_the_precision_whole(monkeypatch, rng, path):
+    # certified_factor writes lam*I - M into M's own buffer and puts M back
+    # bit for bit before it returns, retries or raises: the power
+    # iteration reads M whole, and build_gram's precision is the M it was given
+    entered, iterated, left = [], [], []
+    certified, top = kernels_mod.certified_factor, kernels_mod._top_eigenvalue
+
+    def recording_factor(M, slack, start=None):
+        entered.append(M.copy())
+        try:
+            return certified(M, slack, start)
+        finally:
+            left.append(M.copy())
+
+    if path == "retries":
+        low_estimate(monkeypatch)
+        top = kernels_mod._top_eigenvalue
+    elif path == "raises":  # K factors, every lam*I - M fails
+        cholesky, calls = np.linalg.cholesky, []
+
+        def failing_after_one(a):
+            calls.append(a.shape)
+            if len(calls) > 1:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing_after_one)
+
+    def recording_top(M, v, rtol):
+        iterated.append(np.array_equal(M, entered[-1]))
+        return top(M, v, rtol)
+
+    monkeypatch.setattr(kernels_mod, "certified_factor", recording_factor)
+    monkeypatch.setattr(kernels_mod, "_top_eigenvalue", recording_top)
+    spec, X = FAMILY_SPECS["exponential"], rng.uniform(-3.0, 3.0, size=(60, 3))
+    if path == "raises":
+        with pytest.raises(NumericalError):
+            build_gram(spec, X, 0.1)
+    else:
+        start = rng.standard_normal(60)  # the retries then also run a cold start
+        g = build_gram(spec, X, 0.1, start / np.linalg.norm(start))
+        assert np.array_equal(g.precision, entered[0])
+    assert len(entered) == len(left) == 1 and iterated and all(iterated)
+    assert np.array_equal(left[0], entered[0])
+
+
+def test_shifted_cholesky_puts_back_signed_zeros_and_the_diagonal():
+    M = np.array([[2.0, -0.0, 0.5], [0.0, 1.0, 0.0], [0.5, -0.0, 3.0]])
+    before = M.copy()
+    C = kernels_mod.shifted_cholesky(M, 4.0)
+    assert np.array_equal(C, np.linalg.cholesky(4.0 * np.eye(3) - before))  # the same numbers
+    assert np.array_equal(M, before) and np.array_equal(np.signbit(M), np.signbit(before))
+    with pytest.raises(np.linalg.LinAlgError):
+        kernels_mod.shifted_cholesky(M, 2.0)  # below lambda_max(M)
+    assert np.array_equal(np.signbit(M), np.signbit(before)) and np.array_equal(M, before)
