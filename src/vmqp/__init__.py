@@ -76,4 +76,4 @@ __all__ = [
     "sample_von_mises",
 ]
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"

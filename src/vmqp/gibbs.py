@@ -12,16 +12,18 @@ of each coordinate collapses onto its previous value. The default rule is
 lambda = (1 + slack) * lambda_max with slack = 0.01, where lambda_max is
 a power-iteration estimate from below.
 
-A factor A is kept as a basis C and a scale g, A = g C', never as one
-matrix, and a sweep applies it as one product with C and a scaling. Every
-factor is an ``Augmentation`` of some Q = unit / variance: C is the lower
-Cholesky factor of lam*variance*I - unit and g = 1/sqrt(variance), so one
-C serves every sigma2. ``kernels.certified_factor`` builds each C: it
-takes lam from a power-iteration estimate of lambda_max, and the Cholesky
-that succeeds certifies that lam is above it. ``kernels.build_gram`` runs
-it on a whole unit-variance precision M1, ``make_augmentation`` on any Q,
-such as the m x m latent block of M1; ``at`` moves a factor to another
-lam by one new Cholesky. No path runs an ``eigh``. A latent chain takes
+A factor A is kept as a basis C and a variance, A = C' / sqrt(variance),
+never as one matrix, and a sweep applies it as one product with C and a
+scaling. Every factor is a ``kernels.Augmentation`` of some Q = unit /
+variance: C is the lower Cholesky factor of lam*variance*I - unit, so one
+C serves every sigma2. ``kernels.certified_factor`` builds each C and
+returns the record at variance 1: it takes lam from a power-iteration
+estimate of lambda_max, and the Cholesky that succeeds certifies that lam
+is above it. ``kernels.build_gram`` runs it on a whole unit-variance
+precision M1 and keeps the record in its ``GramMatrix``;
+``make_augmentation`` runs it on any Q, such as the m x m latent block of
+M1; ``Augmentation.at`` moves a factor to another lam by one new
+Cholesky. No path runs an ``eigh``. A latent chain takes
 its target and factor together from ``inference.ParamModel.latent``.
 Every chain advances through ``run_sweeps``. Every transition is the two
 exact conditionals in turn: the z half, ``sweep_coefficients``, draws z
@@ -59,7 +61,7 @@ import numpy as np
 
 from .circular import as_generator, cos_sin, normalize_angle, sample_von_mises
 from .errors import NumericalError
-from .kernels import DEFAULT_SLACK, certified_factor, shifted_cholesky
+from .kernels import DEFAULT_SLACK, Augmentation, certified_factor
 from .model import ConditionalParams
 from . import evaluation
 
@@ -68,62 +70,13 @@ _EIG_EXACT_LIMIT = 512
 _POWER_ITERATIONS = 200
 
 
-@dataclass(frozen=True)
-class Augmentation:
-    """Factor A = C' / sqrt(variance) of lam*I - Q, Q = unit / variance.
-
-    C is the lower Cholesky factor of lam*variance*I - unit, kept as
-    ``basis``, and ``scale`` is 1/sqrt(variance). The sweep sees A only
-    through A'z ~ N(A'A cos(phi), A'A), so every A with A'A = lam*I - Q
-    gives the same Markov kernel. A sweep applies A as one product with
-    the basis and one scaling, so A is never stored. ``lam_max_estimate``
-    estimates the top eigenvalue of Q, from below when Q is positive
-    semidefinite; that C exists certifies lam above the top eigenvalue.
-    ``top`` is the unit vector of the power iteration that gave the
-    estimate. A chain takes its factor from the caller and never refactors
-    Q itself.
-    """
-
-    lam: float
-    basis: np.ndarray
-    scale: float
-    lam_max_estimate: float
-    unit: np.ndarray
-    variance: float
-    top: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def factor(self) -> np.ndarray:
-        """The matrix A = scale * basis', formed anew on every read."""
-        return (self.basis * self.scale).T
-
-    def at(self, lam: float) -> "Augmentation":
-        """The factor of lam*I - Q: one Cholesky of lam*variance*I - unit.
-
-        ``kernels.shifted_cholesky``, the step of ``certified_factor``,
-        runs it on a copy of ``unit``, which keeps its bits. Raises
-        ``NumericalError`` when that Cholesky fails, as it does when lam
-        is below the top eigenvalue of Q.
-        """
-        if not np.isfinite(lam):
-            raise ValueError("lambda must be finite")
-        try:
-            C = shifted_cholesky(self.unit.copy(), lam * self.variance)
-        except np.linalg.LinAlgError:
-            raise NumericalError(f"lambda {lam} is not above the top eigenvalue") from None
-        return replace(self, lam=float(lam), basis=C)
-
-
 def make_augmentation(Q, slack: float = DEFAULT_SLACK) -> Augmentation:
     """Factor lam*I - Q for the symmetric Q at lam = (1 + slack) * estimate.
 
-    ``kernels.certified_factor`` sets lam and runs the Cholesky on a copy
-    of Q, so Q keeps its bits and may be read-only; Q itself is kept as
-    the factor's ``unit``. An empty Q gives an empty factor.
+    The record that ``kernels.certified_factor`` returns, at variance 1:
+    it sets lam and runs the Cholesky on a copy of Q, so Q keeps its bits
+    and may be read-only, and Q itself is kept as the record's ``unit``.
+    An empty Q gives an empty factor.
     Raises ``NumericalError`` when Q has no positive eigenvalue, or when
     no lam up to (1 + slack) times its largest absolute row sum factors.
     """
@@ -135,12 +88,11 @@ def make_augmentation(Q, slack: float = DEFAULT_SLACK) -> Augmentation:
     if not (np.isfinite(slack) and slack > 0):
         raise ValueError("slack must be positive")
     if not len(Q):
-        return Augmentation(0.0, Q, 1.0, 0.0, Q, 1.0, np.zeros(0))
+        return Augmentation(0.0, Q, 0.0, Q, 1.0, np.zeros(0))
     try:
-        C, lam, est, top = certified_factor(Q.copy(), slack)
+        return replace(certified_factor(Q.copy(), slack), unit=Q)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"cannot factor lam*I - Q: {exc}") from None
-    return Augmentation(lam, C, 1.0, est, Q, 1.0, top)
 
 
 def augmentation_at(Q, lam: float) -> Augmentation:

@@ -15,18 +15,21 @@ sigma2 * K(1, l), and the jitter rung is proportional to sigma2, so
 ``build_param_model`` runs ``build_gram`` on the kernel at variance 1.
 Each lengthscale value therefore costs two Cholesky factorizations and a
 triangular inverse of size d, and a few power-iteration products started
-from the current model's top vector. They give the jitter, the unit
-precision M1 = K1^-1 and the lower Cholesky factor C1 of lam1*I - M1: the
-two d x d arrays a model owns, and the Gram matrix itself is dropped. A
-``ParamModel`` is those factorizations plus w: it reads M1 / sigma2 and
-the factor (C1, 1/sigma) from w, so every move that keeps the
-lengthscales is ``replace(model, w=w')``, with no factorization and no
-new d x d array. The exchange move reads the precision only through
-energies, products of the (2, d) cos/sin block with M1, and the energy
-difference of two models on one M1 takes one such product. Without
+from the current model's top vector. They give the unit-variance
+``GramMatrix``: its jitter and the one certified ``Augmentation`` that
+holds the unit precision M1 = K1^-1 and the lower Cholesky factor C1 of
+lam1*I - M1, the two d x d arrays a model owns; K itself is dropped. A
+``ParamModel`` is that Gram matrix plus w: it reads M1 / sigma2 and the
+factor of M1 / sigma2 (C1 at variance sigma2) from w, so every move that
+keeps the lengthscales is ``replace(model, w=w')``, with no factorization
+and no new d x d array. The exchange move reads the precision only
+through energies, products of the (2, d) cos/sin block with M1, and the
+energy difference of two models on one M1 takes one such product. Without
 observation noise the latent chain runs on the factor of the m x m latent
 block of M1, which ``build_param_model`` certifies by Cholesky as it does
-C1, and which every sigma2 divides in the same way.
+C1, and which every sigma2 divides in the same way; with noise the
+latent chain runs on the full-space factor and no latent block is
+factored.
 
 The normalizer does not depend on the mean direction nu: rotating every
 angle leaves the coupling unchanged. So the fit draws nu exactly from its
@@ -59,10 +62,9 @@ import numpy as np
 
 from .circular import as_generator, cos_sin, normalize_angle, sample_von_mises
 from .errors import NumericalError
-from .gibbs import Augmentation, make_augmentation, redraw, run_sweeps, sweep_coefficients
-from .gibbs import DEFAULT_SLACK
+from .gibbs import make_augmentation, redraw, run_sweeps, sweep_coefficients
 from .gibbs import gibbs_sweep  # noqa: F401  perfbench/test_perfbench.py reads this binding
-from .kernels import build_gram, kernel_derivatives
+from .kernels import DEFAULT_SLACK, Augmentation, GramMatrix, build_gram, kernel_derivatives
 from .model import (
     ParamVector,
     PrecisionModel,
@@ -179,33 +181,32 @@ class BridgeConfig:
 class ParamModel:
     """Everything the samplers need for one parameter value.
 
-    A model is the factorizations of its lengthscales plus ``w``. The
-    Gram matrix is sigma2 times the unit-variance one, K1, whose
-    precision ``unit`` holds M1 = K1^-1 and whose jitter is
-    ``unit_jitter``. ``unit_aug`` factors lam1*I - M1 by its lower
-    Cholesky factor C1, and ``unit_latent_aug`` the m x m latent block
-    of M1 in the same way. Every part that depends on sigma2 is derived
-    from ``w``: ``precision`` is M1 / sigma2, and the full-space
-    augmentation factor ``full_aug`` (any A with A'A = lam*I - M) is
-    (C1, 1/sigma) at lam = (1 + slack) * estimate / sigma2, both read
-    once and kept; the latent chain's factor, which ``latent`` gives,
-    divides ``unit_latent_aug`` by the same rule on each call. So M1 and
-    C1 are the only d x d arrays the model owns; repeated
-    fictitious-sample chains and bridging ladders reuse them, and
-    ``replace(model, w=w')`` is the model at any w' with the same
-    lengthscales, sharing ``unit``, ``unit_aug`` and ``unit_latent_aug``
-    and factoring nothing. The Gram matrix itself is not kept, only its
-    diagonal ``jitter``. ``derivatives`` (dK/dp for ``energy_gradient``,
-    d x d each) is computed on first read and kept.
+    A model is the unit-variance Gram matrix of its lengthscales plus
+    ``w``. ``gram`` is K1, the Gram matrix at variance 1: its locations,
+    its jitter and its certified ``aug``, which holds M1 = K1^-1 and the
+    lower Cholesky factor C1 of lam1*I - M1. ``unit`` is the precision
+    view of M1 with the latent/observed split, and ``unit_latent_aug``
+    factors the m x m latent block of M1 in the same way; it is None
+    under observation noise, where the latent chain runs on the full
+    space. Every part that depends on sigma2 is derived from ``w``:
+    ``precision`` is M1 / sigma2, and the full-space augmentation factor
+    ``full_aug`` (any A with A'A = lam*I - M) is ``gram.aug`` at variance
+    sigma2 and lam = (1 + slack) * estimate / sigma2, both read once and
+    kept; the latent chain's factor, which ``latent`` gives, divides
+    ``unit_latent_aug`` by the same rule on each call. So M1 and C1 are
+    the only d x d arrays the model owns; repeated fictitious-sample
+    chains and bridging ladders reuse them, and ``replace(model, w=w')``
+    is the model at any w' with the same lengthscales, sharing ``gram``,
+    ``unit`` and ``unit_latent_aug`` and factoring nothing.
+    ``derivatives`` (dK/dp for ``energy_gradient``, d x d each) is
+    computed on first read and kept.
     """
 
     w: ParamVector
-    locations: np.ndarray
-    unit_jitter: float
+    gram: GramMatrix
     slack: float
     unit: PrecisionModel
-    unit_aug: Augmentation
-    unit_latent_aug: Augmentation
+    unit_latent_aug: Augmentation | None
 
     @property
     def size(self) -> int:
@@ -217,22 +218,21 @@ class ParamModel:
 
     @cached_property
     def full_aug(self) -> Augmentation:
-        return self._at_sigma2(self.unit_aug)
+        return self._at_sigma2(self.gram.aug)
 
     def _at_sigma2(self, unit_aug: Augmentation) -> Augmentation:
         """The factor of a unit-variance factor's Q / sigma2: no factorization.
 
-        The basis is shared, the scale is 1/sigma and lam = (1 + slack) *
-        estimate / sigma2, the estimate of Q / sigma2.
+        The basis is shared, the variance is sigma2 and lam = (1 + slack)
+        * estimate / sigma2, the estimate of Q / sigma2.
         """
         v = self.w.kernel.variance
         est = unit_aug.lam_max_estimate / v
-        return replace(unit_aug, lam=(1.0 + self.slack) * est, scale=1.0 / math.sqrt(v),
-                       lam_max_estimate=est, variance=v)
+        return replace(unit_aug, lam=(1.0 + self.slack) * est, lam_max_estimate=est, variance=v)
 
     @property
     def jitter(self) -> float:
-        return self.w.kernel.variance * self.unit_jitter
+        return self.w.kernel.variance * self.gram.jitter
 
     def energy(self, phi) -> float:
         return energy(phi, self.w, self.precision)
@@ -242,7 +242,7 @@ class ParamModel:
 
         Without observation noise the chain runs over the m prediction
         angles: ``conditional_params`` given theta, on ``unit_latent_aug``
-        divided by sigma2 as ``full_aug`` divides ``unit_aug``, so a call
+        divided by sigma2 as ``full_aug`` divides ``gram.aug``, so a call
         factors nothing. With noisy
         observations (chi present) it runs over all d angles on
         ``full_aug``: the prior terms of ``full_state_params`` plus
@@ -261,7 +261,7 @@ class ParamModel:
 
     @cached_property
     def derivatives(self) -> dict:
-        return kernel_derivatives(self.w.kernel, self.locations)
+        return kernel_derivatives(self.w.kernel, self.gram.locations)
 
 
 def energy_change(model_w: ParamModel, model_wp: ParamModel, phi) -> float:
@@ -284,25 +284,23 @@ def energy_change(model_w: ParamModel, model_wp: ParamModel, phi) -> float:
 def build_param_model(
     w: ParamVector, locations, n_latent: int, slack: float = DEFAULT_SLACK, start=None
 ) -> ParamModel:
-    """Model at ``w`` from the factorizations that ``build_gram`` ran.
+    """Model at ``w`` over the Gram matrix that ``build_gram`` certified.
 
     ``build_gram`` runs on the kernel at variance 1, its power iteration
     starting at the unit vector ``start`` when one is given (the current
-    model's ``unit_aug.top`` in a fit); the model divides by sigma2 on
-    read, and K itself is dropped. The latent block of the unit precision
-    is factored here too, by ``make_augmentation`` at ``slack``; with no
-    latent angle that factor is empty.
+    model's ``gram.aug.top`` in a fit); the model keeps that Gram matrix,
+    whose factor it divides by sigma2 on read, and K itself is dropped.
+    Without observation noise the latent block of the unit precision is
+    factored here too, by ``make_augmentation`` at ``slack``; with no
+    latent angle that factor is empty. Under noise the latent chain runs
+    on the full-space factor, so no latent block is factored.
     """
-    X = np.asarray(locations, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    gram = build_gram(replace(w.kernel, variance=1.0), X, slack, start)
-    unit = build_precision(gram, n_latent, X.shape[0] - n_latent)
-    unit_aug = Augmentation(
-        gram.lam, gram.factor, 1.0, gram.lam_max_estimate, gram.precision, 1.0, gram.top
-    )
-    latent_aug = make_augmentation(unit.latent_block, slack)
-    return ParamModel(w, X, gram.jitter, slack, unit, unit_aug, latent_aug)
+    gram = build_gram(replace(w.kernel, variance=1.0), locations, slack, start)
+    unit = build_precision(gram, n_latent, gram.size - n_latent)
+    latent_aug = None
+    if w.noise_concentration is None:
+        latent_aug = make_augmentation(unit.latent_block, slack)
+    return ParamModel(w, gram, slack, unit, latent_aug)
 
 
 def full_states(model: ParamModel, latent, theta) -> np.ndarray:
@@ -466,12 +464,12 @@ def dmh_step(
         return DmhResult(model, False, xi_init, -math.inf, "support")
     lp_w = priors.log_density(w)
     lp_wp = priors.log_density(wp)
-    if replace(wp.kernel, variance=1.0) == replace(w.kernel, variance=1.0):
+    if replace(wp.kernel, variance=1.0) == model.gram.spec:
         model_wp = replace(model, w=wp)
     else:
         try:
             model_wp = build_param_model(
-                wp, model.locations, model.precision.n_latent, model.slack, model.unit_aug.top
+                wp, model.gram.locations, model.unit.n_latent, model.slack, model.gram.aug.top
             )
         except NumericalError:
             return DmhResult(model, False, xi_init, -math.inf, "numerical")

@@ -10,13 +10,15 @@ of lambda_max(M). That second Cholesky succeeds only if lam is above
 lambda_max(M), so the factor is exact whatever the estimate, and it
 certifies the smallest eigenvalue of K for the jitter policy. The loop
 that sets lam and runs that Cholesky, ``certified_factor``, builds every
-augmentation factor of the package: ``gibbs.make_augmentation`` runs it on
-a latent block.
+augmentation factor of the package and returns it as one ``Augmentation``
+record: a ``GramMatrix`` holds the one it certified for M, and
+``gibbs.make_augmentation`` runs the loop on a latent block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -90,31 +92,81 @@ class KernelSpec:
 
 
 @dataclass(frozen=True)
+class Augmentation:
+    """Factor A = C' / sqrt(variance) of lam*I - Q, Q = unit / variance.
+
+    C is the lower Cholesky factor of lam*variance*I - unit, kept as
+    ``basis``; the scale 1/sqrt(variance) is derived, never stored. The
+    sweep sees A only through A'z ~ N(A'A cos(phi), A'A), so every A with
+    A'A = lam*I - Q gives the same Markov kernel. A sweep applies A as
+    one product with the basis and one scaling, so A is never stored.
+    ``lam_max_estimate`` estimates the top eigenvalue of Q, from below
+    when Q is positive semidefinite; that C exists certifies lam above
+    the top eigenvalue. ``top`` is the unit vector of the power iteration
+    that gave the estimate. ``certified_factor`` returns the record at
+    variance 1, and a factor of unit / sigma2 is that record with
+    ``variance`` sigma2 and lam divided by it, sharing the basis. A chain
+    takes its factor from the caller and never refactors Q itself.
+    """
+
+    lam: float
+    basis: np.ndarray
+    lam_max_estimate: float
+    unit: np.ndarray
+    variance: float
+    top: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.basis.shape[0]
+
+    @property
+    def scale(self) -> float:
+        """1/sqrt(variance), the scale g of A = g C'."""
+        return 1.0 / math.sqrt(self.variance)
+
+    @property
+    def factor(self) -> np.ndarray:
+        """The matrix A = scale * basis', formed anew on every read."""
+        return (self.basis * self.scale).T
+
+    def at(self, lam: float) -> "Augmentation":
+        """The factor of lam*I - Q: one Cholesky of lam*variance*I - unit.
+
+        ``shifted_cholesky``, the step of ``certified_factor``, runs it on
+        a copy of ``unit``, which keeps its bits. Raises
+        ``NumericalError`` when that Cholesky fails, as it does when lam
+        is below the top eigenvalue of Q.
+        """
+        if not np.isfinite(lam):
+            raise ValueError("lambda must be finite")
+        try:
+            C = shifted_cholesky(self.unit.copy(), lam * self.variance)
+        except np.linalg.LinAlgError:
+            raise NumericalError(f"lambda {lam} is not above the top eigenvalue") from None
+        return replace(self, lam=float(lam), basis=C)
+
+
+@dataclass(frozen=True)
 class GramMatrix:
-    """Kernel matrix K with its jitter, its precision and a certified factor.
+    """Kernel matrix K with its jitter and the certified factor of its precision.
 
     K = K0 + ``jitter``*I for the kernel ``spec`` over ``locations``; it is
-    not kept, so ``matrix`` forms it anew on each read. ``precision`` is
-    M = K^-1 = L^-T L^-1 for the Cholesky factor K = L L', exactly
-    symmetric. ``factor`` is the lower Cholesky factor C of lam*I - M, so
-    A = C' has A'A = lam*I - M; that it exists certifies lam >
-    lambda_max(M). lam = (1 + slack) * ``lam_max_estimate``, an estimate
-    of lambda_max(M) from below that power iteration reached at the unit
-    vector ``top``.
+    not kept, so ``matrix`` forms it anew on each read. ``aug`` is the
+    ``Augmentation`` that ``certified_factor`` returned for the precision
+    M = K^-1 = L^-T L^-1 of the Cholesky factor K = L L', exactly
+    symmetric: M is its ``unit`` and the lower Cholesky factor C of
+    lam*I - M its ``basis``, at variance 1.
     """
 
     spec: KernelSpec
     locations: np.ndarray
     jitter: float
-    precision: np.ndarray
-    factor: np.ndarray
-    lam: float
-    lam_max_estimate: float
-    top: np.ndarray
+    aug: Augmentation
 
     @property
     def size(self) -> int:
-        return self.precision.shape[0]
+        return self.aug.size
 
     @property
     def matrix(self) -> np.ndarray:
@@ -265,8 +317,8 @@ def shifted_cholesky(M: np.ndarray, shift: float) -> np.ndarray:
         M.flat[:: len(M) + 1] = diagonal
 
 
-def certified_factor(M: np.ndarray, slack: float, start=None) -> tuple:
-    """Lower Cholesky factor C of lam*I - M at the slack rule, and its certificate.
+def certified_factor(M: np.ndarray, slack: float, start=None) -> Augmentation:
+    """The ``Augmentation`` of M at variance 1: the factor of lam*I - M at the slack rule.
 
     lam = (1 + slack) * est, with est the power-iteration estimate of
     lambda_max(M) from the unit vector ``start`` (a fixed cold start
@@ -277,8 +329,9 @@ def certified_factor(M: np.ndarray, slack: float, start=None) -> tuple:
     the estimate; after the first failure from a ``start`` vector, the
     power iteration also runs once from the cold start, and a larger
     estimate replaces it. The Cholesky that succeeds certifies lam >
-    lambda_max(M), so C is exact whatever the estimate. Returns (C, lam,
-    est, top), ``top`` the unit vector the iteration reached.
+    lambda_max(M), so C is exact whatever the estimate. Returns the
+    record with lam, ``basis`` C, the estimate est, ``unit`` M itself,
+    ``variance`` 1 and ``top``, the unit vector the iteration reached.
 
     Raises ``np.linalg.LinAlgError`` when M shows no positive eigenvalue,
     a Rayleigh quotient at ``top`` that is not positive (exact for a
@@ -295,7 +348,7 @@ def certified_factor(M: np.ndarray, slack: float, start=None) -> tuple:
     while True:
         lam = (1.0 + slack) * est
         try:
-            return shifted_cholesky(M, lam), lam, est, top
+            return Augmentation(lam, shifted_cholesky(M, lam), est, M, 1.0, top)
         except np.linalg.LinAlgError:
             bound = np.abs(M).sum(axis=1).max() if bound is None else bound
             if not lam <= (1.0 + slack) * bound:
@@ -314,7 +367,8 @@ def _certified_gram(spec: KernelSpec, X: np.ndarray, jitter: float, slack: float
     K is freed once its Cholesky factor L exists, and L^-1, which
     ``lower_inverse`` forms in L's buffer, once M = L^-T L^-1 is formed
     (``Li.T @ Li`` is one symmetric rank-k product); ``certified_factor``
-    then factors lam*I - M in M's own buffer. So at most three n x n
+    then factors lam*I - M in M's own buffer, and the Gram matrix keeps
+    the record it returns. So at most three n x n
     arrays are alive at a time, LAPACK's copy inside a Cholesky among
     them. The rung fails when K has no Cholesky factor, when
     ``certified_factor`` fails, or when 1/lam, a lower bound on the
@@ -328,10 +382,10 @@ def _certified_gram(spec: KernelSpec, X: np.ndarray, jitter: float, slack: float
     Li = lower_inverse(L)  # in L's buffer
     M = Li.T @ Li
     del L, Li
-    C, lam, est, top = certified_factor(M, slack, start)
-    if not 1.0 / lam > floor:
+    aug = certified_factor(M, slack, start)
+    if not 1.0 / aug.lam > floor:
         raise np.linalg.LinAlgError("kernel matrix ill-conditioned at this jitter")
-    return GramMatrix(spec, X, jitter, M, C, lam, est, top)
+    return GramMatrix(spec, X, jitter, aug)
 
 
 def build_gram(spec: KernelSpec, locations, slack: float = DEFAULT_SLACK, start=None) -> GramMatrix:
@@ -341,8 +395,8 @@ def build_gram(spec: KernelSpec, locations, slack: float = DEFAULT_SLACK, start=
     (see ``GramMatrix``) at the slack rule lam = (1 + slack) * estimate; a
     rung whose K fails a Cholesky, or whose certificate is too weak, moves
     to the next, with K formed anew. ``start`` is a unit vector where the
-    power iteration starts, such as the ``top`` of a nearby kernel's Gram
-    matrix.
+    power iteration starts, such as the ``aug.top`` of a nearby kernel's
+    Gram matrix.
     """
     X = np.asarray(locations, dtype=float)
     if X.ndim == 1:

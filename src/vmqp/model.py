@@ -107,7 +107,7 @@ def build_precision(gram: GramMatrix, m: int, n: int) -> PrecisionModel:
     d = gram.size
     if m < 0 or n < 0 or m + n != d:
         raise ValueError(f"partition {m}+{n} does not match matrix size {d}")
-    return PrecisionModel(gram.precision, 1.0, m, n)
+    return PrecisionModel(gram.aug.unit, 1.0, m, n)
 
 
 def conditional_params(

@@ -88,7 +88,7 @@ def test_factor_is_formed_from_scale_and_eigenvectors():
     assert aug.lam == 2.0 * aug.lam_max_estimate and aug.lam_max_estimate <= 3.0 < aug.lam
     assert np.array_equal(aug.basis, np.diag(np.sqrt(aug.lam - np.array([1.0, 3.0]))))
     assert np.array_equal(aug.factor, aug.scale * aug.basis.T)
-    half = replace(aug, scale=0.5)
+    half = replace(aug, variance=4.0)  # scale 1/sqrt(4) = 0.5
     assert np.array_equal(half.factor, 0.5 * aug.basis.T)
     assert aug.factor is not aug.factor  # a fresh array per read, never kept
     assert aug.size == 2
@@ -101,7 +101,7 @@ def test_triangular_factor_of_a_scaled_coupling(rng, variance):
     B = rng.standard_normal((20, 20))
     unit = B @ B.T / 20
     Q, top = unit / variance, np.linalg.eigvalsh(unit)[-1] / variance
-    ref = Augmentation(np.nan, None, 1.0 / np.sqrt(variance), top, unit, variance, None)
+    ref = Augmentation(np.nan, None, top, unit, variance, None)
     for mult in (1.01, 3.0):
         aug = ref.at(mult * top)
         assert aug.lam == mult * top and aug.lam_max_estimate == top and aug.unit is unit

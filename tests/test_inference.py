@@ -236,8 +236,8 @@ def plain_double_mh(model, phi_full, priors, proposals, inner_sweeps, rng, xi_in
     if wp.kernel is model.w.kernel:
         model_wp = replace(model, w=wp)
     else:
-        model_wp = build_param_model(wp, model.locations, model.precision.n_latent, model.slack,
-                                     model.unit_aug.top)
+        model_wp = build_param_model(wp, model.gram.locations, model.precision.n_latent,
+                                     model.slack, model.gram.aug.top)
     xi0 = sample_fictitious(model_wp, inner_sweeps, xi_init, rng)
     log_acc = (
         (priors.log_density(wp) - priors.log_density(model.w))
@@ -651,13 +651,13 @@ def test_variance_move_rescales_the_model_with_no_eigh(monkeypatch, rng):
         k, k0 = moved.w.kernel, w.kernel
         assert k.variance != k0.variance
         assert (k.lengthscale, k.gradient_lengthscale) == (k0.lengthscale, k0.gradient_lengthscale)
-        assert moved.unit is model.unit and moved.unit_jitter == model.unit_jitter
-        assert moved.unit_aug is model.unit_aug
+        assert moved.unit is model.unit and moved.gram.jitter == model.gram.jitter
+        assert moved.gram.aug is model.gram.aug
         assert moved.precision.unit_matrix is model.unit.unit_matrix
         assert moved.precision.variance == k.variance
-        assert moved.full_aug.basis is model.unit_aug.basis
+        assert moved.full_aug.basis is model.gram.aug.basis
         assert moved.full_aug.scale == 1.0 / math.sqrt(k.variance)
-        assert moved.full_aug.lam_max_estimate == model.unit_aug.lam_max_estimate / k.variance
+        assert moved.full_aug.lam_max_estimate == model.gram.aug.lam_max_estimate / k.variance
     assert eighs == [] and cholesky == []
 
 
@@ -685,6 +685,21 @@ def test_a_model_at_another_w_with_the_same_lengthscales_is_the_built_one(moved,
     aug, built_aug = replaced.latent(theta)[1], built.latent(theta)[1]
     assert aug.lam == built_aug.lam
     assert np.array_equal(aug.scale, built_aug.scale)
+
+
+def test_noisy_model_factors_no_latent_block(monkeypatch):
+    # under observation noise the latent chain runs on full_aug, so
+    # build_param_model runs every Cholesky at size d and none at size m
+    d, m = 9, 3
+    X = np.linspace(0.0, 4.0, d)[:, None]
+    sizes, cholesky = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: sizes.append(len(a)) or cholesky(a))
+    for chi, latent_sizes in ((None, [m]), (3.0, [])):
+        sizes.clear()
+        model = build_param_model(ParamVector(KernelSpec("gaussian", 1.0, 0.8), 0.5, 0.3, chi), X, m)
+        assert sizes and [n for n in sizes if n != d] == latent_sizes
+    assert model.unit_latent_aug is None
+    assert model.latent(np.zeros(d - m))[1] is model.full_aug
 
 
 def test_build_param_model_rejects_indefinite_gram(monkeypatch):
@@ -729,9 +744,9 @@ def test_mean_block_dmh_reuses_the_current_model(monkeypatch, rng):
         model_wp.latent(np.zeros(4))
         assert model_wp.w.kernel is w.kernel
         assert model_wp.w != w
-        assert model_wp.unit is model.unit and model_wp.unit_aug is model.unit_aug
+        assert model_wp.unit is model.unit and model_wp.gram.aug is model.gram.aug
         assert model_wp.precision.unit_matrix is model.unit.unit_matrix
-        assert model_wp.full_aug.basis is model.unit_aug.basis
+        assert model_wp.full_aug.basis is model.gram.aug.basis
     assert eighs == [] and cholesky == []
 
 
@@ -855,10 +870,10 @@ def test_a_model_owns_two_d_by_d_arrays_per_lengthscale_value(monkeypatch):
         assert len(square) == 2
         assert square[0] is each.unit.unit_matrix or square[1] is each.unit.unit_matrix
         assert each.precision.unit_matrix is each.unit.unit_matrix is each.full_aug.unit
-        assert each.full_aug.basis is each.unit_aug.basis
-    assert proposed[0].unit_aug.basis is not model.unit_aug.basis
+        assert each.full_aug.basis is each.gram.aug.basis
+    assert proposed[0].gram.aug.basis is not model.gram.aug.basis
     for moved in proposed[1:]:
-        assert moved.unit is model.unit and moved.full_aug.basis is model.unit_aug.basis
+        assert moved.unit is model.unit and moved.full_aug.basis is model.gram.aug.basis
 
 
 def test_fit_counts_every_outcome_by_block(rng):
@@ -1075,7 +1090,8 @@ def test_bridge_level_on_a_shared_basis_runs_one_factor(monkeypatch):
     model = build_param_model(
         ParamVector(KernelSpec("gaussian", 1.0, 1.0), 0.4, 0.3), locations, 0)
     moved = replace(model, w=ParamVector(KernelSpec("gaussian", 0.3, 1.0), 0.8, 0.3))
-    copied = replace(moved, unit_aug=replace(moved.unit_aug, basis=moved.unit_aug.basis.copy()))
+    aug = moved.gram.aug
+    copied = replace(moved, gram=replace(moved.gram, aug=replace(aug, basis=aug.basis.copy())))
     assert copied.full_aug.basis is not moved.full_aug.basis
     calls = []
     coefficients = inference.sweep_coefficients
@@ -1120,7 +1136,7 @@ def test_nu_draw_matches_its_von_mises_conditional():
     draws = np.empty(n)
     for i in range(n):
         moved = draw_mean_direction(model, phi, gen)
-        assert moved.unit is model.unit and moved.unit_aug is model.unit_aug
+        assert moved.unit is model.unit and moved.gram.aug is model.gram.aug
         assert moved.w.concentration == kappa and moved.w.kernel is model.w.kernel
         draws[i] = moved.w.mean_direction
     summary = circular_summary(draws)

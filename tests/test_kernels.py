@@ -67,7 +67,7 @@ def test_gram_coincident_locations():
     assert off == pytest.approx(1.0)
     assert g.matrix[0, 0] == pytest.approx(1.0 + g.jitter)
     assert np.all(np.linalg.eigvalsh(g.matrix) > 0)
-    assert np.allclose(g.precision @ g.matrix, np.eye(2), rtol=0, atol=1e-6)
+    assert np.allclose(g.aug.unit @ g.matrix, np.eye(2), rtol=0, atol=1e-6)
 
 
 def test_gram_collinear_entry():
@@ -139,7 +139,7 @@ def test_gram_jitter_escalates(monkeypatch):
     g = build_gram(spec, X)
     assert g.jitter == pytest.approx(1e-6 * sigma2)
     # the certified bound s_min >= 1/lam of the factored K, whose s_min is 5e-7 * sigma2
-    assert 5e-7 * sigma2 / 1.01**2 <= 1.0 / g.lam <= 5e-7 * sigma2 * (1 + 1e-6)
+    assert 5e-7 * sigma2 / 1.01**2 <= 1.0 / g.aug.lam <= 5e-7 * sigma2 * (1 + 1e-6)
 
 
 def test_gram_near_singular_keeps_the_first_jitter():
@@ -282,14 +282,14 @@ def test_gram_build_holds_two_traced_arrays_at_its_peak(rng):
 def assert_certified_factor(g, slack=0.01):
     """C C' = lam*I - M to 1e-12 * lam, lam in [lambda_max, (1 + slack)^2 lambda_max]
     of M by eigvalsh, and the jitter policy's certificate holds."""
-    n, M, C = g.size, g.precision, g.factor
+    n, M, C = g.size, g.aug.unit, g.aug.basis
     assert np.array_equal(M, M.T) and np.array_equal(C, np.tril(C))
-    assert np.max(np.abs(C @ C.T - (g.lam * np.eye(n) - M))) <= 1e-12 * g.lam
+    assert np.max(np.abs(C @ C.T - (g.aug.lam * np.eye(n) - M))) <= 1e-12 * g.aug.lam
     lam_max = np.linalg.eigvalsh(M)[-1]
-    assert lam_max <= g.lam <= (1 + slack) ** 2 * lam_max
-    assert g.lam == (1 + slack) * g.lam_max_estimate
-    assert np.linalg.eigvalsh(g.matrix)[0] >= (1 - 1e-6) / g.lam
-    assert 1.0 / g.lam > n * np.finfo(float).eps * (np.abs(g.matrix).sum(axis=1).max())
+    assert lam_max <= g.aug.lam <= (1 + slack) ** 2 * lam_max
+    assert g.aug.lam == (1 + slack) * g.aug.lam_max_estimate
+    assert np.linalg.eigvalsh(g.matrix)[0] >= (1 - 1e-6) / g.aug.lam
+    assert 1.0 / g.aug.lam > n * np.finfo(float).eps * (np.abs(g.matrix).sum(axis=1).max())
 
 
 @pytest.mark.parametrize("family", list(FAMILY_SPECS))
@@ -297,7 +297,7 @@ def test_gram_factor_is_exact_and_its_lambda_certified(family, rng):
     X = rng.uniform(-3.0, 3.0, size=(120, 3))
     g = build_gram(FAMILY_SPECS[family], X)
     assert_certified_factor(g)
-    assert np.max(np.abs(g.precision @ g.matrix - np.eye(120))) < 1e-6
+    assert np.max(np.abs(g.aug.unit @ g.matrix - np.eye(120))) < 1e-6
 
 
 def test_near_singular_gram_factor_is_exact():
@@ -354,7 +354,7 @@ def test_a_stale_start_vector_costs_one_failed_cholesky(monkeypatch, rng):
     # lambda_max; after the failed Cholesky it runs once from its cold
     # start, and the next Cholesky succeeds
     spec, X = KernelSpec("gaussian", 1.0, 1.3), rng.uniform(0.0, 8.0, size=(150, 3))
-    e, U = np.linalg.eigh(build_gram(spec, X).precision)
+    e, U = np.linalg.eigh(build_gram(spec, X).aug.unit)
     assert 1.01 * e[-2] < e[-1]
     calls, cholesky = [], np.linalg.cholesky
 
@@ -415,7 +415,7 @@ def test_the_factor_step_leaves_the_precision_whole(monkeypatch, rng, path):
     else:
         start = rng.standard_normal(60)  # the retries then also run a cold start
         g = build_gram(spec, X, 0.1, start / np.linalg.norm(start))
-        assert np.array_equal(g.precision, entered[0])
+        assert np.array_equal(g.aug.unit, entered[0])
     assert len(entered) == len(left) == 1 and iterated and all(iterated)
     assert np.array_equal(left[0], entered[0])
 

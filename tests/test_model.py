@@ -17,7 +17,8 @@ from vmqp.model import (
 def gram_from_matrix(K):
     """GramMatrix whose precision is K^-1; it has no kernel, factor or lam."""
     M = np.linalg.inv(np.asarray(K, dtype=float))
-    return GramMatrix(None, None, 0.0, 0.5 * (M + M.T), None, np.nan, np.nan, None)
+    aug = Augmentation(np.nan, np.full_like(M, np.nan), np.nan, 0.5 * (M + M.T), 1.0, None)
+    return GramMatrix(None, None, 0.0, aug)
 
 
 def precision_from_matrix(M, m, n):
@@ -198,9 +199,10 @@ def test_full_state_params_noisy_tail():
     pm = precision_from_matrix(np.eye(3), 1, 2)
     theta = np.array([0.0, np.pi / 2])
     # the factor of lam*I - I at the slack rule, lam = 1.01: C = 0.1 * I
-    unit_aug = Augmentation(1.01, 0.1 * np.eye(3), 1.0, 1.0, pm.unit_matrix, 1.0,
+    unit_aug = Augmentation(1.01, 0.1 * np.eye(3), 1.0, pm.unit_matrix, 1.0,
                             np.ones(3) / np.sqrt(3.0))
-    model = ParamModel(pv(kappa=0.0, chi=3.0), np.zeros((3, 1)), 0.0, 0.01, pm, unit_aug,
+    gram = GramMatrix(None, np.zeros((3, 1)), 0.0, unit_aug)
+    model = ParamModel(pv(kappa=0.0, chi=3.0), gram, 0.01, pm,
                        make_augmentation(pm.latent_block))
     cp, aug = model.latent(theta)
     assert aug is model.full_aug and aug.basis is unit_aug.basis
